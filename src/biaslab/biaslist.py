@@ -54,6 +54,14 @@ def build_utterance_list(
     return sorted(own + picked)
 
 
+def require_lists(utt_ids: list[str], lists: dict[str, list[str]]) -> None:
+    """Every utterance needs a bias list: a missing one is an input error,
+    never silently an empty list."""
+    missing = [u for u in utt_ids if u not in lists]
+    if missing:
+        raise ValueError(f"no bias list for utterances: {missing[:5]}")
+
+
 def write_bias_lists(path: str, lists: dict[str, list[str]]) -> None:
     """JSON-lines bias lists: {"id": ..., "words": [...]} per utterance."""
     with open(path, "w", encoding="utf-8") as fh:

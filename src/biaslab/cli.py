@@ -167,12 +167,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     _print_config(args, vars(args))
     vocab, corpus, _ = simulator.read_corpus(args.corpus)
     lists = biaslist.read_bias_lists(args.biaslists)
+    biaslist.require_lists([u.utt_id for u in corpus], lists)
     params = pointer.load_params(_require(args.ckpt, "checkpoint")) if args.ckpt else None
 
     def run(utt: simulator.SimUtterance):
-        tree = None
-        if args.mode != "none":
-            tree = build_trie(vocab, lists.get(utt.utt_id, []))
+        tree = build_trie(vocab, lists[utt.utt_id]) if args.mode != "none" else None
         hyp, trace = decoder.greedy_decode(utt, vocab, params, tree, args.mode)
         return utt.utt_id, hyp, trace
 
@@ -180,6 +179,20 @@ def cmd_decode(args: argparse.Namespace) -> int:
     decoder.write_hypotheses(args.out, results)
     print(f"decoded {len(results)} utterances to {args.out}")
     return 0
+
+
+def _score(corpus: list, lists: dict[str, list[str]], decoded, jobs: int):
+    """Align each utterance's ``decoded(utt)`` = (hyp_words, gate trace) with
+    its reference and pool the counts with ``metrics.score``."""
+
+    def one(utt: simulator.SimUtterance):
+        hyp_words, trace = decoded(utt)
+        words = set(lists[utt.utt_id])
+        mask = losses.bias_positions(utt.ref, words)
+        return metrics.align(utt.ref_words, hyp_words), words, trace, mask
+
+    rows = parallel_map(one, corpus, jobs)
+    return metrics.score(*([r[i] for r in rows] for i in range(4)), [u.utt_id for u in corpus])
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -193,22 +206,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     missing = [u.utt_id for u in corpus if u.utt_id not in hyps]
     if missing:
         raise ValueError(f"hypotheses missing for utterances: {missing[:5]}")
-
-    def one(utt: simulator.SimUtterance):
-        hyp_words, trace = hyps[utt.utt_id]
-        words = set(lists.get(utt.utt_id, []))
-        alignment = metrics.align(utt.ref_words, hyp_words)
-        mask = losses.bias_positions(utt.ref, words)
-        return alignment, words, trace, mask
-
-    rows = parallel_map(one, corpus, args.jobs)
-    report, breakdown = metrics.score(
-        [r[0] for r in rows],
-        [r[1] for r in rows],
-        [r[2] for r in rows],
-        [r[3] for r in rows],
-        [u.utt_id for u in corpus],
-    )
+    biaslist.require_lists([u.utt_id for u in corpus], lists)
+    report, breakdown = _score(corpus, lists, lambda utt: hyps[utt.utt_id], args.jobs)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.per_utt:
@@ -237,6 +236,8 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     _, test_corpus, _ = simulator.read_corpus(args.test_corpus)
     train_lists = biaslist.read_bias_lists(args.train_biaslists)
     test_lists = biaslist.read_bias_lists(args.test_biaslists)
+    biaslist.require_lists([u.utt_id for u in train_corpus], train_lists)
+    biaslist.require_lists([u.utt_id for u in test_corpus], test_lists)
 
     rows = []
     for alpha in alphas:
@@ -255,20 +256,10 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
             params, _ = trainer.train(train_corpus, train_lists, vocab, config)
 
             def run(utt: simulator.SimUtterance):
-                tree = build_trie(vocab, test_lists.get(utt.utt_id, []))
-                hyp, trace = decoder.greedy_decode(utt, vocab, params, tree, args.decode_mode)
-                words = set(test_lists.get(utt.utt_id, []))
-                alignment = metrics.align(utt.ref_words, hyp)
-                mask = losses.bias_positions(utt.ref, words)
-                return alignment, words, trace, mask
+                tree = build_trie(vocab, test_lists[utt.utt_id])
+                return decoder.greedy_decode(utt, vocab, params, tree, args.decode_mode)
 
-            scored = parallel_map(run, test_corpus, args.jobs)
-            report, _ = metrics.score(
-                [r[0] for r in scored],
-                [r[1] for r in scored],
-                [r[2] for r in scored],
-                [r[3] for r in scored],
-            )
+            report, _ = _score(test_corpus, test_lists, run, args.jobs)
             rows.append(
                 {
                     "alpha": alpha,

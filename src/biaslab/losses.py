@@ -15,12 +15,13 @@ the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .biastrie import PrefixTree, TrieCursor, advance_cursor, build_trie, valid_set
-from .pointer import PgParams, StepOutput, forward_step
+from .pointer import PgParams, StepOutput, sigmoid
 from .tokenizer import TokenizedUtterance, Vocab
 
 LOG_FLOOR = 1e-12
@@ -41,6 +42,12 @@ class BiasMask:
     positions: frozenset[int]
     size: int
 
+    def flags(self) -> np.ndarray:
+        """Mask membership of every position as a boolean array."""
+        out = np.zeros(self.size, dtype=bool)
+        out[sorted(self.positions)] = True
+        return out
+
 
 @dataclass
 class LossReport:
@@ -51,7 +58,7 @@ class LossReport:
     l_ptr: float
     total: float
     n_clamped: int = 0
-    per_position: list | None = None
+    gate_rates: dict | None = None
 
 
 @dataclass
@@ -87,22 +94,7 @@ class ParamGrads:
         )
 
     def l2_norm(self) -> float:
-        return float(
-            np.sqrt(
-                np.sum(self.token_embed**2)
-                + np.sum(self.w_query**2)
-                + np.sum(self.w_gate**2)
-                + self.b_gate**2
-            )
-        )
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.token_embed))
-            and np.all(np.isfinite(self.w_query))
-            and np.all(np.isfinite(self.w_gate))
-            and np.isfinite(self.b_gate)
-        )
+        return float(np.sqrt(np.sum(_flatten(self) ** 2)))
 
 
 @dataclass
@@ -120,7 +112,25 @@ class BiasExample:
     p_mdl_seq: np.ndarray
     valid_sets: tuple[tuple[int, ...], ...]
     mask: BiasMask
-    tree: PrefixTree
+
+    @cached_property
+    def packed(self) -> tuple[np.ndarray, ...]:
+        """The loss kernel's view of the utterance, built on its first pass.
+
+        ``(members, member_mask, gold_col, in_mask, p_mdl_gold)``: each
+        position's valid set as a row of token ids padded to the longest set
+        (true entries flagged in ``member_mask``), the gold token's column in
+        that row (-1 when it is not a member), the bias-mask flags, and the
+        base model's probability of the gold token.  Built on first use and
+        reused by every later pass, so preparing an example stays cheap.
+        """
+        lengths = [len(v) for v in self.valid_sets]
+        member_mask = np.arange(max(lengths, default=0)) < np.array(lengths)[:, None]
+        members = np.zeros(member_mask.shape, dtype=np.intp)
+        members[member_mask] = [t for v in self.valid_sets for t in v]
+        gold = [v.index(g) if g in v else -1 for g, v in zip(self.tokens, self.valid_sets)]
+        p_mdl_gold = self.p_mdl_seq[np.arange(len(lengths)), list(self.tokens)]
+        return members, member_mask, np.array(gold, dtype=np.intp), self.mask.flags(), p_mdl_gold
 
 
 def bias_positions(ref: TokenizedUtterance, bias_words: set[str]) -> BiasMask:
@@ -157,22 +167,12 @@ def prepare_example(
         raise ValueError(f"utterance {utt_id}: sequence length mismatch")
     tree = build_trie(vocab, list(bias_words))
     mask = bias_positions(ref, set(w.lower() for w in bias_words))
-    return BiasExample(
-        utt_id, ref.tokens, h_seq, p_mdl_seq, teacher_valid_sets(tree, ref.tokens), mask, tree
-    )
+    sets = teacher_valid_sets(tree, ref.tokens)
+    return BiasExample(utt_id, ref.tokens, h_seq, p_mdl_seq, sets, mask)
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return float(e / (1.0 + e))
-
-
-def _clamped_log(value: float) -> tuple[float, bool]:
-    if value < LOG_FLOOR:
-        return float(np.log(LOG_FLOOR)), True
-    return float(np.log(value)), False
+def _floored_log(x: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(x, LOG_FLOOR))
 
 
 def loss_asr(p_seq: np.ndarray, ref: TokenizedUtterance) -> float:
@@ -182,11 +182,7 @@ def loss_asr(p_seq: np.ndarray, ref: TokenizedUtterance) -> float:
         raise ValueError("probability rows do not match the reference length")
     if np.any(np.abs(p_seq.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("probability rows must sum to 1")
-    total = 0.0
-    for i, tok in enumerate(ref.tokens):
-        log_p, _ = _clamped_log(float(p_seq[i, tok]))
-        total -= log_p
-    return total
+    return float(-np.sum(_floored_log(p_seq[np.arange(ref.size), list(ref.tokens)])))
 
 
 def loss_gen(p_gen_seq: np.ndarray, mask: BiasMask, alpha: float) -> float:
@@ -200,15 +196,10 @@ def loss_gen(p_gen_seq: np.ndarray, mask: BiasMask, alpha: float) -> float:
     p_gen_seq = np.asarray(p_gen_seq, dtype=np.float64)
     if p_gen_seq.shape[0] != mask.size:
         raise ValueError("gate sequence does not match the mask length")
-    total = 0.0
-    for i in range(mask.size):
-        if i in mask.positions:
-            log_p, _ = _clamped_log(float(p_gen_seq[i]))
-            total -= alpha * log_p
-        else:
-            log_q, _ = _clamped_log(1.0 - float(p_gen_seq[i]))
-            total -= (1.0 - alpha) * log_q
-    return float(total)
+    on = mask.flags()
+    return float(-np.sum(np.where(
+        on, alpha * _floored_log(p_gen_seq), (1.0 - alpha) * _floored_log(1.0 - p_gen_seq)
+    )))
 
 
 def loss_ptr(step_outputs: list[StepOutput], ref: TokenizedUtterance, mask: BiasMask) -> float:
@@ -216,129 +207,10 @@ def loss_ptr(step_outputs: list[StepOutput], ref: TokenizedUtterance, mask: Bias
     total = 0.0
     for i in sorted(mask.positions):
         gold = ref.tokens[i]
-        step = step_outputs[i]
-        if gold not in step.valid:
+        if gold not in step_outputs[i].valid:
             raise ValueError(f"mask/trie inconsistency at position {i}")
-        log_p, _ = _clamped_log(float(step.p_ptr[gold]))
-        total -= log_p
+        total -= float(_floored_log(step_outputs[i].p_ptr[gold]))
     return total
-
-
-def _utterance_pass(
-    params: PgParams,
-    ex: BiasExample,
-    mode: str,
-    alpha: float,
-    want_grad: bool,
-) -> tuple[float, float, float, int, np.ndarray, np.ndarray, ParamGrads | None]:
-    """Teacher-forced forward (and optional backward) over one utterance.
-
-    Returns (l_gen, l_ptr, l_asr, n_clamped, gates, gate_valid, grads).
-    ``gates`` holds the per-position gate probability (0 where the valid set
-    is empty) and ``gate_valid`` marks positions with a nonempty valid set.
-    """
-    dim = params.embed_dim
-    state_dim = params.state_dim
-    sqrt_d = np.sqrt(dim)
-    w_state = params.w_gate[:state_dim]
-    w_ctx = params.w_gate[state_dim:]
-
-    seq_len = len(ex.tokens)
-    gates = np.zeros(seq_len)
-    gate_valid = np.zeros(seq_len, dtype=bool)
-    l_gen = l_ptr = l_asr = 0.0
-    n_clamped = 0
-    grads = ParamGrads.zeros_like(params) if want_grad else None
-
-    for i in range(seq_len):
-        gold = ex.tokens[i]
-        in_k = i in ex.mask.positions
-        members_t = ex.valid_sets[i]
-        if not members_t:
-            if in_k:
-                raise ValueError(f"mask/trie inconsistency at position {i}")
-            # gate forced shut: no loss terms beyond the base-model NLL
-            log_p, clamped = _clamped_log(float(ex.p_mdl_seq[i, gold]))
-            l_asr -= log_p
-            n_clamped += clamped
-            continue
-
-        members = np.asarray(members_t, dtype=np.intp)
-        h = ex.h_seq[i]
-        emb = params.token_embed[members]
-        query = params.w_query @ h
-        logits = emb @ query / sqrt_d
-        logits -= logits.max()
-        p = np.exp(logits)
-        p /= p.sum()
-        ctx = p @ emb
-        pre = w_state @ h + w_ctx @ ctx + params.b_gate
-        gate = _sigmoid(float(pre))
-        gates[i] = gate
-        gate_valid[i] = True
-
-        pos = int(np.searchsorted(members, gold))
-        gold_pos = pos if pos < len(members) and members[pos] == gold else None
-
-        clamped_gate = clamped_ptr = False
-        if in_k:
-            if gold_pos is None:
-                raise ValueError(f"mask/trie inconsistency at position {i}")
-            log_g, clamped_gate = _clamped_log(gate)
-            l_gen -= alpha * log_g
-            log_p_gold, clamped_ptr = _clamped_log(float(p[gold_pos]))
-            l_ptr -= log_p_gold
-            n_clamped += clamped_gate + clamped_ptr
-        else:
-            log_one_minus, clamped_gate = _clamped_log(1.0 - gate)
-            l_gen -= (1.0 - alpha) * log_one_minus
-            n_clamped += clamped_gate
-
-        p_mdl_gold = float(ex.p_mdl_seq[i, gold])
-        ptr_gold = float(p[gold_pos]) if gold_pos is not None else 0.0
-        p_final = p_mdl_gold * (1.0 - gate) + ptr_gold * gate
-        log_final, clamped_asr = _clamped_log(p_final)
-        l_asr -= log_final
-        n_clamped += clamped_asr
-
-        if not want_grad:
-            continue
-
-        # gradient seeds match the clamped loss: a floored log contributes 0
-        if mode == TWO_LOSS:
-            if in_k:
-                d_pre = 0.0 if clamped_gate else -alpha * (1.0 - gate)
-                d_z = np.zeros_like(p)
-                if not clamped_ptr:
-                    d_z = p.copy()
-                    d_z[gold_pos] -= 1.0
-            else:
-                d_pre = 0.0 if clamped_gate else (1.0 - alpha) * gate
-                d_z = np.zeros_like(p)
-        else:
-            d_z = np.zeros_like(p)
-            if clamped_asr:
-                d_pre = 0.0
-            else:
-                inv = -1.0 / p_final
-                d_pre = inv * (ptr_gold - p_mdl_gold) * gate * (1.0 - gate)
-                if gold_pos is not None:
-                    d_z = inv * gate * ptr_gold * (-p)
-                    d_z[gold_pos] += inv * gate * ptr_gold
-
-        # context reaches the loss only through the gate pre-activation
-        d_ctx = d_pre * w_ctx
-        proj = emb @ d_ctx
-        d_z = d_z + p * (proj - ctx @ d_ctx)
-
-        d_query = (d_z @ emb) / sqrt_d
-        grads.token_embed[members] += np.outer(d_z, query) / sqrt_d + np.outer(p, d_ctx)
-        grads.w_query += np.outer(d_query, h)
-        grads.w_gate[:state_dim] += d_pre * h
-        grads.w_gate[state_dim:] += d_pre * ctx
-        grads.b_gate += d_pre
-
-    return l_gen, l_ptr, l_asr, n_clamped, gates, gate_valid, grads
 
 
 def _mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
@@ -349,17 +221,239 @@ def _mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
+# Utterances per kernel group.  A pass gathers (utterances, positions, valid
+# set, embed_dim) embeddings for one group at a time, so a pass over a whole
+# split stays near the memory of one minibatch.
+GROUP_SIZE = 16
+
+
+@dataclass
+class TeacherForced:
+    """Result of one teacher-forced pass over a batch.
+
+    ``terms()`` gives every per-position quantity of the pass as one array
+    over all positions, utterances in batch order: the gate ``p_gen`` (0
+    where the valid set is empty), the bias probability of the gold token
+    ``p_ptr_gold``, the three loss terms, ``valid_count``, ``in_mask`` and,
+    in a pass with gradients, ``d_gate_pre``: the derivative of the mode's
+    objective with respect to the gate pre-activation, 0 where the log it
+    flows through is floored.
+    """
+
+    report: LossReport
+    grads: ParamGrads | None
+    groups: list[tuple[dict[str, np.ndarray], np.ndarray]] = field(repr=False)
+
+    def terms(self) -> dict[str, np.ndarray]:
+        keys = self.groups[0][0] if self.groups else ()
+        return {key: np.concatenate([f[key][real] for f, real in self.groups]) for key in keys}
+
+
+def _pad(rows: list[np.ndarray], fill: float) -> np.ndarray:
+    """Stack arrays along a new first axis, padding every other axis to the longest."""
+    shape = tuple(map(max, zip(*(r.shape for r in rows))))
+    out = np.full((len(rows), *shape), fill, rows[0].dtype)
+    for b, row in enumerate(rows):
+        out[(b, *map(slice, row.shape))] = row
+    return out
+
+
+def _culprit(group: list[BiasExample], ok: np.ndarray) -> BiasExample:
+    """The first utterance whose ``ok`` flags are not all true."""
+    return group[int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))]
+
+
+def _group_pass(
+    params: PgParams,
+    group: list[BiasExample],
+    mode: str,
+    alpha: float,
+    grads: ParamGrads | None,
+) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
+    """Every position of a few utterances at once, padded to the group's own
+    longest utterance and valid set; adds the gradient into ``grads``."""
+    # padded positions have a certain gold token, so every padded term is 0
+    members, member_mask, gold_col, in_mask, p_mdl_gold = (
+        _pad(list(column), fill)
+        for column, fill in zip(zip(*(ex.packed for ex in group)), (0, False, -1, False, 1.0))
+    )
+    h = _pad([ex.h_seq for ex in group], 0.0)
+    n, seq, width = members.shape
+    real = np.arange(seq) < np.array([len(ex.tokens) for ex in group])[:, None]
+    finite = np.isfinite(h).all(axis=2) & np.isfinite(p_mdl_gold)
+    if not finite.all():
+        raise DivergenceError(f"non-finite input on utterance {_culprit(group, finite).utt_id}")
+    has_valid = member_mask.any(axis=2)
+    inconsistent = in_mask & (gold_col < 0)
+    if inconsistent.any():
+        b, i = np.argwhere(inconsistent)[0]
+        raise ValueError(f"mask/trie inconsistency at position {i} of utterance {group[b].utt_id}")
+
+    # forward: masked softmax over each valid set, context, gate
+    state_dim = params.state_dim
+    sqrt_d = np.sqrt(params.embed_dim)
+    w_ctx = params.w_gate[state_dim:]
+    emb = params.token_embed[members]
+    query = h @ params.w_query.T
+    logits = np.where(member_mask, np.einsum("btkd,btd->btk", emb, query) / sqrt_d, -np.inf)
+    top = logits.max(axis=2, keepdims=True, initial=-np.inf)
+    top[~has_valid] = 0.0
+    p = np.exp(logits - top)
+    norm = p.sum(axis=2, keepdims=True)
+    norm[~has_valid] = 1.0
+    p /= norm
+    ctx = np.einsum("btk,btkd->btd", p, emb)
+    pre = h @ params.w_gate[:state_dim] + ctx @ w_ctx + params.b_gate
+    gate = np.where(has_valid, sigmoid(pre), 0.0)
+
+    # floored losses; positions off the mask with a valid set train the gate shut
+    onehot = np.arange(width) == gold_col[..., None]
+    ptr_gold = (p * onehot).sum(axis=2)
+    off = has_valid & ~in_mask
+    p_final = p_mdl_gold * (1.0 - gate) + ptr_gold * gate
+    gate_floor = gate < LOG_FLOOR
+    shut_floor = 1.0 - gate < LOG_FLOOR
+    ptr_floor = ptr_gold < LOG_FLOOR
+    final_floor = p_final < LOG_FLOOR
+    found = {
+        "p_gen": gate,
+        "p_ptr_gold": ptr_gold,
+        "l_gen": np.where(
+            in_mask,
+            -alpha * _floored_log(gate),
+            np.where(off, -(1.0 - alpha) * _floored_log(1.0 - gate), 0.0),
+        ),
+        "l_ptr": np.where(in_mask, -_floored_log(ptr_gold), 0.0),
+        "l_asr": -_floored_log(p_final),
+        "valid_count": member_mask.sum(axis=2),
+        "in_mask": in_mask,
+    }
+    floored = (in_mask & gate_floor, in_mask & ptr_floor, off & shut_floor, final_floor)
+    n_clamped = sum(int(np.count_nonzero(f)) for f in floored)
+
+    if grads is None:
+        return found, real, n_clamped
+
+    # gradient seeds match the floored losses: a floored log contributes 0;
+    # the bias logits get d_z = coef * (onehot(gold) - p)
+    if mode == TWO_LOSS:
+        d_pre = np.where(in_mask & ~gate_floor, -alpha * (1.0 - gate), 0.0) + np.where(
+            off & ~shut_floor, (1.0 - alpha) * gate, 0.0
+        )
+        coef = np.where(in_mask & ~ptr_floor, -1.0, 0.0)
+    else:
+        live = has_valid & ~final_floor
+        inv = -1.0 / np.where(live, p_final, 1.0)
+        d_pre = np.where(live, inv * (ptr_gold - p_mdl_gold) * gate * (1.0 - gate), 0.0)
+        coef = np.where(live & (gold_col >= 0), inv * gate * ptr_gold, 0.0)
+    found["d_gate_pre"] = d_pre
+
+    # backward; the context reaches the loss only through the gate
+    d_ctx = d_pre[..., None] * w_ctx
+    proj = np.einsum("btkd,btd->btk", emb, d_ctx) - np.einsum("btd,btd->bt", ctx, d_ctx)[..., None]
+    d_z = coef[..., None] * (onehot - p) + p * proj
+    d_query = np.einsum("btk,btkd->btd", d_z, emb) / sqrt_d
+    # embedding rows: scatter d_z and p onto vocabulary columns, then one
+    # product per utterance; each utterance is reduced on its own and the
+    # utterances are summed in batch order
+    vocab = params.vocab_size
+    cells = ((np.arange(n * seq) * vocab).reshape(n, seq, 1) + members).ravel()
+
+    def to_vocab(values: np.ndarray) -> np.ndarray:
+        dense = np.bincount(cells, weights=values.ravel(), minlength=n * seq * vocab)
+        return dense.reshape(n, seq, vocab).transpose(0, 2, 1)
+
+    per_utt = (
+        to_vocab(d_z) @ query / sqrt_d + to_vocab(p) @ d_ctx,
+        np.matmul(d_query.transpose(0, 2, 1), h),
+        np.matmul(d_pre[:, None, :], h)[:, 0],
+        np.matmul(d_pre[:, None, :], ctx)[:, 0],
+        d_pre.sum(axis=1),
+    )
+    finite = np.all([np.isfinite(g).reshape(n, -1).all(axis=1) for g in per_utt], axis=0)
+    if not finite.all():
+        raise DivergenceError(f"non-finite gradient on utterance {_culprit(group, finite).utt_id}")
+    grads.token_embed += per_utt[0].sum(axis=0)
+    grads.w_query += per_utt[1].sum(axis=0)
+    grads.w_gate[:state_dim] += per_utt[2].sum(axis=0)
+    grads.w_gate[state_dim:] += per_utt[3].sum(axis=0)
+    grads.b_gate += float(per_utt[4].sum())
+    return found, real, n_clamped
+
+
+def teacher_forced(
+    params: PgParams,
+    batch: list[BiasExample],
+    mode: str,
+    alpha: float,
+    want_grad: bool = False,
+) -> TeacherForced:
+    """Teacher-forced forward (and optional backward) over a batch.
+
+    Every position's valid set is known from the reference, so a group of
+    utterances runs as array operations: masked softmax over the valid set,
+    context, gate, and the floored losses of ``loss_gen``, ``loss_ptr`` and
+    ``loss_asr``.  Raises ``DivergenceError`` on non-finite parameters or
+    inputs (before computing anything) and on a non-finite gradient.
+    """
+    _mode_total(mode, 0.0, 0.0, 0.0)
+    if not np.isfinite(_flatten(params)).all():
+        raise DivergenceError("non-finite copy-module parameters")
+    grads = ParamGrads.zeros_like(params) if want_grad else None
+    l_gen = l_ptr = l_asr = 0.0
+    n_clamped = 0
+    groups = []
+    for start in range(0, len(batch), GROUP_SIZE):
+        group = batch[start:start + GROUP_SIZE]
+        found, real, clamped = _group_pass(params, group, mode, alpha, grads)
+        l_gen += float(found["l_gen"].sum())
+        l_ptr += float(found["l_ptr"].sum())
+        l_asr += float(found["l_asr"].sum())
+        n_clamped += clamped
+        groups.append((found, real))
+    report = LossReport(l_asr, l_gen, l_ptr, _mode_total(mode, l_gen, l_ptr, l_asr), n_clamped)
+    return TeacherForced(report, grads, groups)
+
+
+def _rates(terms: dict[str, np.ndarray], threshold: float) -> dict[str, float]:
+    if not terms:  # an empty batch has no positions
+        return {"tar": 0.0, "far": 0.0, "tp": 0, "fn": 0, "fp": 0, "tn": 0,
+                "mean_gate_on_mask": 0.0}
+    gate = terms["p_gen"]
+    fired = gate >= threshold
+    on = terms["in_mask"]
+    off = (terms["valid_count"] > 0) & ~on
+    tp = int(np.count_nonzero(fired & on))
+    fn = int(np.count_nonzero(~fired & on))
+    fp = int(np.count_nonzero(fired & off))
+    tn = int(np.count_nonzero(~fired & off))
+    return {
+        "tar": tp / (tp + fn) if tp + fn else 0.0,
+        "far": fp / (fp + tn) if fp + tn else 0.0,
+        "tp": tp,
+        "fn": fn,
+        "fp": fp,
+        "tn": tn,
+        "mean_gate_on_mask": float(gate[on].sum()) / (tp + fn) if tp + fn else 0.0,
+    }
+
+
 def evaluate(
-    params: PgParams, batch: list[BiasExample], mode: str, alpha: float
+    params: PgParams,
+    batch: list[BiasExample],
+    mode: str,
+    alpha: float,
+    gate_threshold: float | None = None,
 ) -> LossReport:
-    """Losses summed over a batch, without gradients."""
-    tg = tp = ta = 0.0
-    clamped = 0
-    for ex in batch:
-        l_gen, l_ptr, l_asr, n_cl, _, _, _ = _utterance_pass(params, ex, mode, alpha, False)
-        tg, tp, ta = tg + l_gen, tp + l_ptr, ta + l_asr
-        clamped += n_cl
-    return LossReport(ta, tg, tp, _mode_total(mode, tg, tp, ta), clamped)
+    """Losses summed over a batch, without gradients.
+
+    With ``gate_threshold`` the report also carries the batch's
+    ``gate_rates`` at that boundary, from the same pass.
+    """
+    out = teacher_forced(params, batch, mode, alpha)
+    if gate_threshold is not None:
+        out.report.gate_rates = _rates(out.terms(), gate_threshold)
+    return out.report
 
 
 def gate_rates(
@@ -370,64 +464,20 @@ def gate_rates(
     Only positions with a nonempty valid set count; the hit rate is over
     masked positions, the false-fire rate over unmasked ones.
     """
-    tp = fn = fp = tn = 0
-    gate_sum_on_mask = 0.0
-    mask_positions = 0
-    for ex in batch:
-        _, _, _, _, gates, gate_valid, _ = _utterance_pass(params, ex, TWO_LOSS, 0.5, False)
-        for i in range(len(ex.tokens)):
-            if not gate_valid[i]:
-                continue
-            fired = gates[i] >= threshold
-            if i in ex.mask.positions:
-                mask_positions += 1
-                gate_sum_on_mask += gates[i]
-                tp += fired
-                fn += not fired
-            else:
-                fp += fired
-                tn += not fired
-    tar = tp / (tp + fn) if tp + fn else 0.0
-    far = fp / (fp + tn) if fp + tn else 0.0
-    mean_gate = gate_sum_on_mask / mask_positions if mask_positions else 0.0
-    return {
-        "tar": tar,
-        "far": far,
-        "tp": tp,
-        "fn": fn,
-        "fp": fp,
-        "tn": tn,
-        "mean_gate_on_mask": mean_gate,
-    }
+    return _rates(teacher_forced(params, batch, TWO_LOSS, 0.5).terms(), threshold)
 
 
 def grad(
     params: PgParams, batch: list[BiasExample], mode: str, alpha: float
 ) -> tuple[ParamGrads, LossReport]:
     """Analytic gradient of the mode's objective, summed over the batch."""
-    total = ParamGrads.zeros_like(params)
-    tg = tp = ta = 0.0
-    clamped = 0
-    for ex in batch:
-        l_gen, l_ptr, l_asr, n_cl, _, _, g = _utterance_pass(params, ex, mode, alpha, True)
-        if not g.is_finite():
-            raise DivergenceError(f"non-finite gradient on utterance {ex.utt_id}")
-        total.add_(g)
-        tg, tp, ta = tg + l_gen, tp + l_ptr, ta + l_asr
-        clamped += n_cl
-    report = LossReport(ta, tg, tp, _mode_total(mode, tg, tp, ta), clamped)
-    return total, report
+    out = teacher_forced(params, batch, mode, alpha, want_grad=True)
+    return out.grads, out.report
 
 
 def _flatten(obj: PgParams | ParamGrads) -> np.ndarray:
-    return np.concatenate(
-        [
-            obj.token_embed.ravel(),
-            obj.w_query.ravel(),
-            obj.w_gate.ravel(),
-            [obj.b_gate],
-        ]
-    )
+    parts = (obj.token_embed.ravel(), obj.w_query.ravel(), obj.w_gate.ravel(), [obj.b_gate])
+    return np.concatenate(parts)
 
 
 def _unflatten(template: PgParams, vec: np.ndarray) -> PgParams:
@@ -478,76 +528,21 @@ def step_trace(
     """Per-step diagnostic records: losses, gate, and the gate gradient seed.
 
     One record per (utterance, position); the per-step loss fields sum to the
-    batch report of ``evaluate``.  ``d_gate_pre`` is the derivative of the
-    mode's objective with respect to the gate pre-activation at that step.
+    batch report of ``evaluate`` and ``d_gate_pre`` sums to the ``b_gate``
+    component of ``grad``.
     """
-    _mode_total(mode, 0.0, 0.0, 0.0)
-    records: list[dict] = []
-    for ex in batch:
-        for i in range(len(ex.tokens)):
-            gold = ex.tokens[i]
-            in_k = i in ex.mask.positions
-            members = ex.valid_sets[i]
-            p_mdl_gold = float(ex.p_mdl_seq[i, gold])
-            if not members:
-                records.append(
-                    {
-                        "utt": ex.utt_id,
-                        "step": i,
-                        "in_mask": in_k,
-                        "valid_count": 0,
-                        "p_gen": 0.0,
-                        "p_ptr_gold": 0.0,
-                        "l_gen": 0.0,
-                        "l_ptr": 0.0,
-                        "l_asr": -_clamped_log(p_mdl_gold)[0],
-                        "d_gate_pre": 0.0,
-                    }
-                )
-                continue
-            step = forward_step(params, ex.h_seq[i], list(members))
-            gate = step.p_gen
-            ptr_gold = float(step.p_ptr[gold])
-            l_gen_i = (
-                -alpha * _clamped_log(gate)[0]
-                if in_k
-                else -(1.0 - alpha) * _clamped_log(1.0 - gate)[0]
-            )
-            l_ptr_i = -_clamped_log(ptr_gold)[0] if in_k else 0.0
-            p_final = p_mdl_gold * (1.0 - gate) + ptr_gold * gate
-            l_asr_i = -_clamped_log(p_final)[0]
-            if mode == TWO_LOSS:
-                d_pre = -alpha * (1.0 - gate) if in_k else (1.0 - alpha) * gate
-            else:
-                d_pre = (
-                    0.0
-                    if p_final < LOG_FLOOR
-                    else -(ptr_gold - p_mdl_gold) / p_final * gate * (1.0 - gate)
-                )
-            records.append(
-                {
-                    "utt": ex.utt_id,
-                    "step": i,
-                    "in_mask": in_k,
-                    "valid_count": len(members),
-                    "p_gen": gate,
-                    "p_ptr_gold": ptr_gold,
-                    "l_gen": l_gen_i,
-                    "l_ptr": l_ptr_i,
-                    "l_asr": l_asr_i,
-                    "d_gate_pre": d_pre,
-                }
-            )
-    return records
+    found = teacher_forced(params, batch, mode, alpha, want_grad=True).terms()
+    columns = {key: values.tolist() for key, values in found.items()}
+    steps = [(ex.utt_id, i) for ex in batch for i in range(len(ex.tokens))]
+    return [
+        {"utt": utt, "step": i, **{key: values[j] for key, values in columns.items()}}
+        for j, (utt, i) in enumerate(steps)
+    ]
 
 
 def alpha_derivative(p_gen_seq: np.ndarray, mask: BiasMask) -> float:
     """Analytic derivative of the gate loss with respect to its class weight."""
     p_gen_seq = np.asarray(p_gen_seq, dtype=np.float64)
-    total = 0.0
-    for i in range(mask.size):
-        if i in mask.positions:
-            total -= _clamped_log(float(p_gen_seq[i]))[0]
-        else:
-            total += _clamped_log(1.0 - float(p_gen_seq[i]))[0]
-    return float(total)
+    return float(np.sum(np.where(
+        mask.flags(), -_floored_log(p_gen_seq), _floored_log(1.0 - p_gen_seq)
+    )))

@@ -21,11 +21,14 @@ import numpy as np
 GATE_BIAS_INIT = -9.0
 
 
-def sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return float(1.0 / (1.0 + np.exp(-x)))
-    e = np.exp(x)
-    return float(e / (1.0 + e))
+def sigmoid(x: float | np.ndarray) -> float | np.ndarray:
+    """Logistic function, elementwise on arrays; exp only sees -|x|.  A float
+    (one decode step's gate) skips the array path, which costs ~4x more."""
+    if isinstance(x, float):
+        e = np.exp(-abs(x))
+        return float((1.0 if x >= 0.0 else e) / (1.0 + e))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -82,7 +85,7 @@ class StepOutput:
 
 
 def init_params(seed: int, vocab_size: int, embed_dim: int, state_dim: int) -> PgParams:
-    """Seeded uniform init on [-s, s] with s = 1/sqrt(fan-in); gate bias -2."""
+    """Seeded uniform init on [-s, s] with s = 1/sqrt(fan-in); gate bias GATE_BIAS_INIT (-9)."""
     if min(vocab_size, embed_dim, state_dim) <= 0:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import losses
+from .biaslist import require_lists
 from .losses import BiasExample, prepare_example
 from .parallel import parallel_map
 from .pointer import PgParams, init_params
@@ -66,9 +67,7 @@ def prepare_batch(
     jobs: int = 1,
 ) -> list[BiasExample]:
     """Build teacher-forced examples; every utterance needs a bias list."""
-    missing = [u.utt_id for u in corpus if u.utt_id not in bias_lists]
-    if missing:
-        raise ValueError(f"no bias list for utterances: {missing[:5]}")
+    require_lists([u.utt_id for u in corpus], bias_lists)
 
     def build(utt: SimUtterance) -> BiasExample:
         return prepare_example(
@@ -78,30 +77,24 @@ def prepare_batch(
     return parallel_map(build, corpus, jobs)
 
 
-def _batch_grad(
-    params: PgParams, batch: list[BiasExample], mode: str, alpha: float, jobs: int
-) -> tuple[losses.ParamGrads, losses.LossReport]:
-    if jobs <= 1:
-        return losses.grad(params, batch, mode, alpha)
-    results = parallel_map(lambda ex: losses.grad(params, [ex], mode, alpha), batch, jobs)
-    total = losses.ParamGrads.zeros_like(params)
-    tg = tp = ta = 0.0
-    clamped = 0
-    for g, report in results:
-        total.add_(g)
-        tg += report.l_gen
-        tp += report.l_ptr
-        ta += report.l_asr
-        clamped += report.n_clamped
-    mode_total = tg + tp if mode == losses.TWO_LOSS else ta
-    return total, losses.LossReport(ta, tg, tp, mode_total, clamped)
-
-
 def _apply_update(params: PgParams, grads: losses.ParamGrads, scale: float) -> None:
     params.token_embed -= scale * grads.token_embed
     params.w_query -= scale * grads.w_query
     params.w_gate -= scale * grads.w_gate
     params.b_gate -= scale * grads.b_gate
+
+
+def _train_pass(
+    params: PgParams, train_set: list[BiasExample], config: TrainConfig, want_signal: bool
+) -> tuple[losses.ParamGrads | None, losses.LossReport]:
+    """Train-split losses at the current parameters and, if wanted, their
+    gradient: the next epoch's signal, None when it is not finite."""
+    if want_signal:
+        try:
+            return losses.grad(params, train_set, config.mode, config.alpha)
+        except losses.DivergenceError:
+            pass
+    return None, losses.evaluate(params, train_set, config.mode, config.alpha)
 
 
 def train(
@@ -130,20 +123,23 @@ def train(
     best_dev = float("inf")
     epochs_since_improve = 0
     log: list[dict] = []
+    n_train = len(train_set)
 
+    try:
+        # gradient signal available to the first epoch, before any update
+        signal, _ = losses.grad(params, train_set, config.mode, config.alpha)
+    except losses.DivergenceError:
+        return best_params, log
     for epoch in range(1, config.epochs + 1):
-        try:
-            # gradient signal available to this epoch, before any of its updates
-            start_grads, _ = _batch_grad(params, train_set, config.mode, config.alpha,
-                                         config.jobs)
-        except losses.DivergenceError:
+        if signal is None:
             break
+        grad_norm = signal.scaled(1.0 / n_train).l2_norm()
         order = sub_rng(config.seed, "epoch", epoch).permutation(len(train_set))
         diverged = False
         for start in range(0, len(order), config.batch_size):
             batch = [train_set[int(i)] for i in order[start:start + config.batch_size]]
             try:
-                grads, report = _batch_grad(params, batch, config.mode, config.alpha, config.jobs)
+                grads, report = losses.grad(params, batch, config.mode, config.alpha)
             except losses.DivergenceError:
                 diverged = True
                 break
@@ -155,10 +151,14 @@ def train(
             # abort and hand back the last good snapshot
             break
 
-        train_report = losses.evaluate(params, train_set, config.mode, config.alpha)
-        dev_report = losses.evaluate(params, dev_set, config.mode, config.alpha)
-        dev_rates = losses.gate_rates(params, dev_set)
-        n_train = len(train_set)
+        try:
+            signal, train_report = _train_pass(params, train_set, config, epoch < config.epochs)
+            dev_report = losses.evaluate(
+                params, dev_set, config.mode, config.alpha, gate_threshold=0.5
+            )
+        except losses.DivergenceError:
+            break
+        dev_rates = dev_report.gate_rates
         dev_total = dev_report.total / len(dev_set)
         row = {
             "epoch": epoch,
@@ -168,7 +168,7 @@ def train(
             "dev_far": 100.0 * dev_rates["far"],
             "dev_tar": 100.0 * dev_rates["tar"],
             "lr": lr,
-            "grad_norm": start_grads.scaled(1.0 / n_train).l2_norm(),
+            "grad_norm": grad_norm,
             "dev_total": dev_total,
         }
         log.append(row)

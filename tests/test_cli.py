@@ -152,6 +152,29 @@ def test_score_missing_hypotheses_is_runtime_error(workdir, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_missing_bias_list_rejected_by_decode_score_and_sweep(workdir, capsys):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons)
+    lines = open(lists).readlines()
+    dropped = json.loads(lines[0])["id"]
+    short = str(tmp_path / "short.jsonl")
+    open(short, "w").write("".join(lines[1:]))
+    capsys.readouterr()
+    commands = [
+        ["decode", "--corpus", corpus, "--ckpt", ckpt, "--biaslists", short,
+         "--mode", "unscaled", "--out", str(tmp_path / "h2.jsonl")],
+        ["score", "--refs", corpus, "--hyps", hyps, "--biaslists", short,
+         "--out", str(tmp_path / "r2.json")],
+        ["sweep-alpha", "--train-corpus", corpus, "--test-corpus", corpus,
+         "--train-biaslists", lists, "--test-biaslists", short, "--alphas", "0.7",
+         "--epochs", "1", "--out", str(tmp_path / "s2.csv")],
+    ]
+    for argv in commands:
+        assert run(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "no bias list" in err and dropped in err, argv[0]
+
+
 def test_fd_check_within_tolerance(capsys):
     assert run(["fd-check", "--seed", "11", "--dims", "4,6"]) == 0
     out = capsys.readouterr().out

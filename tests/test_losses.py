@@ -1,8 +1,12 @@
 import dataclasses
 import math
 
+import types
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biaslab import losses
 from biaslab.biastrie import build_trie
@@ -357,3 +361,89 @@ def test_grad_reduction_order_stable():
         acc.add_(part)
     assert np.allclose(acc.token_embed, total.token_embed, atol=1e-12)
     assert abs(acc.b_gate - total.b_gate) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["two_loss", "asr"])
+@pytest.mark.parametrize("b_gate", [None, 40.0])
+def test_step_trace_gate_gradient_sums_to_b_gate(mode, b_gate):
+    # b_gate 40 saturates the gate, so its log is floored and grad uses 0
+    params, batch, _ = make_check_setup(9, 5, 5, n_utterances=3)
+    if b_gate is not None:
+        params.b_gate = b_gate
+    grads, _ = grad(params, batch, mode, 0.7)
+    records = losses.step_trace(params, batch, mode, 0.7)
+    assert abs(sum(r["d_gate_pre"] for r in records) - grads.b_gate) <= 1e-12
+    assert b_gate is None or grads.b_gate == 0.0
+
+
+def test_kernel_groups_match_per_utterance_sums():
+    params, batch, _ = make_check_setup(12, 4, 6, n_utterances=2 * losses.GROUP_SIZE + 3)
+    whole, report = grad(params, batch, "asr", 0.7)
+    parts = [grad(params, [ex], "asr", 0.7) for ex in batch]
+    assert math.isclose(report.l_asr, sum(r.l_asr for _, r in parts), rel_tol=1e-12)
+    acc = losses.ParamGrads.zeros_like(params)
+    for g, _ in parts:
+        acc.add_(g)
+    assert np.allclose(acc.w_query, whole.w_query, rtol=1e-12, atol=1e-14)
+    assert np.allclose(acc.token_embed, whole.token_embed, rtol=1e-12, atol=1e-14)
+
+
+def test_non_finite_parameters_rejected_before_the_pass():
+    params, batch, _ = make_check_setup(3)
+    params.w_query[0, 0] = np.nan
+    with pytest.raises(losses.DivergenceError, match="parameters"):
+        evaluate(params, batch, "two_loss", 0.7)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_input_names_the_utterance():
+    params, batch, _ = make_check_setup(3, n_utterances=3)
+    batch[1].h_seq = batch[1].h_seq.copy()
+    batch[1].h_seq[0, 0] = np.inf
+    with pytest.raises(losses.DivergenceError, match=batch[1].utt_id):
+        grad(params, batch, "two_loss", 0.7)
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 300),
+    b_gate=st.one_of(st.floats(-6.0, 6.0), st.sampled_from([-40.0, 40.0])),
+    alpha=st.floats(0.05, 0.95),
+    emptied=st.lists(st.integers(0, 40), max_size=6),
+)
+@example(seed=3, b_gate=40.0, alpha=0.7, emptied=[0, 1, 2, 3, 4, 5])
+@example(seed=5, b_gate=-40.0, alpha=0.3, emptied=[6])
+def test_kernel_matches_reference_losses_and_forward_step(seed, b_gate, alpha, emptied):
+    """The training kernel and the decode-time forward_step compute one model."""
+    params, batch, _ = make_check_setup(seed, 4, 5, n_utterances=3)
+    params.b_gate = b_gate
+    # clear some off-mask valid sets: the kernel must mix empty and full rows
+    ex = batch[0]
+    drop = {i for i in emptied if i < len(ex.tokens) and i not in ex.mask.positions}
+    batch[0] = dataclasses.replace(
+        ex, valid_sets=tuple(() if i in drop else v for i, v in enumerate(ex.valid_sets))
+    )
+    out = losses.teacher_forced(params, batch, "two_loss", alpha)
+    gates = out.terms()["p_gen"]
+    l_gen = l_ptr = l_asr = 0.0
+    offset = 0
+    for ex in batch:
+        steps = [forward_step(params, ex.h_seq[i], list(ex.valid_sets[i]))
+                 for i in range(len(ex.tokens))]
+        ref = types.SimpleNamespace(tokens=ex.tokens, size=len(ex.tokens))
+        p_gen = np.array([s.p_gen for s in steps])
+        for i, step in enumerate(steps):
+            assert _close(gates[offset + i], step.p_gen)
+        offset += len(steps)
+        l_gen += loss_gen(p_gen, ex.mask, alpha)
+        l_ptr += loss_ptr(steps, ref, ex.mask)
+        rows = [interpolate(ex.p_mdl_seq[i], s, "scaled") for i, s in enumerate(steps)]
+        l_asr += loss_asr(np.array(rows), ref)
+    assert offset == len(gates)
+    assert _close(out.report.l_gen, l_gen)
+    assert _close(out.report.l_ptr, l_ptr)
+    assert _close(out.report.l_asr, l_asr)

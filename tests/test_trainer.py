@@ -101,6 +101,7 @@ def test_plateau_decays_learning_rate():
         assert min(rates) <= 30.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_divergence_aborts_with_finite_snapshot():
     vocab, corpus, lists = small_setup(n=40)
     corpus[0].h_dec_seq[0, 0] = np.inf  # poisons the gradients mid-epoch
