@@ -18,7 +18,6 @@ from dataclasses import asdict
 from . import biaslist, decoder, losses, metrics, pointer, simulator, trainer
 from .biastrie import build_trie
 from .harness import make_check_setup
-from .parallel import parallel_map
 from .tokenizer import read_word_list
 
 
@@ -169,19 +168,30 @@ def cmd_decode(args: argparse.Namespace) -> int:
     lists = biaslist.read_bias_lists(args.biaslists)
     biaslist.require_lists([u.utt_id for u in corpus], lists)
     params = pointer.load_params(_require(args.ckpt, "checkpoint")) if args.ckpt else None
+    if args.mode != "none":
+        _check_fit(params, vocab, corpus)
 
     def run(utt: simulator.SimUtterance):
         tree = build_trie(vocab, lists[utt.utt_id]) if args.mode != "none" else None
         hyp, trace = decoder.greedy_decode(utt, vocab, params, tree, args.mode)
         return utt.utt_id, hyp, trace
 
-    results = parallel_map(run, corpus, args.jobs)
+    results = [run(utt) for utt in corpus]
     decoder.write_hypotheses(args.out, results)
     print(f"decoded {len(results)} utterances to {args.out}")
     return 0
 
 
-def _score(corpus: list, lists: dict[str, list[str]], decoded, jobs: int):
+def _check_fit(params: pointer.PgParams, vocab, corpus: list) -> None:
+    """A copy module that does not fit the corpus is a usage error (exit 2)."""
+    try:
+        for utt in corpus:
+            decoder.check_params(params, vocab, utt)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _score(corpus: list, lists: dict[str, list[str]], decoded):
     """Align each utterance's ``decoded(utt)`` = (hyp_words, gate trace) with
     its reference and pool the counts with ``metrics.score``."""
 
@@ -191,7 +201,7 @@ def _score(corpus: list, lists: dict[str, list[str]], decoded, jobs: int):
         mask = losses.bias_positions(utt.ref, words)
         return metrics.align(utt.ref_words, hyp_words), words, trace, mask
 
-    rows = parallel_map(one, corpus, jobs)
+    rows = [one(utt) for utt in corpus]
     return metrics.score(*([r[i] for r in rows] for i in range(4)), [u.utt_id for u in corpus])
 
 
@@ -207,7 +217,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if missing:
         raise ValueError(f"hypotheses missing for utterances: {missing[:5]}")
     biaslist.require_lists([u.utt_id for u in corpus], lists)
-    report, breakdown = _score(corpus, lists, lambda utt: hyps[utt.utt_id], args.jobs)
+    report, breakdown = _score(corpus, lists, lambda utt: hyps[utt.utt_id])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.per_utt:
@@ -238,6 +248,7 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     test_lists = biaslist.read_bias_lists(args.test_biaslists)
     biaslist.require_lists([u.utt_id for u in train_corpus], train_lists)
     biaslist.require_lists([u.utt_id for u in test_corpus], test_lists)
+    trees = {u.utt_id: build_trie(vocab, test_lists[u.utt_id]) for u in test_corpus}
 
     rows = []
     for alpha in alphas:
@@ -254,12 +265,14 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
             )
             config.validate()
             params, _ = trainer.train(train_corpus, train_lists, vocab, config)
+            _check_fit(params, vocab, test_corpus)
 
             def run(utt: simulator.SimUtterance):
-                tree = build_trie(vocab, test_lists[utt.utt_id])
-                return decoder.greedy_decode(utt, vocab, params, tree, args.decode_mode)
+                return decoder.greedy_decode(
+                    utt, vocab, params, trees[utt.utt_id], args.decode_mode
+                )
 
-            report, _ = _score(test_corpus, test_lists, run, args.jobs)
+            report, _ = _score(test_corpus, test_lists, run)
             rows.append(
                 {
                     "alpha": alpha,
@@ -319,8 +332,10 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (results identical)")
+def _add_jobs(p: argparse.ArgumentParser, used: bool = True) -> None:
+    help_text = ("parallel workers (results identical)" if used
+                 else "accepted for uniformity; has no effect here")
+    p.add_argument("--jobs", type=int, default=1, help=help_text)
     p.add_argument("--print-config", action="store_true", help="echo the resolved config")
 
 
@@ -347,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-distractors", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_jobs(p)
+    _add_jobs(p, used=False)
     p.set_defaults(handler=cmd_make_biaslists)
 
     p = sub.add_parser("train", help="train the copy module; writes checkpoint and log CSV")
@@ -375,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--biaslists", required=True)
     p.add_argument("--mode", choices=decoder.DECODE_MODES, default="none")
     p.add_argument("--out", required=True)
-    _add_jobs(p)
+    _add_jobs(p, used=False)
     p.set_defaults(handler=cmd_decode)
 
     p = sub.add_parser("score", help="WER/B-WER/U-WER and gate acceptance rates")
@@ -384,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--biaslists", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--per-utt", default=None, help="per-utterance breakdown JSON-lines")
-    _add_jobs(p)
+    _add_jobs(p, used=False)
     p.set_defaults(handler=cmd_score)
 
     p = sub.add_parser("sweep-alpha", help="train/decode/score once per (alpha, seed)")
@@ -411,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(*losses.MODES, "both"), default="both")
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
-    _add_jobs(p)
+    _add_jobs(p, used=False)
     p.set_defaults(handler=cmd_fd_check)
 
     return parser

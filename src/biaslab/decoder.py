@@ -1,10 +1,13 @@
 """Greedy token-level decoding with optional trie-constrained biasing.
 
 With biasing off the hypothesis is the base model's per-step argmax.  With
-biasing on, each step forwards the copy module over the currently valid
-bias set, interpolates scores in the requested mode, emits the argmax
-token, and advances the trie cursor with it.  The per-step gate trace is
-kept for acceptance-rate analysis.
+biasing on, the copy module's terms that do not depend on the trie are
+computed for the whole utterance before the first step
+(``pointer.state_terms``).  Each step takes the cursor's valid set from the
+tree's memo, gathers its columns for the softmax and the gate
+(``pointer.bias_step``), mixes them into the base row in the requested
+mode, emits the argmax token, and advances the cursor with it.  The
+per-step gate trace is kept for acceptance-rate analysis.
 
 The simulator provides teacher-forced model rows, so free-running decoding
 consumes them by step index; hypotheses therefore stay position-aligned
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biastrie import PrefixTree, TrieCursor, advance_cursor, valid_set
-from .pointer import PgParams, forward_step, interpolate
+from .biastrie import PrefixTree, TrieCursor
+from .pointer import PgParams, bias_step, mix, state_terms
 from .simulator import SimUtterance
 from .tokenizer import Vocab, detokenize
 
@@ -34,6 +37,20 @@ class GateTraceEntry:
     emitted: int
 
 
+def check_params(params: PgParams, vocab: Vocab, utt: SimUtterance) -> None:
+    """Raise ValueError, naming both shapes, unless the copy module fits the
+    vocabulary and the utterance's base-model rows and decoder states."""
+    rows, states = np.shape(utt.p_mdl_seq), np.shape(utt.h_dec_seq)
+    need = (params.vocab_size, (params.vocab_size,), (params.state_dim,))
+    if (vocab.size, rows[1:], states[1:]) != need:
+        raise ValueError(
+            f"copy-module parameters (token_embed {params.token_embed.shape}, w_query "
+            f"{params.w_query.shape}) need {need[0]} tokens and decoder states of width "
+            f"{params.state_dim}; utterance {utt.utt_id} has {vocab.size} tokens, "
+            f"base-model rows {rows} and decoder states {states}"
+        )
+
+
 def greedy_decode(
     utt: SimUtterance,
     vocab: Vocab,
@@ -43,27 +60,45 @@ def greedy_decode(
 ) -> tuple[list[str], list[GateTraceEntry]]:
     """Decode one utterance; returns hypothesis words and the gate trace.
 
-    Ties in the argmax break toward the lowest token id.
+    Ties in the argmax break toward the lowest token id.  A non-finite
+    decoder state or a base-model row off the simplex raises ValueError when
+    the step that reads it is reached.
     """
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode != "none" and (params is None or tree is None):
         raise ValueError("biased decoding needs module parameters and a bias trie")
+    steps = utt.ref.size
+    rows = np.asarray(utt.p_mdl_seq, dtype=np.float64)[:steps]
+    if mode != "none":
+        check_params(params, vocab, utt)
+        h = np.asarray(utt.h_dec_seq, dtype=np.float64)[:steps]
+        finite = np.isfinite(h).all(axis=1)
+        # a non-finite row raises when its step is reached; until then it is zeroed
+        terms = state_terms(params, np.where(finite[:, None], h, 0.0))
+        finite = finite.tolist()
+        off_simplex = (np.abs(rows.sum(axis=1) - 1.0) > 1e-9).tolist()
     emitted_ids: list[int] = []
     trace: list[GateTraceEntry] = []
     cursor = TrieCursor()
-    for i in range(utt.ref.size):
-        row = utt.p_mdl_seq[i]
+    for i in range(steps):
+        row = rows[i]
         if mode == "none":
             emitted = int(np.argmax(row))
             trace.append(GateTraceEntry(i, 0.0, False, emitted))
         else:
-            members = valid_set(tree, cursor)
-            step = forward_step(params, utt.h_dec_seq[i], members)
-            scores = interpolate(row, step, mode)
-            emitted = int(np.argmax(scores))
-            trace.append(GateTraceEntry(i, step.p_gen, bool(members), emitted))
-            cursor = advance_cursor(tree, cursor, emitted)
+            if not finite[i]:
+                raise ValueError("non-finite decoder state")
+            if off_simplex[i]:
+                raise ValueError("base-model row does not sum to 1")
+            valid, members = tree.valid(cursor)
+            p_gen = 0.0
+            if valid:
+                weights, p_gen = bias_step(terms, i, members)
+                row = mix(row, members, weights, p_gen, mode)
+            emitted = int(np.argmax(row))
+            trace.append(GateTraceEntry(i, p_gen, bool(valid), emitted))
+            cursor = tree.advance(cursor, emitted)
         if emitted == vocab.eos_id:
             break
         emitted_ids.append(emitted)

@@ -6,6 +6,11 @@ projected state to token embeddings) and a gate probability (sigmoid over
 the state and the attention context).  ``interpolate`` mixes the result
 with the frozen base model's distribution, either over the whole
 vocabulary or only over the valid set.
+
+Decoding computes the terms that do not depend on the valid set once per
+utterance (``state_terms``); a step then gathers its valid set's columns
+(``bias_step``).  ``forward_step`` is the one-position case of the same two
+functions.
 """
 
 from __future__ import annotations
@@ -98,26 +103,67 @@ def init_params(seed: int, vocab_size: int, embed_dim: int, state_dim: int) -> P
     return PgParams(token_embed, w_query, w_gate, GATE_BIAS_INIT, seed)
 
 
+@dataclass(frozen=True)
+class StateTerms:
+    """The copy module's terms that depend only on the decoder states.
+
+    query_logits: (T, V) every token's scaled attention logit at each position.
+    gate_state:   (T,) state part of the gate pre-activation, plus ``b_gate``.
+    gate_token:   (V,) each token's gate weight through the context,
+                  ``token_embed @ w_gate[d_h:]``; the context term of the
+                  gate is the bias weights' average of it over the valid set.
+    """
+
+    query_logits: np.ndarray
+    gate_state: np.ndarray
+    gate_token: np.ndarray
+
+
+def state_terms(params: PgParams, h_seq: np.ndarray) -> StateTerms:
+    """Every position's trie-independent terms as three products, once."""
+    state_dim = params.state_dim
+    query = h_seq @ params.w_query.T
+    return StateTerms(
+        query @ params.token_embed.T / np.sqrt(params.embed_dim),
+        h_seq @ params.w_gate[:state_dim] + params.b_gate,
+        params.token_embed @ params.w_gate[state_dim:],
+    )
+
+
+def bias_step(terms: StateTerms, i: int, members: np.ndarray) -> tuple[np.ndarray, float]:
+    """Bias weights over the nonempty sorted index array ``members`` at
+    position ``i``, and the gate probability."""
+    logits = terms.query_logits[i, members]
+    weights = np.exp(logits - logits.max())
+    weights /= weights.sum()
+    return weights, sigmoid(float(terms.gate_state[i] + weights @ terms.gate_token[members]))
+
+
 def forward_step(params: PgParams, h_dec: np.ndarray, valid: list[int]) -> StepOutput:
     """One decoding step: bias distribution over ``valid`` plus the gate."""
     h_dec = np.asarray(h_dec, dtype=np.float64)
     if not np.all(np.isfinite(h_dec)):
         raise ValueError("non-finite decoder state")
-    dim = params.embed_dim
     p_ptr = np.zeros(params.vocab_size)
     if not valid:
-        return StepOutput(p_ptr, 0.0, (), np.zeros(dim))
+        return StepOutput(p_ptr, 0.0, (), np.zeros(params.embed_dim))
     members = np.asarray(sorted(valid), dtype=np.intp)
-    query = params.w_query @ h_dec
-    logits = params.token_embed[members] @ query / np.sqrt(dim)
-    logits -= logits.max()
-    weights = np.exp(logits)
-    weights /= weights.sum()
+    weights, p_gen = bias_step(state_terms(params, h_dec[None]), 0, members)
     p_ptr[members] = weights
     context = weights @ params.token_embed[members]
-    pre = params.w_gate @ np.concatenate([h_dec, context]) + params.b_gate
-    p_gen = sigmoid(float(pre))
     return StepOutput(p_ptr, p_gen, tuple(int(m) for m in members), context)
+
+
+def mix(
+    p_mdl: np.ndarray, members: np.ndarray, weights: np.ndarray, p_gen: float, mode: str
+) -> np.ndarray:
+    """Scores of ``interpolate`` from the bias weights over ``members`` alone;
+    the two modes differ only outside the valid set."""
+    if mode not in ("scaled", "unscaled"):
+        raise ValueError(f"unknown interpolation mode {mode!r}")
+    scores = p_mdl * (1.0 - p_gen) if mode == "scaled" else p_mdl.copy()
+    scores[members] = p_mdl[members] * (1.0 - p_gen) + weights * p_gen
+    return scores
 
 
 def interpolate(p_mdl: np.ndarray, step: StepOutput, mode: str) -> np.ndarray:
@@ -135,14 +181,8 @@ def interpolate(p_mdl: np.ndarray, step: StepOutput, mode: str) -> np.ndarray:
         )
     if abs(p_mdl.sum() - 1.0) > 1e-9:
         raise ValueError("base-model row does not sum to 1")
-    if mode == "scaled":
-        return p_mdl * (1.0 - step.p_gen) + step.p_ptr * step.p_gen
-    if mode == "unscaled":
-        scores = p_mdl.copy()
-        members = list(step.valid)
-        scores[members] = p_mdl[members] * (1.0 - step.p_gen) + step.p_ptr[members] * step.p_gen
-        return scores
-    raise ValueError(f"unknown interpolation mode {mode!r}")
+    members = np.asarray(step.valid, dtype=np.intp)
+    return mix(p_mdl, members, step.p_ptr[members], step.p_gen, mode)
 
 
 CHECKPOINT_VERSION = 1
@@ -184,6 +224,8 @@ def load_params(path: str) -> PgParams:
             if len(buf) != count * 8:
                 raise ValueError(f"truncated checkpoint {path}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after the parameters in checkpoint {path}")
     return PgParams(
         arrays["token_embed"],
         arrays["w_query"],

@@ -87,16 +87,12 @@ def build_vocab(corpus_words: list[str]) -> Vocab:
 
 def tokenize_word(vocab: Vocab, word: str) -> list[int]:
     """Token ids for one word: boundary-marked first character, plain rest."""
-    ids = []
-    for pos, ch in enumerate(word):
-        token = BOUNDARY + ch if pos == 0 else ch
-        try:
-            ids.append(vocab.id_of(token))
-        except KeyError:
-            raise ValueError(
-                f"character {ch!r} of word {word!r} is not in the inventory"
-            ) from None
-    return ids
+    ids = vocab._ids
+    try:
+        return [ids[BOUNDARY + word[0]], *map(ids.__getitem__, word[1:])] if word else []
+    except KeyError as exc:
+        ch = exc.args[0][-1]  # every token is one character, boundary-marked or not
+        raise ValueError(f"character {ch!r} of word {word!r} is not in the inventory") from None
 
 
 def tokenize(vocab: Vocab, words: list[str]) -> TokenizedUtterance:

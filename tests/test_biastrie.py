@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaslab.biastrie import TrieCursor, advance_cursor, build_trie, valid_set
 from biaslab.tokenizer import BOUNDARY, build_vocab, tokenize_word
@@ -140,6 +142,17 @@ def test_eos_never_valid():
         cursor = advance_cursor(tree, cursor, tok)
 
 
+def walk_matches_oracle(tree, vocab, words, stream):
+    """Walk ``stream`` through ``tree``, checking every step's valid set."""
+    cursor = TrieCursor()
+    for n, tok in enumerate(stream):
+        assert valid_set(tree, cursor) == sorted(oracle_valid(vocab, words, stream[:n]))
+        members, index = tree.valid(cursor)
+        assert index.dtype == np.intp and index.tolist() == list(members)
+        cursor = advance_cursor(tree, cursor, tok)
+    assert valid_set(tree, cursor) == sorted(oracle_valid(vocab, words, stream))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_oracle_equivalence_random_streams(seed):
     rng = np.random.default_rng(seed)
@@ -153,11 +166,36 @@ def test_oracle_equivalence_random_streams(seed):
     vocab = build_vocab(words)
     tree = build_trie(vocab, words)
     token_pool = list(range(vocab.size))
-    cursor = TrieCursor()
+    stream = [token_pool[int(rng.integers(len(token_pool)))] for _ in range(40)]
+    walk_matches_oracle(tree, vocab, words, stream)
+
+
+def stream_of(vocab, words, chunks):
+    """Token stream from (pick, cut) chunks: a bias word's first ``cut``
+    tokens when ``pick`` names a word, else one token of the vocabulary."""
     stream = []
-    for _ in range(40):
-        assert set(valid_set(tree, cursor)) == oracle_valid(vocab, words, stream)
-        tok = token_pool[int(rng.integers(len(token_pool)))]
-        cursor = advance_cursor(tree, cursor, tok)
-        stream.append(tok)
-    assert set(valid_set(tree, cursor)) == oracle_valid(vocab, words, stream)
+    for pick, cut in chunks:
+        if pick < len(words):
+            stream.extend(tokenize_word(vocab, words[pick])[:cut])
+        else:
+            stream.append((pick * 7 + cut) % vocab.size)
+    return stream
+
+
+CHUNKS = st.lists(st.tuples(st.integers(0, 15), st.integers(1, 8)), max_size=14)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    words=st.lists(st.text("abk", min_size=1, max_size=8), min_size=1, max_size=8, unique=True),
+    first=CHUNKS,
+    second=CHUNKS,
+)
+def test_memoized_cursor_matches_oracle_on_fresh_and_walked_trees(words, first, second):
+    vocab = build_vocab(words)
+    tree = build_trie(vocab, words)
+    walk_matches_oracle(tree, vocab, words, stream_of(vocab, words, first))
+    # the same tree again, its memo already filled by the first stream
+    walk_matches_oracle(tree, vocab, words, stream_of(vocab, words, second))
+    walk_matches_oracle(tree, vocab, words, stream_of(vocab, words, first))
+    walk_matches_oracle(build_trie(vocab, words), vocab, words, stream_of(vocab, words, second))

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from biaslab.cli import main
+from biaslab.pointer import init_params, load_params, save_params
 from biaslab.simulator import make_inventories
 
 
@@ -238,3 +239,35 @@ def test_module_entry_point(workdir):
     )
     assert proc.returncode == 0
     assert "wrote 30 utterances" in proc.stdout
+
+
+@pytest.mark.parametrize("vocab_delta, state_delta", [(-3, 0), (0, 2)])
+def test_decode_rejects_checkpoint_that_does_not_fit(workdir, capsys, vocab_delta, state_delta):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)
+    trained = load_params(ckpt)
+    other = init_params(0, trained.vocab_size + vocab_delta, trained.embed_dim,
+                        trained.state_dim + state_delta)
+    save_params(other, ckpt)
+    capsys.readouterr()
+    code = run(["decode", "--corpus", corpus, "--ckpt", ckpt, "--biaslists", lists,
+                "--mode", "unscaled", "--out", str(tmp_path / "h2.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(other.token_embed.shape) in err and str(other.w_query.shape) in err
+    assert f"{trained.vocab_size} tokens" in err
+
+
+def test_sweep_rejects_test_corpus_of_another_state_width(workdir, capsys):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps({**json.loads(open(sim).read()), "state_dim": 12}))
+    test = str(tmp_path / "wide.jsonl")
+    assert run(["simulate", "--config", str(wider), "--out", test]) == 0
+    capsys.readouterr()
+    code = run(["sweep-alpha", "--train-corpus", corpus, "--test-corpus", test,
+                "--train-biaslists", lists, "--test-biaslists", lists, "--alphas", "0.7",
+                "--epochs", "1", "--out", str(tmp_path / "s2.csv")])
+    assert code == 2
+    assert "decoder states of width 10" in capsys.readouterr().err

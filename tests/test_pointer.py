@@ -174,3 +174,11 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_params(init_params(4, 6, 3, 5), a)
     save_params(init_params(4, 6, 3, 5), b)
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_checkpoint_with_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_params(init_params(4, 6, 3, 5), str(path))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_params(str(path))
