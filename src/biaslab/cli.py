@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate, build bias lists, train, decode, score.
 
 Every subcommand is deterministic given its flags: all randomness flows
-from explicit seeds, results are bit-identical at any --jobs value, and
-reports are machine-readable (JSON-lines and CSV).  Exit codes: 0 success,
-1 runtime failure, 2 usage or config error.
+from explicit seeds, every stage runs serially (``--jobs`` is accepted and
+has no effect), and reports are machine-readable (JSON-lines and CSV).
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import biaslist, decoder, losses, metrics, pointer, simulator, trainer
+from . import biaslist, decoder, losses, pointer, simulator, trainer
 from .biastrie import build_trie
 from .harness import make_check_setup
 from .tokenizer import read_word_list
@@ -85,7 +85,7 @@ def _sim_config(raw: dict, seed_override: int | None) -> simulator.SimConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _sim_config(_load_json(args.config), args.seed)
     _print_config(args, {**asdict(config), "condition": args.condition, "out": args.out})
-    corpus = simulator.gen_corpus(config, args.condition, jobs=args.jobs)
+    corpus = simulator.gen_corpus(config, args.condition)
     vocab = simulator.build_sim_vocab(config)
     simulator.write_corpus(args.out, corpus, vocab, config.seed, args.condition)
     if args.write_common:
@@ -115,20 +115,9 @@ def cmd_make_biaslists(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_config(args: argparse.Namespace) -> trainer.TrainConfig:
+def _train_config(**fields) -> trainer.TrainConfig:
     try:
-        config = trainer.TrainConfig(
-            mode=args.mode,
-            alpha=args.alpha,
-            lr=args.lr,
-            lr_decay_factor=args.lr_decay,
-            patience=args.patience,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            embed_dim=args.embed_dim,
-            jobs=args.jobs,
-        )
+        config = trainer.TrainConfig(**fields)
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -138,7 +127,17 @@ def _train_config(args: argparse.Namespace) -> trainer.TrainConfig:
 def cmd_train(args: argparse.Namespace) -> int:
     _require(args.corpus, "corpus")
     _require(args.biaslists, "bias lists")
-    config = _train_config(args)
+    config = _train_config(
+        mode=args.mode,
+        alpha=args.alpha,
+        lr=args.lr,
+        lr_decay_factor=args.lr_decay,
+        patience=args.patience,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        embed_dim=args.embed_dim,
+    )
     log_path = args.log if args.log else args.out + ".log.csv"
     _print_config(args, {**asdict(config), "corpus": args.corpus, "out": args.out,
                          "log": log_path})
@@ -148,7 +147,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     pointer.save_params(params, args.out)
     trainer.write_train_log(log_path, log)
     if args.trace:
-        batch = trainer.prepare_batch(vocab, corpus, lists, config.jobs)
+        batch = trainer.prepare_batch(vocab, corpus, lists)
         with open(args.trace, "w", encoding="utf-8") as fh:
             for record in losses.step_trace(params, batch, config.mode, config.alpha):
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -168,41 +167,18 @@ def cmd_decode(args: argparse.Namespace) -> int:
     lists = biaslist.read_bias_lists(args.biaslists)
     biaslist.require_lists([u.utt_id for u in corpus], lists)
     params = pointer.load_params(_require(args.ckpt, "checkpoint")) if args.ckpt else None
+    trees = None
     if args.mode != "none":
-        _check_fit(params, vocab, corpus)
-
-    def run(utt: simulator.SimUtterance):
-        tree = build_trie(vocab, lists[utt.utt_id]) if args.mode != "none" else None
-        hyp, trace = decoder.greedy_decode(utt, vocab, params, tree, args.mode)
-        return utt.utt_id, hyp, trace
-
-    results = [run(utt) for utt in corpus]
-    decoder.write_hypotheses(args.out, results)
-    print(f"decoded {len(results)} utterances to {args.out}")
+        try:  # a copy module that does not fit the corpus is a usage error
+            for utt in corpus:
+                decoder.check_params(params, vocab, utt)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        trees = {u.utt_id: build_trie(vocab, lists[u.utt_id]) for u in corpus}
+    decoded = decoder.decode_corpus(corpus, vocab, params, trees, args.mode)
+    decoder.write_hypotheses(args.out, decoded)
+    print(f"decoded {len(decoded)} utterances to {args.out}")
     return 0
-
-
-def _check_fit(params: pointer.PgParams, vocab, corpus: list) -> None:
-    """A copy module that does not fit the corpus is a usage error (exit 2)."""
-    try:
-        for utt in corpus:
-            decoder.check_params(params, vocab, utt)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _score(corpus: list, lists: dict[str, list[str]], decoded):
-    """Align each utterance's ``decoded(utt)`` = (hyp_words, gate trace) with
-    its reference and pool the counts with ``metrics.score``."""
-
-    def one(utt: simulator.SimUtterance):
-        hyp_words, trace = decoded(utt)
-        words = set(lists[utt.utt_id])
-        mask = losses.bias_positions(utt.ref, words)
-        return metrics.align(utt.ref_words, hyp_words), words, trace, mask
-
-    rows = [one(utt) for utt in corpus]
-    return metrics.score(*([r[i] for r in rows] for i in range(4)), [u.utt_id for u in corpus])
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -213,11 +189,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     _, corpus, _ = simulator.read_corpus(args.refs)
     hyps = decoder.read_hypotheses(args.hyps)
     lists = biaslist.read_bias_lists(args.biaslists)
-    missing = [u.utt_id for u in corpus if u.utt_id not in hyps]
-    if missing:
-        raise ValueError(f"hypotheses missing for utterances: {missing[:5]}")
     biaslist.require_lists([u.utt_id for u in corpus], lists)
-    report, breakdown = _score(corpus, lists, lambda utt: hyps[utt.utt_id])
+    report, breakdown = decoder.score_corpus(corpus, lists, hyps)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.per_utt:
@@ -226,6 +199,10 @@ def cmd_score(args: argparse.Namespace) -> int:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
     sys.stdout.write(report.to_csv_row())
     return 0
+
+
+def _corpus_kind(path: str, vocab, meta: dict) -> str:
+    return f"{path} ({vocab.size} tokens, decoder states of width {meta['state_dim']})"
 
 
 def cmd_sweep_alpha(args: argparse.Namespace) -> int:
@@ -240,10 +217,22 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --alphas/--seeds: {exc}") from None
     if not alphas or not seeds:
         raise UsageError("--alphas and --seeds must be non-empty")
+    configs = [
+        _train_config(mode=losses.TWO_LOSS, alpha=alpha, lr=args.lr, epochs=args.epochs,
+                      batch_size=args.batch_size, seed=seed, embed_dim=args.embed_dim)
+        for alpha in alphas
+        for seed in seeds
+    ]
     _print_config(args, vars(args))
 
-    vocab, train_corpus, _ = simulator.read_corpus(args.train_corpus)
-    _, test_corpus, _ = simulator.read_corpus(args.test_corpus)
+    vocab, train_corpus, train_meta = simulator.read_corpus(args.train_corpus)
+    test_vocab, test_corpus, test_meta = simulator.read_corpus(args.test_corpus)
+    if (test_vocab.tokens, test_meta["state_dim"]) != (vocab.tokens, train_meta["state_dim"]):
+        raise UsageError(
+            f"test corpus {_corpus_kind(args.test_corpus, test_vocab, test_meta)} needs the "
+            "token list and decoder-state width of train corpus "
+            f"{_corpus_kind(args.train_corpus, vocab, train_meta)}"
+        )
     train_lists = biaslist.read_bias_lists(args.train_biaslists)
     test_lists = biaslist.read_bias_lists(args.test_biaslists)
     biaslist.require_lists([u.utt_id for u in train_corpus], train_lists)
@@ -251,43 +240,25 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     trees = {u.utt_id: build_trie(vocab, test_lists[u.utt_id]) for u in test_corpus}
 
     rows = []
-    for alpha in alphas:
-        for seed in seeds:
-            config = trainer.TrainConfig(
-                mode=losses.TWO_LOSS,
-                alpha=alpha,
-                lr=args.lr,
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                seed=seed,
-                embed_dim=args.embed_dim,
-                jobs=args.jobs,
-            )
-            config.validate()
-            params, _ = trainer.train(train_corpus, train_lists, vocab, config)
-            _check_fit(params, vocab, test_corpus)
-
-            def run(utt: simulator.SimUtterance):
-                return decoder.greedy_decode(
-                    utt, vocab, params, trees[utt.utt_id], args.decode_mode
-                )
-
-            report, _ = _score(test_corpus, test_lists, run)
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "seed": seed,
-                    "wer": report.wer,
-                    "far": report.far,
-                    "u_we_b": report.counts["u_we_b"],
-                    "tar": report.tar,
-                    "b_wer": report.b_wer,
-                }
-            )
-            print(
-                f"alpha={alpha} seed={seed} wer={report.wer} far={report.far} "
-                f"u_we_b={report.counts['u_we_b']} tar={report.tar} b_wer={report.b_wer}"
-            )
+    for config in configs:
+        params, _ = trainer.train(train_corpus, train_lists, vocab, config)
+        decoded = decoder.decode_corpus(test_corpus, vocab, params, trees, args.decode_mode)
+        report, _ = decoder.score_corpus(test_corpus, test_lists, decoded)
+        rows.append(
+            {
+                "alpha": config.alpha,
+                "seed": config.seed,
+                "wer": report.wer,
+                "far": report.far,
+                "u_we_b": report.counts["u_we_b"],
+                "tar": report.tar,
+                "b_wer": report.b_wer,
+            }
+        )
+        print(
+            f"alpha={config.alpha} seed={config.seed} wer={report.wer} far={report.far} "
+            f"u_we_b={report.counts['u_we_b']} tar={report.tar} b_wer={report.b_wer}"
+        )
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -332,10 +303,8 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_jobs(p: argparse.ArgumentParser, used: bool = True) -> None:
-    help_text = ("parallel workers (results identical)" if used
-                 else "accepted for uniformity; has no effect here")
-    p.add_argument("--jobs", type=int, default=1, help=help_text)
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=int, default=1, help="accepted for uniformity; no effect")
     p.add_argument("--print-config", action="store_true", help="echo the resolved config")
 
 
@@ -362,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-distractors", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_jobs(p, used=False)
+    _add_jobs(p)
     p.set_defaults(handler=cmd_make_biaslists)
 
     p = sub.add_parser("train", help="train the copy module; writes checkpoint and log CSV")
@@ -390,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--biaslists", required=True)
     p.add_argument("--mode", choices=decoder.DECODE_MODES, default="none")
     p.add_argument("--out", required=True)
-    _add_jobs(p, used=False)
+    _add_jobs(p)
     p.set_defaults(handler=cmd_decode)
 
     p = sub.add_parser("score", help="WER/B-WER/U-WER and gate acceptance rates")
@@ -399,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--biaslists", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--per-utt", default=None, help="per-utterance breakdown JSON-lines")
-    _add_jobs(p, used=False)
+    _add_jobs(p)
     p.set_defaults(handler=cmd_score)
 
     p = sub.add_parser("sweep-alpha", help="train/decode/score once per (alpha, seed)")
@@ -426,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(*losses.MODES, "both"), default="both")
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
-    _add_jobs(p, used=False)
+    _add_jobs(p)
     p.set_defaults(handler=cmd_fd_check)
 
     return parser

@@ -8,6 +8,8 @@ tree's memo, gathers its columns for the softmax and the gate
 (``pointer.bias_step``), mixes them into the base row in the requested
 mode, emits the argmax token, and advances the cursor with it.  The
 per-step gate trace is kept for acceptance-rate analysis.
+``decode_corpus`` decodes a corpus and ``score_corpus`` scores it; every
+command that decodes or scores goes through them, one utterance at a time.
 
 The simulator provides teacher-forced model rows, so free-running decoding
 consumes them by step index; hypotheses therefore stay position-aligned
@@ -21,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .biastrie import PrefixTree, TrieCursor
+from .losses import bias_positions
 from .pointer import PgParams, bias_step, mix, state_terms
 from .simulator import SimUtterance
 from .tokenizer import Vocab, detokenize
@@ -105,10 +109,51 @@ def greedy_decode(
     return detokenize(vocab, emitted_ids), trace
 
 
-def write_hypotheses(path: str, results: list[tuple[str, list[str], list[GateTraceEntry]]]) -> None:
+Decoded = dict[str, tuple[list[str], list[GateTraceEntry]]]
+
+
+def decode_corpus(
+    corpus: list[SimUtterance],
+    vocab: Vocab,
+    params: PgParams | None,
+    trees: dict[str, PrefixTree] | None,
+    mode: str,
+) -> Decoded:
+    """Greedy-decode every utterance in corpus order: utterance id ->
+    (hypothesis words, gate trace).  ``trees`` maps each id to its bias trie
+    and is None when decoding unbiased."""
+    return {
+        utt.utt_id: greedy_decode(
+            utt, vocab, params, None if trees is None else trees[utt.utt_id], mode
+        )
+        for utt in corpus
+    }
+
+
+def score_corpus(
+    corpus: list[SimUtterance], lists: dict[str, list[str]], decoded: Decoded
+) -> tuple[metrics.ScoreReport, list[dict]]:
+    """Align each utterance's decoded words with its reference and pool the
+    counts and gate traces with ``metrics.score``; returns the report and
+    the per-utterance breakdown.  Every utterance needs a hypothesis."""
+    missing = [u.utt_id for u in corpus if u.utt_id not in decoded]
+    if missing:
+        raise ValueError(f"hypotheses missing for utterances: {missing[:5]}")
+    alignments, wordsets, traces, masks = [], [], [], []
+    for utt in corpus:
+        hyp_words, trace = decoded[utt.utt_id]
+        words = set(lists[utt.utt_id])
+        alignments.append(metrics.align(utt.ref_words, hyp_words))
+        wordsets.append(words)
+        traces.append(trace)
+        masks.append(bias_positions(utt.ref, words))
+    return metrics.score(alignments, wordsets, traces, masks, [u.utt_id for u in corpus])
+
+
+def write_hypotheses(path: str, decoded: Decoded) -> None:
     """JSON-lines decode output: id, hypothesis words, and gate trace."""
     with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, hyp_words, trace in results:
+        for utt_id, (hyp_words, trace) in decoded.items():
             record = {
                 "id": utt_id,
                 "hyp_words": hyp_words,
@@ -117,8 +162,8 @@ def write_hypotheses(path: str, results: list[tuple[str, list[str], list[GateTra
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_hypotheses(path: str) -> dict[str, tuple[list[str], list[GateTraceEntry]]]:
-    out: dict[str, tuple[list[str], list[GateTraceEntry]]] = {}
+def read_hypotheses(path: str) -> Decoded:
+    out: Decoded = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():

@@ -216,6 +216,14 @@ def load_params(path: str) -> PgParams:
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version in {path}")
         shapes = header["shapes"]
+        embed, query, gate, bias = (tuple(shapes[name]) for name in _MATRIX_ORDER)
+        if not (len(embed) == len(query) == 2 and query[0] == embed[1]
+                and gate == (query[1] + embed[1],) and bias == (1,)):
+            raise ValueError(
+                f"checkpoint {path} has shapes token_embed {embed}, w_query {query}, "
+                f"w_gate {gate}, b_gate {bias}; they must be (V, d), (d, d_h), "
+                "(d_h + d,) and (1,)"
+            )
         arrays = {}
         for name in header["order"]:
             shape = tuple(shapes[name])

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parallel import parallel_map
 from .tokenizer import TokenizedUtterance, Vocab, build_vocab, tokenize, tokenize_word
 
 CORPUS_FORMAT_VERSION = 1
@@ -172,21 +171,17 @@ def _render_utterance(
     )
 
 
-def gen_corpus(config: SimConfig, condition: str = "train", jobs: int = 1) -> list[SimUtterance]:
-    """Generate the full corpus; deterministic given the config seed.
-
-    Per-utterance sub-seeds make the output independent of ``jobs``.
-    """
+def gen_corpus(config: SimConfig, condition: str = "train") -> list[SimUtterance]:
+    """Generate the full corpus; deterministic given the config seed."""
     config.validate()
     if condition not in ("train", "test"):
         raise ValueError(f"unknown condition {condition!r}")
     vocab = build_sim_vocab(config)
     patterns = _token_patterns(config, vocab)
-    return parallel_map(
-        lambda index: _render_utterance(config, vocab, patterns, index, condition),
-        range(config.n_utterances),
-        jobs,
-    )
+    return [
+        _render_utterance(config, vocab, patterns, index, condition)
+        for index in range(config.n_utterances)
+    ]
 
 
 def render_condition(
@@ -241,10 +236,25 @@ def write_corpus(
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _rows(values, shape: tuple[int, int], what: str) -> np.ndarray:
+    """A float64 array of exactly ``shape`` with finite entries, or a
+    ValueError that names ``what``."""
+    try:
+        rows = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows or non-numbers
+        raise ValueError(f"{what} are not a {shape[0]} x {shape[1]} array") from None
+    if rows.shape != shape:
+        raise ValueError(f"{what} have shape {rows.shape}, expected {shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{what} hold non-finite values")
+    return rows
+
+
 def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
     with open(path, encoding="utf-8") as fh:
         meta = json.loads(fh.readline())
-        if meta.get("kind") != "meta" or meta.get("version") != CORPUS_FORMAT_VERSION:
+        if (meta.get("kind") != "meta" or meta.get("version") != CORPUS_FORMAT_VERSION
+                or not {"vocab", "state_dim"} <= meta.keys()):
             raise ValueError(f"{path} is not a corpus file of a supported version")
         vocab = Vocab(tuple(meta["vocab"]))
         corpus = []
@@ -253,12 +263,12 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
                 continue
             record = json.loads(line)
             ref = tokenize(vocab, record["ref_words"])
-            p_mdl = np.asarray(record["p_mdl_seq"], dtype=np.float64)
-            h_dec = np.asarray(record["h_dec_seq"], dtype=np.float64)
-            if p_mdl.shape != (ref.size, vocab.size):
-                raise ValueError(f"{path}: bad model-row shape for {record['id']}")
+            where = f"{path}: utterance {record['id']}"
+            p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), f"{where} model rows")
+            h_dec = _rows(record["h_dec_seq"], (ref.size, meta["state_dim"]),
+                          f"{where} decoder states")
             if np.any(np.abs(p_mdl.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError(f"{path}: model rows of {record['id']} do not sum to 1")
+                raise ValueError(f"{where}: model rows do not sum to 1")
             corpus.append(
                 SimUtterance(record["id"], record["index"], record["ref_words"], ref, p_mdl, h_dec)
             )

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from . import losses
 from .biaslist import require_lists
 from .losses import BiasExample, prepare_example
-from .parallel import parallel_map
 from .pointer import PgParams, init_params
 from .simulator import SimUtterance, sub_rng
 from .tokenizer import Vocab
@@ -35,9 +34,8 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 10
     seed: int = 0
-    interpolate_mode: str = "scaled"
     embed_dim: int = 16
-    jobs: int = 1
+    jobs: int = 1  # has no effect; kept so that callers passing it keep working
 
     def validate(self) -> None:
         if self.mode not in losses.MODES:
@@ -56,25 +54,21 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be positive")
-        if self.interpolate_mode != "scaled":
-            raise ValueError("training interpolation is defined for scaled mode only")
 
 
 def prepare_batch(
     vocab: Vocab,
     corpus: list[SimUtterance],
     bias_lists: dict[str, list[str]],
-    jobs: int = 1,
 ) -> list[BiasExample]:
     """Build teacher-forced examples; every utterance needs a bias list."""
     require_lists([u.utt_id for u in corpus], bias_lists)
-
-    def build(utt: SimUtterance) -> BiasExample:
-        return prepare_example(
+    return [
+        prepare_example(
             vocab, utt.utt_id, utt.ref, utt.h_dec_seq, utt.p_mdl_seq, bias_lists[utt.utt_id]
         )
-
-    return parallel_map(build, corpus, jobs)
+        for utt in corpus
+    ]
 
 
 def _apply_update(params: PgParams, grads: losses.ParamGrads, scale: float) -> None:
@@ -107,7 +101,7 @@ def train(
     config.validate()
     if len(corpus) < 2:
         raise ValueError("training needs at least two utterances for a dev split")
-    examples = prepare_batch(vocab, corpus, bias_lists, config.jobs)
+    examples = prepare_batch(vocab, corpus, bias_lists)
 
     shuffle = sub_rng(config.seed, "shuffle").permutation(len(examples))
     dev_count = max(1, len(examples) // 10)

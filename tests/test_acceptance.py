@@ -14,9 +14,9 @@ import pytest
 from biaslab import losses
 from biaslab.biastrie import TrieCursor, advance_cursor, build_trie, valid_set
 from biaslab.cli import main as cli_main
-from biaslab.decoder import greedy_decode
+from biaslab.decoder import decode_corpus, score_corpus
 from biaslab.harness import make_check_setup
-from biaslab.losses import bias_positions, fd_check, gate_rates
+from biaslab.losses import fd_check, gate_rates
 from biaslab.metrics import align, score
 from biaslab.pointer import StepOutput, interpolate
 from biaslab.simulator import (
@@ -31,16 +31,10 @@ from conftest import make_lists, scorer_fixture, toy_experiment
 
 
 def decode_and_score(corpus, vocab, lists, params, mode):
-    alignments, wordsets, traces, masks = [], [], [], []
-    for utt in corpus:
-        tree = build_trie(vocab, lists[utt.utt_id]) if mode != "none" else None
-        hyp, trace = greedy_decode(utt, vocab, params, tree, mode)
-        alignments.append(align(utt.ref_words, hyp))
-        words = set(lists[utt.utt_id])
-        wordsets.append(words)
-        traces.append(trace)
-        masks.append(bias_positions(utt.ref, words))
-    report, _ = score(alignments, wordsets, traces, masks)
+    trees = None
+    if mode != "none":
+        trees = {u.utt_id: build_trie(vocab, lists[u.utt_id]) for u in corpus}
+    report, _ = score_corpus(corpus, lists, decode_corpus(corpus, vocab, params, trees, mode))
     return report
 
 

@@ -271,3 +271,39 @@ def test_sweep_rejects_test_corpus_of_another_state_width(workdir, capsys):
                 "--epochs", "1", "--out", str(tmp_path / "s2.csv")])
     assert code == 2
     assert "decoder states of width 10" in capsys.readouterr().err
+
+
+def test_sweep_rejects_test_corpus_with_reordered_tokens(workdir, capsys):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)
+    lines = open(corpus).readlines()
+    meta = json.loads(lines[0])
+    tokens = meta["vocab"]
+    tokens[1], tokens[2] = tokens[2], tokens[1]  # same size, another order
+    test = str(tmp_path / "reordered.jsonl")
+    open(test, "w").write(json.dumps(meta) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    code = run(["sweep-alpha", "--train-corpus", corpus, "--test-corpus", test,
+                "--train-biaslists", lists, "--test-biaslists", lists, "--alphas", "0.7",
+                "--epochs", "1", "--out", str(tmp_path / "s2.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert corpus in captured.err and test in captured.err and "token list" in captured.err
+    assert "alpha=" not in captured.out
+
+
+@pytest.mark.parametrize("flags, problem", [(["--alphas", "0.3,1.5"], "alpha"),
+                                            (["--lr", "0"], "learning rate")],
+                         ids=["alpha_out_of_range", "zero_lr"])
+def test_sweep_validates_every_cell_before_training(workdir, capsys, flags, problem):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)
+    capsys.readouterr()
+    sweep = tmp_path / "s2.csv"
+    code = run(["sweep-alpha", "--train-corpus", corpus, "--test-corpus", corpus,
+                "--train-biaslists", lists, "--test-biaslists", lists, "--epochs", "1",
+                "--out", str(sweep), *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert "alpha=" not in captured.out and not sweep.exists()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaslab.biastrie import TrieCursor, advance_cursor, build_trie, valid_set
-from biaslab.decoder import greedy_decode, read_hypotheses, write_hypotheses
+from biaslab.decoder import decode_corpus, greedy_decode, read_hypotheses, write_hypotheses
 from biaslab.pointer import forward_step, init_params, interpolate
 from biaslab.simulator import SimConfig, build_sim_vocab, gen_corpus, make_inventories
 from biaslab.tokenizer import detokenize
@@ -138,17 +138,11 @@ def test_unknown_mode_rejected():
 def test_hypotheses_file_roundtrip(tmp_path):
     config = perfect_config()
     vocab = build_sim_vocab(config)
-    results = []
-    for utt in gen_corpus(config)[:4]:
-        hyp, trace = greedy_decode(utt, vocab)
-        results.append((utt.utt_id, hyp, trace))
+    decoded = decode_corpus(gen_corpus(config)[:4], vocab, None, None, "none")
     path = str(tmp_path / "hyps.jsonl")
-    write_hypotheses(path, results)
+    write_hypotheses(path, decoded)
     loaded = read_hypotheses(path)
-    for utt_id, hyp, trace in results:
-        got_hyp, got_trace = loaded[utt_id]
-        assert got_hyp == hyp
-        assert got_trace == trace
+    assert loaded == decoded and list(loaded) == list(decoded)  # same records, same order
 
 
 def reference_decode(utt, vocab, params, tree, mode):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaslab.losses import BiasMask
 from biaslab.metrics import (
@@ -80,6 +82,27 @@ def test_align_replay_reconstructs_both_sides():
         assert got_ref == ref
         assert got_hyp == hyp
         assert alignment.edit_count == simple_edit_distance(ref, hyp)
+
+
+def brute_edit_distance(a, b):
+    """Fewest edits over every alignment of a and b, by plain recursion."""
+    if not a or not b:
+        return len(a) + len(b)
+    return min(brute_edit_distance(a[1:], b[1:]) + (a[0] != b[0]),
+               brute_edit_distance(a[1:], b) + 1,
+               brute_edit_distance(a, b[1:]) + 1)
+
+
+short_words = st.lists(st.sampled_from(["a", "b", "c"]), max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ref=short_words, hyp=short_words)
+def test_align_edit_count_is_the_brute_force_edit_distance(ref, hyp):
+    alignment = align(ref, hyp)
+    assert alignment.edit_count == brute_edit_distance(ref, hyp)
+    assert [op.ref_word for op in alignment.ops if op.kind != INSERTION] == ref
+    assert [op.hyp_word for op in alignment.ops if op.kind != DELETION] == hyp
 
 
 def test_score_fig_scenario():

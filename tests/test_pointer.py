@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from biaslab.pointer import (
     StepOutput,
@@ -182,3 +185,38 @@ def test_checkpoint_with_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing bytes"):
         load_params(str(path))
+
+
+@pytest.mark.parametrize("name, shape", [("w_query", (5, 8)), ("w_gate", (11,))],
+                         ids=["w_query", "w_gate"])
+def test_checkpoint_with_disagreeing_shapes_rejected(tmp_path, name, shape):
+    params = init_params(0, 25, 4, 8)
+    setattr(params, name, np.zeros(shape))
+    path = str(tmp_path / "ckpt.bin")
+    save_params(params, path)
+    with pytest.raises(ValueError, match=r"token_embed \(25, 4\)") as caught:
+        load_params(path)
+    assert f"{name} {shape}" in str(caught.value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), vocab_size=st.integers(1, 6), embed_dim=st.integers(1, 4),
+       state_dim=st.integers(1, 4), seed=st.integers(0, 2**63))
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, data, vocab_size, embed_dim,
+                                           state_dim, seed):
+    def draw(*shape):
+        return data.draw(arrays(np.float64, shape))  # any float64, NaN and -0.0 included
+
+    params = init_params(seed, vocab_size, embed_dim, state_dim)
+    params.token_embed = draw(vocab_size, embed_dim)
+    params.w_query = draw(embed_dim, state_dim)
+    params.w_gate = draw(state_dim + embed_dim)
+    params.b_gate = float(draw(1)[0])
+    path = str(tmp_path_factory.mktemp("ckpt") / "ckpt.bin")
+    save_params(params, path)
+    loaded = load_params(path)
+    for name in ("token_embed", "w_query", "w_gate"):
+        want, got = getattr(params, name), getattr(loaded, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert np.float64(loaded.b_gate).tobytes() == np.float64(params.b_gate).tobytes()
+    assert loaded.seed == seed
