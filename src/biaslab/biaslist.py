@@ -70,11 +70,15 @@ def write_bias_lists(path: str, lists: dict[str, list[str]]) -> None:
 
 
 def read_bias_lists(path: str) -> dict[str, list[str]]:
+    """Read bias lists; words are lowercased, as tokenization does."""
     lists: dict[str, list[str]] = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
             record = json.loads(line)
-            lists[record["id"]] = list(record["words"])
+            missing = [key for key in ("id", "words") if key not in record]
+            if missing:
+                raise ValueError(f"{path}: a bias-list record lacks key {missing[0]!r}")
+            lists[record["id"]] = [word.lower() for word in record["words"]]
     return lists

@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .biastrie import PrefixTree, TrieCursor, advance_cursor, build_trie, valid_set
-from .pointer import PgParams, StepOutput, sigmoid
+from .metrics import gate_counts
+from .pointer import PgParams, StepOutput, flatten, sigmoid, unflatten
 from .tokenizer import TokenizedUtterance, Vocab
 
 LOG_FLOOR = 1e-12
@@ -59,42 +60,6 @@ class LossReport:
     total: float
     n_clamped: int = 0
     gate_rates: dict | None = None
-
-
-@dataclass
-class ParamGrads:
-    """Gradient of a loss with respect to every copy-module parameter."""
-
-    token_embed: np.ndarray
-    w_query: np.ndarray
-    w_gate: np.ndarray
-    b_gate: float = 0.0
-
-    @classmethod
-    def zeros_like(cls, params: PgParams) -> "ParamGrads":
-        return cls(
-            np.zeros_like(params.token_embed),
-            np.zeros_like(params.w_query),
-            np.zeros_like(params.w_gate),
-            0.0,
-        )
-
-    def add_(self, other: "ParamGrads") -> None:
-        self.token_embed += other.token_embed
-        self.w_query += other.w_query
-        self.w_gate += other.w_gate
-        self.b_gate += other.b_gate
-
-    def scaled(self, factor: float) -> "ParamGrads":
-        return ParamGrads(
-            self.token_embed * factor,
-            self.w_query * factor,
-            self.w_gate * factor,
-            self.b_gate * factor,
-        )
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(_flatten(self) ** 2)))
 
 
 @dataclass
@@ -241,7 +206,7 @@ class TeacherForced:
     """
 
     report: LossReport
-    grads: ParamGrads | None
+    grads: PgParams | None
     groups: list[tuple[dict[str, np.ndarray], np.ndarray]] = field(repr=False)
 
     def terms(self) -> dict[str, np.ndarray]:
@@ -268,7 +233,7 @@ def _group_pass(
     group: list[BiasExample],
     mode: str,
     alpha: float,
-    grads: ParamGrads | None,
+    grads: PgParams | None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
     """Every position of a few utterances at once, padded to the group's own
     longest utterance and valid set; adds the gradient into ``grads``."""
@@ -397,9 +362,10 @@ def teacher_forced(
     inputs (before computing anything) and on a non-finite gradient.
     """
     _mode_total(mode, 0.0, 0.0, 0.0)
-    if not np.isfinite(_flatten(params)).all():
+    base = flatten(params)
+    if not np.isfinite(base).all():
         raise DivergenceError("non-finite copy-module parameters")
-    grads = ParamGrads.zeros_like(params) if want_grad else None
+    grads = unflatten(np.zeros_like(base), params.shapes) if want_grad else None
     l_gen = l_ptr = l_asr = 0.0
     n_clamped = 0
     groups = []
@@ -419,21 +385,14 @@ def _rates(terms: dict[str, np.ndarray], threshold: float) -> dict[str, float]:
     if not terms:  # an empty batch has no positions
         return {"tar": 0.0, "far": 0.0, "tp": 0, "fn": 0, "fp": 0, "tn": 0,
                 "mean_gate_on_mask": 0.0}
-    gate = terms["p_gen"]
-    fired = gate >= threshold
-    on = terms["in_mask"]
-    off = (terms["valid_count"] > 0) & ~on
-    tp = int(np.count_nonzero(fired & on))
-    fn = int(np.count_nonzero(~fired & on))
-    fp = int(np.count_nonzero(fired & off))
-    tn = int(np.count_nonzero(~fired & off))
+    gate, on = terms["p_gen"], terms["in_mask"]
+    has_valid = terms["valid_count"] > 0
+    counts = gate_counts(gate[has_valid], on[has_valid], threshold)
+    tp, fn, fp, tn = counts.values()
     return {
         "tar": tp / (tp + fn) if tp + fn else 0.0,
         "far": fp / (fp + tn) if fp + tn else 0.0,
-        "tp": tp,
-        "fn": fn,
-        "fp": fp,
-        "tn": tn,
+        **counts,
         "mean_gate_on_mask": float(gate[on].sum()) / (tp + fn) if tp + fn else 0.0,
     }
 
@@ -469,27 +428,10 @@ def gate_rates(
 
 def grad(
     params: PgParams, batch: list[BiasExample], mode: str, alpha: float
-) -> tuple[ParamGrads, LossReport]:
+) -> tuple[PgParams, LossReport]:
     """Analytic gradient of the mode's objective, summed over the batch."""
     out = teacher_forced(params, batch, mode, alpha, want_grad=True)
     return out.grads, out.report
-
-
-def _flatten(obj: PgParams | ParamGrads) -> np.ndarray:
-    parts = (obj.token_embed.ravel(), obj.w_query.ravel(), obj.w_gate.ravel(), [obj.b_gate])
-    return np.concatenate(parts)
-
-
-def _unflatten(template: PgParams, vec: np.ndarray) -> PgParams:
-    sizes = [template.token_embed.size, template.w_query.size, template.w_gate.size, 1]
-    parts = np.split(vec, np.cumsum(sizes)[:-1])
-    return PgParams(
-        parts[0].reshape(template.token_embed.shape),
-        parts[1].reshape(template.w_query.shape),
-        parts[2].reshape(template.w_gate.shape),
-        float(parts[3][0]),
-        template.seed,
-    )
 
 
 def fd_check(
@@ -502,12 +444,12 @@ def fd_check(
     """Max relative error between analytic and central-difference gradients."""
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"finite-difference step {step} outside [1e-7, 1e-3]")
-    analytic, _ = grad(params, batch, mode, alpha)
-    analytic_vec = _flatten(analytic)
-    base = _flatten(params)
+    analytic = flatten(grad(params, batch, mode, alpha)[0])
+    base = flatten(params)
+    shapes = params.shapes
 
     def total_at(vec: np.ndarray) -> float:
-        return evaluate(_unflatten(params, vec), batch, mode, alpha).total
+        return evaluate(unflatten(vec, shapes, params.seed), batch, mode, alpha).total
 
     worst = 0.0
     for j in range(base.size):
@@ -517,7 +459,7 @@ def fd_check(
         probe[j] = base[j] - step
         down = total_at(probe)
         numeric = (up - down) / (2.0 * step)
-        err = abs(analytic_vec[j] - numeric) / max(abs(analytic_vec[j]), abs(numeric), 1e-8)
+        err = abs(analytic[j] - numeric) / max(abs(analytic[j]), abs(numeric), 1e-8)
         worst = max(worst, err)
     return worst
 
@@ -539,10 +481,3 @@ def step_trace(
         for j, (utt, i) in enumerate(steps)
     ]
 
-
-def alpha_derivative(p_gen_seq: np.ndarray, mask: BiasMask) -> float:
-    """Analytic derivative of the gate loss with respect to its class weight."""
-    p_gen_seq = np.asarray(p_gen_seq, dtype=np.float64)
-    return float(np.sum(np.where(
-        mask.flags(), -_floored_log(p_gen_seq), _floored_log(1.0 - p_gen_seq)
-    )))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MATCH = "match"
 SUBSTITUTION = "substitution"
 DELETION = "deletion"
@@ -131,6 +133,21 @@ def _is_bias_error(op: AlignOp, bias_words: set[str]) -> bool:
     return False
 
 
+def gate_counts(
+    p_gen: list | np.ndarray, on_mask: list | np.ndarray, threshold: float = 0.5
+) -> dict[str, int]:
+    """Gate decisions at ``threshold`` against the bias mask, as tp/fn/fp/tn counts.
+    The caller passes only positions whose valid bias set is nonempty."""
+    fired = np.asarray(p_gen, dtype=np.float64) >= threshold
+    on = np.asarray(on_mask, dtype=bool)
+    return {
+        "tp": int(np.count_nonzero(fired & on)),
+        "fn": int(np.count_nonzero(~fired & on)),
+        "fp": int(np.count_nonzero(fired & ~on)),
+        "tn": int(np.count_nonzero(~fired & ~on)),
+    }
+
+
 def score(
     alignments: list[Alignment],
     bias_lists: list[set[str]],
@@ -190,16 +207,11 @@ def score(
     if gate_traces is not None:
         if bias_masks is None or len(gate_traces) != len(alignments):
             raise ValueError("gate traces require matching bias masks per utterance")
-        for trace, mask in zip(gate_traces, bias_masks):
-            for entry in trace:
-                if not entry.valid_nonempty:
-                    continue
-                totals["n_gate_positions"] += 1
-                fired = entry.p_gen >= 0.5
-                if entry.step in mask.positions:
-                    totals["gate_tp" if fired else "gate_fn"] += 1
-                else:
-                    totals["gate_fp" if fired else "gate_tn"] += 1
+        gated = [(entry, mask) for trace, mask in zip(gate_traces, bias_masks)
+                 for entry in trace if entry.valid_nonempty]
+        counts = gate_counts([entry.p_gen for entry, _ in gated],
+                             [entry.step in mask.positions for entry, mask in gated])
+        totals.update({f"gate_{key}": n for key, n in counts.items()}, n_gate_positions=len(gated))
 
     errors = totals["substitutions"] + totals["deletions"] + totals["insertions"]
     totals["errors_total"] = errors

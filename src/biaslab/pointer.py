@@ -15,7 +15,9 @@ functions.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,11 @@ def sigmoid(x: float | np.ndarray) -> float | np.ndarray:
         return float((1.0 if x >= 0.0 else e) / (1.0 + e))
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+
+
+# The parameter layout: the order in which ``flatten`` concatenates the
+# parameters, each array row-major, and in which a checkpoint stores them.
+PARAM_ORDER = ("token_embed", "w_query", "w_gate", "b_gate")
 
 
 @dataclass
@@ -64,14 +71,23 @@ class PgParams:
     def state_dim(self) -> int:
         return self.w_query.shape[1]
 
-    def copy(self) -> "PgParams":
-        return PgParams(
-            self.token_embed.copy(),
-            self.w_query.copy(),
-            self.w_gate.copy(),
-            float(self.b_gate),
-            self.seed,
-        )
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape by name; the scalar ``b_gate`` has shape (1,)."""
+        return {name: np.shape(getattr(self, name)) or (1,) for name in PARAM_ORDER}
+
+
+def flatten(params: PgParams) -> np.ndarray:
+    """All parameters as one float64 vector in ``PARAM_ORDER``."""
+    return np.concatenate([np.ravel(getattr(params, name)) for name in PARAM_ORDER])
+
+
+def unflatten(vec: np.ndarray, shapes: dict[str, tuple[int, ...]], seed: int = 0) -> PgParams:
+    """Inverse of ``flatten`` for ``shapes`` (as ``PgParams.shapes``); views of ``vec``."""
+    sizes = [math.prod(shapes[name]) for name in PARAM_ORDER]
+    embed, query, gate, bias = (vec[end - size:end].reshape(shapes[name]) for name, size, end
+                                in zip(PARAM_ORDER, sizes, itertools.accumulate(sizes)))
+    return PgParams(embed, query, gate, float(bias[0]), seed)
 
 
 @dataclass(frozen=True)
@@ -186,28 +202,20 @@ def interpolate(p_mdl: np.ndarray, step: StepOutput, mode: str) -> np.ndarray:
 
 
 CHECKPOINT_VERSION = 1
-_MATRIX_ORDER = ("token_embed", "w_query", "w_gate", "b_gate")
 
 
 def save_params(params: PgParams, path: str) -> None:
-    """Write a checkpoint: one JSON header line, then row-major float64 LE."""
+    """Write a checkpoint: one JSON header line, then ``flatten(params)`` as float64 LE."""
     header = {
         "version": CHECKPOINT_VERSION,
         "seed": params.seed,
-        "shapes": {
-            "token_embed": list(params.token_embed.shape),
-            "w_query": list(params.w_query.shape),
-            "w_gate": [params.w_gate.shape[0]],
-            "b_gate": [1],
-        },
-        "order": list(_MATRIX_ORDER),
+        "shapes": params.shapes,
+        "order": list(PARAM_ORDER),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for name in _MATRIX_ORDER:
-            arr = np.atleast_1d(np.asarray(getattr(params, name), dtype=np.float64))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
+        fh.write(flatten(params).astype("<f8").tobytes())
 
 
 def load_params(path: str) -> PgParams:
@@ -215,8 +223,18 @@ def load_params(path: str) -> PgParams:
         header = json.loads(fh.readline().decode("utf-8"))
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version in {path}")
-        shapes = header["shapes"]
-        embed, query, gate, bias = (tuple(shapes[name]) for name in _MATRIX_ORDER)
+        missing = [key for key in ("seed", "order", "shapes") if key not in header]
+        if not missing:
+            missing = [f"shapes.{name}" for name in PARAM_ORDER if name not in header["shapes"]]
+        if missing:
+            raise ValueError(f"checkpoint {path}: header lacks key {missing[0]!r}")
+        if header["order"] != list(PARAM_ORDER):
+            raise ValueError(
+                f"checkpoint {path} stores its parameters in the order {header['order']}; "
+                f"only {list(PARAM_ORDER)} is supported"
+            )
+        shapes = {name: tuple(header["shapes"][name]) for name in PARAM_ORDER}
+        embed, query, gate, bias = shapes.values()
         if not (len(embed) == len(query) == 2 and query[0] == embed[1]
                 and gate == (query[1] + embed[1],) and bias == (1,)):
             raise ValueError(
@@ -224,20 +242,11 @@ def load_params(path: str) -> PgParams:
                 f"w_gate {gate}, b_gate {bias}; they must be (V, d), (d, d_h), "
                 "(d_h + d,) and (1,)"
             )
-        arrays = {}
-        for name in header["order"]:
-            shape = tuple(shapes[name])
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"truncated checkpoint {path}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        size = 8 * sum(math.prod(shape) for shape in shapes.values())
+        buf = fh.read(size)
+        if len(buf) != size:
+            raise ValueError(f"truncated checkpoint {path}")
         if fh.read(1):
             raise ValueError(f"trailing bytes after the parameters in checkpoint {path}")
-    return PgParams(
-        arrays["token_embed"],
-        arrays["w_query"],
-        arrays["w_gate"],
-        float(arrays["b_gate"][0]),
-        int(header["seed"]),
-    )
+    vec = np.frombuffer(buf, dtype="<f8").astype(np.float64)
+    return unflatten(vec, shapes, int(header["seed"]))

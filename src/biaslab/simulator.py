@@ -250,7 +250,11 @@ def _rows(values, shape: tuple[int, int], what: str) -> np.ndarray:
     return rows
 
 
+UTTERANCE_KEYS = ("id", "index", "ref_words", "p_mdl_seq", "h_dec_seq")
+
+
 def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
+    """Read a corpus file; reference words are lowercased, as tokenization does."""
     with open(path, encoding="utf-8") as fh:
         meta = json.loads(fh.readline())
         if (meta.get("kind") != "meta" or meta.get("version") != CORPUS_FORMAT_VERSION
@@ -262,6 +266,9 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
             if not line.strip():
                 continue
             record = json.loads(line)
+            missing = [key for key in UTTERANCE_KEYS if key not in record]
+            if missing:
+                raise ValueError(f"{path}: an utterance record lacks key {missing[0]!r}")
             ref = tokenize(vocab, record["ref_words"])
             where = f"{path}: utterance {record['id']}"
             p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), f"{where} model rows")
@@ -270,7 +277,7 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
             if np.any(np.abs(p_mdl.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError(f"{where}: model rows do not sum to 1")
             corpus.append(
-                SimUtterance(record["id"], record["index"], record["ref_words"], ref, p_mdl, h_dec)
+                SimUtterance(record["id"], record["index"], list(ref.words), ref, p_mdl, h_dec)
             )
     return vocab, corpus, meta
 

@@ -16,10 +16,12 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import losses
 from .biaslist import require_lists
 from .losses import BiasExample, prepare_example
-from .pointer import PgParams, init_params
+from .pointer import PgParams, flatten, init_params, unflatten
 from .simulator import SimUtterance, sub_rng
 from .tokenizer import Vocab
 
@@ -71,16 +73,9 @@ def prepare_batch(
     ]
 
 
-def _apply_update(params: PgParams, grads: losses.ParamGrads, scale: float) -> None:
-    params.token_embed -= scale * grads.token_embed
-    params.w_query -= scale * grads.w_query
-    params.w_gate -= scale * grads.w_gate
-    params.b_gate -= scale * grads.b_gate
-
-
 def _train_pass(
     params: PgParams, train_set: list[BiasExample], config: TrainConfig, want_signal: bool
-) -> tuple[losses.ParamGrads | None, losses.LossReport]:
+) -> tuple[PgParams | None, losses.LossReport]:
     """Train-split losses at the current parameters and, if wanted, their
     gradient: the next epoch's signal, None when it is not finite."""
     if want_signal:
@@ -113,7 +108,7 @@ def train(
     state_dim = corpus[0].h_dec_seq.shape[1]
     params = init_params(config.seed, vocab.size, config.embed_dim, state_dim)
     lr = config.lr
-    best_params = params.copy()
+    best_params = params  # an update builds new arrays, so a snapshot needs no copy
     best_dev = float("inf")
     epochs_since_improve = 0
     log: list[dict] = []
@@ -127,7 +122,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         if signal is None:
             break
-        grad_norm = signal.scaled(1.0 / n_train).l2_norm()
+        grad_norm = float(np.sqrt(np.sum((flatten(signal) * (1.0 / n_train)) ** 2)))
         order = sub_rng(config.seed, "epoch", epoch).permutation(len(train_set))
         diverged = False
         for start in range(0, len(order), config.batch_size):
@@ -140,7 +135,9 @@ def train(
             if not math.isfinite(report.total):
                 diverged = True
                 break
-            _apply_update(params, grads, lr / len(batch))
+            params = unflatten(
+                flatten(params) - lr / len(batch) * flatten(grads), params.shapes, params.seed
+            )
         if diverged:
             # abort and hand back the last good snapshot
             break
@@ -169,7 +166,7 @@ def train(
 
         if dev_total < best_dev:
             best_dev = dev_total
-            best_params = params.copy()
+            best_params = params
             epochs_since_improve = 0
         else:
             epochs_since_improve += 1

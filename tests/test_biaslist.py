@@ -1,5 +1,7 @@
 import logging
 
+import pytest
+
 from biaslab.biaslist import (
     build_utterance_list,
     extract_rarewords,
@@ -78,3 +80,11 @@ def test_lists_file_roundtrip(tmp_path):
     path = str(tmp_path / "lists.jsonl")
     write_bias_lists(path, lists)
     assert read_bias_lists(path) == lists
+
+
+def test_list_record_lacking_a_key_is_named(tmp_path):
+    path = tmp_path / "lists.jsonl"
+    path.write_text('{"id": "utt00000", "words": ["kerry"]}\n{"id": "utt00001"}\n')
+    with pytest.raises(ValueError, match="lacks key 'words'") as caught:
+        read_bias_lists(str(path))
+    assert str(path) in str(caught.value)

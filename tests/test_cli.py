@@ -202,6 +202,30 @@ def test_sweep_alpha_rows(workdir, capsys):
     assert len(rows) == 3
 
 
+def test_capitalised_corpus_and_lists_score_as_lowercase(workdir):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons)
+
+    def recase(src, dst, key, change):
+        with open(src) as fh, open(dst, "w") as out:
+            for line in fh:
+                record = json.loads(line)
+                if key in record:
+                    record[key] = [change(word) for word in record[key]]
+                out.write(json.dumps(record, sort_keys=True) + "\n")
+
+    upper = {name: str(tmp_path / f"upper_{name}") for name in ("corpus", "lists", "hyps",
+                                                                "report")}
+    recase(corpus, upper["corpus"], "ref_words", str.upper)
+    recase(lists, upper["lists"], "words", str.capitalize)
+    assert run(["decode", "--corpus", upper["corpus"], "--ckpt", ckpt, "--biaslists",
+                upper["lists"], "--mode", "unscaled", "--out", upper["hyps"]]) == 0
+    assert run(["score", "--refs", upper["corpus"], "--hyps", upper["hyps"], "--biaslists",
+                upper["lists"], "--out", upper["report"]]) == 0
+    assert open(upper["hyps"], "rb").read() == open(hyps, "rb").read()
+    assert open(upper["report"], "rb").read() == open(report, "rb").read()
+
+
 def test_print_config_echoes_json(workdir, capsys):
     tmp_path, sim, commons = workdir
     corpus = str(tmp_path / "corpus.jsonl")

@@ -13,7 +13,6 @@ from biaslab.biastrie import build_trie
 from biaslab.harness import make_check_setup
 from biaslab.losses import (
     BiasMask,
-    alpha_derivative,
     bias_positions,
     evaluate,
     fd_check,
@@ -24,7 +23,7 @@ from biaslab.losses import (
     prepare_example,
     teacher_valid_sets,
 )
-from biaslab.pointer import forward_step, init_params, interpolate
+from biaslab.pointer import flatten, forward_step, init_params, interpolate, unflatten
 from biaslab.tokenizer import build_vocab, tokenize
 
 
@@ -120,16 +119,6 @@ def test_loss_gen_monotonicity():
     low = loss_gen(np.array([0.4, 0.2]), mask, 0.7)
     assert loss_gen(np.array([0.5, 0.2]), mask, 0.7) < low
     assert loss_gen(np.array([0.4, 0.3]), mask, 0.7) > low
-
-
-def test_alpha_derivative_matches_finite_difference():
-    rng = np.random.default_rng(5)
-    gates = rng.uniform(0.05, 0.95, size=9)
-    mask = BiasMask(frozenset({1, 4, 7}), 9)
-    analytic = alpha_derivative(gates, mask)
-    eps = 1e-6
-    numeric = (loss_gen(gates, mask, 0.6 + eps) - loss_gen(gates, mask, 0.6 - eps)) / (2 * eps)
-    assert abs(analytic - numeric) < 1e-6
 
 
 def forced_steps(vocab, ref, bias_words, params):
@@ -307,7 +296,7 @@ def test_gate_gradient_zero_when_no_valid_sets():
     ex = example_for(vocab, ["my", "name"], [])
     params = init_params(1, vocab.size, 4, 6)
     g, report = grad(params, [ex], "two_loss", 0.7)
-    assert g.l2_norm() == 0.0
+    assert np.sqrt(np.sum(flatten(g) ** 2)) == 0.0
     assert report.l_gen == 0.0 and report.l_ptr == 0.0
 
 
@@ -356,9 +345,7 @@ def test_grad_reduction_order_stable():
     params, batch, _ = make_check_setup(8, 5, 5, n_utterances=4)
     total, _ = grad(params, batch, "two_loss", 0.7)
     partials = [grad(params, [ex], "two_loss", 0.7)[0] for ex in batch]
-    acc = losses.ParamGrads.zeros_like(params)
-    for part in partials:
-        acc.add_(part)
+    acc = unflatten(sum(flatten(part) for part in partials), params.shapes)
     assert np.allclose(acc.token_embed, total.token_embed, atol=1e-12)
     assert abs(acc.b_gate - total.b_gate) < 1e-12
 
@@ -381,9 +368,7 @@ def test_kernel_groups_match_per_utterance_sums():
     whole, report = grad(params, batch, "asr", 0.7)
     parts = [grad(params, [ex], "asr", 0.7) for ex in batch]
     assert math.isclose(report.l_asr, sum(r.l_asr for _, r in parts), rel_tol=1e-12)
-    acc = losses.ParamGrads.zeros_like(params)
-    for g, _ in parts:
-        acc.add_(g)
+    acc = unflatten(sum(flatten(g) for g, _ in parts), params.shapes)
     assert np.allclose(acc.w_query, whole.w_query, rtol=1e-12, atol=1e-14)
     assert np.allclose(acc.token_embed, whole.token_embed, rtol=1e-12, atol=1e-14)
 

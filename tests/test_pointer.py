@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from biaslab.pointer import (
+    PARAM_ORDER,
     StepOutput,
+    flatten,
     forward_step,
     init_params,
     interpolate,
     load_params,
     save_params,
+    unflatten,
 )
 
 
@@ -197,6 +202,48 @@ def test_checkpoint_with_disagreeing_shapes_rejected(tmp_path, name, shape):
     with pytest.raises(ValueError, match=r"token_embed \(25, 4\)") as caught:
         load_params(path)
     assert f"{name} {shape}" in str(caught.value)
+
+
+def _edit_header(path, edit):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda h: h["shapes"].pop("w_gate"), "shapes.w_gate"),
+    (lambda h: h.pop("order"), "order"),
+    (lambda h: h.pop("seed"), "seed"),
+], ids=["shapes.w_gate", "order", "seed"])
+def test_checkpoint_header_lacking_a_key_is_named(tmp_path, edit, key):
+    path = tmp_path / "ckpt.bin"
+    save_params(init_params(4, 6, 3, 5), str(path))
+    _edit_header(path, edit)
+    with pytest.raises(ValueError, match=f"lacks key '{key}'") as caught:
+        load_params(str(path))
+    assert str(path) in str(caught.value)
+
+
+def test_checkpoint_in_another_order_rejected(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_params(init_params(4, 6, 3, 5), str(path))
+    _edit_header(path, lambda h: h["order"].reverse())
+    with pytest.raises(ValueError, match="order") as caught:
+        load_params(str(path))
+    assert str(path) in str(caught.value)
+
+
+def test_flatten_follows_the_checkpoint_order_and_unflatten_views_it():
+    params = init_params(3, 5, 2, 4)
+    params.b_gate = 0.5
+    vec = flatten(params)
+    assert vec.size == 5 * 2 + 2 * 4 + 6 + 1 and vec[-1] == 0.5
+    back = unflatten(vec, params.shapes, params.seed)
+    for name in PARAM_ORDER[:3]:
+        assert np.array_equal(getattr(back, name), getattr(params, name))
+        assert np.shares_memory(getattr(back, name), vec)
+    assert back.b_gate == 0.5 and back.seed == 3
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -203,3 +203,17 @@ def test_meta_line_without_state_dim_rejected(tmp_path):
     open(path, "w").write(json.dumps(meta) + "\n" + "".join(lines[1:]))
     with pytest.raises(ValueError, match="not a corpus file"):
         read_corpus(path)
+
+
+def test_utterance_record_lacking_a_key_is_named(tmp_path):
+    config = toy_config()
+    path = str(tmp_path / "corpus.jsonl")
+    write_corpus(path, gen_corpus(config), build_sim_vocab(config), config.seed, "train")
+    lines = open(path).readlines()
+    record = json.loads(lines[2])
+    del record["index"]
+    lines[2] = json.dumps(record) + "\n"
+    open(path, "w").write("".join(lines))
+    with pytest.raises(ValueError, match="lacks key 'index'") as caught:
+        read_corpus(path)
+    assert path in str(caught.value)

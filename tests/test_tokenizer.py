@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaslab.tokenizer import (
     BOUNDARY,
@@ -98,6 +100,13 @@ def test_roundtrip_many_word_lists():
     for subset in ([], ["tom"], ["to", "tom"], words, words[::-1]):
         utt = tokenize(vocab, subset)
         assert detokenize(vocab, list(utt.tokens)) == subset
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.text(alphabet="abcdeABCDE", min_size=1, max_size=6), max_size=6))
+def test_detokenize_inverts_tokenize_up_to_case(words):
+    vocab = build_vocab([ch * 2 for ch in "abcde"])  # every letter may start or continue a word
+    assert detokenize(vocab, list(tokenize(vocab, words).tokens)) == [w.lower() for w in words]
 
 
 def test_uppercase_input_is_lowered():
