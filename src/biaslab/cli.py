@@ -271,7 +271,11 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
         raise UsageError("--step must lie in [1e-7, 1e-3]")
     modes = [args.mode] if args.mode != "both" else list(losses.MODES)
     _print_config(args, vars(args))
-    params, batch, _ = make_check_setup(args.seed, embed_dim, state_dim, args.utterances)
+    try:
+        losses.check_alpha(args.alpha)
+        params, batch, _ = make_check_setup(args.seed, embed_dim, state_dim, args.utterances)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     worst = 0.0
     for mode in modes:
         err = losses.fd_check(params, batch, mode, args.alpha, args.step)

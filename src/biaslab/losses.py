@@ -15,6 +15,7 @@ the caller.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -156,8 +157,7 @@ def loss_gen(p_gen_seq: np.ndarray, mask: BiasMask, alpha: float) -> float:
     Positions on the mask are weighted by ``alpha`` and positions off it by
     ``1 - alpha``; an alpha above 0.5 favors the minority (bias) class.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     p_gen_seq = np.asarray(p_gen_seq, dtype=np.float64)
     if p_gen_seq.shape[0] != mask.size:
         raise ValueError("gate sequence does not match the mask length")
@@ -190,6 +190,39 @@ def _mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
 # set, embed_dim) embeddings for one group at a time, so a pass over a whole
 # split stays near the memory of one minibatch.
 GROUP_SIZE = 16
+
+# Parameter vectors per finite-difference forward: 32 parameters, each
+# stepped up and down.  Every probe gathers its own copy of a group's
+# embeddings, so ``fd_check`` runs its probes in blocks of this size rather
+# than all 2 x (parameter count) at once.
+PROBE_BLOCK = 64
+
+LOSS_KEYS = ("l_gen", "l_ptr", "l_asr")
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a gate-loss weight outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+@dataclass(frozen=True)
+class PaddedGroup:
+    """A few utterances padded to their own longest utterance and valid set.
+
+    ``members``, ``member_mask``, ``gold_col``, ``in_mask`` and ``p_mdl_gold``
+    stack the examples' ``packed`` arrays, ``h`` their decoder states, and
+    ``real`` flags the positions that exist.
+    """
+
+    examples: list[BiasExample]
+    members: np.ndarray
+    member_mask: np.ndarray
+    gold_col: np.ndarray
+    in_mask: np.ndarray
+    p_mdl_gold: np.ndarray
+    h: np.ndarray
+    real: np.ndarray
 
 
 @dataclass
@@ -228,52 +261,76 @@ def _culprit(group: list[BiasExample], ok: np.ndarray) -> BiasExample:
     return group[int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))]
 
 
-def _group_pass(
-    params: PgParams,
-    group: list[BiasExample],
-    mode: str,
-    alpha: float,
-    grads: PgParams | None,
-) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
-    """Every position of a few utterances at once, padded to the group's own
-    longest utterance and valid set; adds the gradient into ``grads``."""
+def _pad_group(group: list[BiasExample]) -> PaddedGroup:
+    """Pad a group for ``_group_pass``; rejects non-finite inputs and a
+    masked position whose gold token is not in its valid set."""
     # padded positions have a certain gold token, so every padded term is 0
     members, member_mask, gold_col, in_mask, p_mdl_gold = (
         _pad(list(column), fill)
         for column, fill in zip(zip(*(ex.packed for ex in group)), (0, False, -1, False, 1.0))
     )
     h = _pad([ex.h_seq for ex in group], 0.0)
-    n, seq, width = members.shape
-    real = np.arange(seq) < np.array([len(ex.tokens) for ex in group])[:, None]
+    real = np.arange(members.shape[1]) < np.array([len(ex.tokens) for ex in group])[:, None]
     finite = np.isfinite(h).all(axis=2) & np.isfinite(p_mdl_gold)
     if not finite.all():
         raise DivergenceError(f"non-finite input on utterance {_culprit(group, finite).utt_id}")
-    has_valid = member_mask.any(axis=2)
     inconsistent = in_mask & (gold_col < 0)
     if inconsistent.any():
         b, i = np.argwhere(inconsistent)[0]
         raise ValueError(f"mask/trie inconsistency at position {i} of utterance {group[b].utt_id}")
+    return PaddedGroup(group, members, member_mask, gold_col, in_mask, p_mdl_gold, h, real)
+
+
+def _matvec(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` over the last axis, with any leading (probe) axes of ``w``
+    put in front of all of ``x``'s.  A matmul rather than an einsum, so that
+    unstacked parameters round exactly as ``x @ w`` does in training."""
+    return (x @ w[..., None, :, None])[..., 0]
+
+
+def _group_pass(
+    params: PgParams,
+    padded: PaddedGroup,
+    mode: str,
+    alpha: float,
+    grads: PgParams | None,
+) -> tuple[dict[str, np.ndarray], int]:
+    """Every position of a padded group at once; adds the gradient into ``grads``.
+
+    The parameters may carry leading probe axes (``unflatten`` of a stack of
+    vectors); every per-position term then carries them in front.  Only
+    unstacked parameters take a gradient.
+    """
+    members, member_mask, gold_col, in_mask, p_mdl_gold, h = (
+        padded.members, padded.member_mask, padded.gold_col, padded.in_mask,
+        padded.p_mdl_gold, padded.h,
+    )
+    n, seq, width = members.shape
+    has_valid = member_mask.any(axis=2)
 
     # forward: masked softmax over each valid set, context, gate
     state_dim = params.state_dim
     sqrt_d = np.sqrt(params.embed_dim)
-    w_ctx = params.w_gate[state_dim:]
-    emb = params.token_embed[members]
-    query = h @ params.w_query.T
-    logits = np.where(member_mask, np.einsum("btkd,btd->btk", emb, query) / sqrt_d, -np.inf)
-    top = logits.max(axis=2, keepdims=True, initial=-np.inf)
-    top[~has_valid] = 0.0
+    w_ctx = params.w_gate[..., state_dim:]
+    emb = np.take(params.token_embed, members, axis=-2)
+    query = h @ np.swapaxes(params.w_query, -1, -2)[..., None, :, :]
+    logits = np.where(
+        member_mask, np.einsum("...btkd,...btd->...btk", emb, query) / sqrt_d, -np.inf
+    )
+    top = logits.max(axis=-1, keepdims=True, initial=-np.inf)
+    top[..., ~has_valid, :] = 0.0
     p = np.exp(logits - top)
-    norm = p.sum(axis=2, keepdims=True)
-    norm[~has_valid] = 1.0
+    norm = p.sum(axis=-1, keepdims=True)
+    norm[..., ~has_valid, :] = 1.0
     p /= norm
-    ctx = np.einsum("btk,btkd->btd", p, emb)
-    pre = h @ params.w_gate[:state_dim] + ctx @ w_ctx + params.b_gate
+    ctx = np.einsum("...btk,...btkd->...btd", p, emb)
+    pre = (_matvec(h, params.w_gate[..., :state_dim]) + _matvec(ctx, w_ctx)
+           + np.asarray(params.b_gate)[..., None, None])
     gate = np.where(has_valid, sigmoid(pre), 0.0)
 
     # floored losses; positions off the mask with a valid set train the gate shut
     onehot = np.arange(width) == gold_col[..., None]
-    ptr_gold = (p * onehot).sum(axis=2)
+    ptr_gold = (p * onehot).sum(axis=-1)
     off = has_valid & ~in_mask
     p_final = p_mdl_gold * (1.0 - gate) + ptr_gold * gate
     gate_floor = gate < LOG_FLOOR
@@ -297,7 +354,7 @@ def _group_pass(
     n_clamped = sum(int(np.count_nonzero(f)) for f in floored)
 
     if grads is None:
-        return found, real, n_clamped
+        return found, n_clamped
 
     # gradient seeds match the floored losses: a floored log contributes 0;
     # the bias logits get d_z = coef * (onehot(gold) - p)
@@ -337,13 +394,27 @@ def _group_pass(
     )
     finite = np.all([np.isfinite(g).reshape(n, -1).all(axis=1) for g in per_utt], axis=0)
     if not finite.all():
-        raise DivergenceError(f"non-finite gradient on utterance {_culprit(group, finite).utt_id}")
+        culprit = _culprit(padded.examples, finite)
+        raise DivergenceError(f"non-finite gradient on utterance {culprit.utt_id}")
     grads.token_embed += per_utt[0].sum(axis=0)
     grads.w_query += per_utt[1].sum(axis=0)
     grads.w_gate[:state_dim] += per_utt[2].sum(axis=0)
     grads.w_gate[state_dim:] += per_utt[3].sum(axis=0)
     grads.b_gate += float(per_utt[4].sum())
-    return found, real, n_clamped
+    return found, n_clamped
+
+
+def _loss_sums(found: dict[str, np.ndarray]) -> np.ndarray:
+    """``LOSS_KEYS`` of a group's terms, each summed over the group's
+    positions: shape (3, *probe axes)."""
+    lead = found["p_gen"].shape[:-2]
+    return np.array([found[key].reshape(*lead, -1).sum(axis=-1) for key in LOSS_KEYS])
+
+
+def _groups(batch: list[BiasExample]) -> Iterator[PaddedGroup]:
+    """The batch in groups of ``GROUP_SIZE``, each padded when it is reached."""
+    for start in range(0, len(batch), GROUP_SIZE):
+        yield _pad_group(batch[start:start + GROUP_SIZE])
 
 
 def teacher_forced(
@@ -358,27 +429,37 @@ def teacher_forced(
     Every position's valid set is known from the reference, so a group of
     utterances runs as array operations: masked softmax over the valid set,
     context, gate, and the floored losses of ``loss_gen``, ``loss_ptr`` and
-    ``loss_asr``.  Raises ``DivergenceError`` on non-finite parameters or
+    ``loss_asr``.  Raises ``ValueError`` on an unknown mode or an alpha
+    outside (0, 1), and ``DivergenceError`` on non-finite parameters or
     inputs (before computing anything) and on a non-finite gradient.
     """
+    return _teacher_forced(params, _groups(batch), mode, alpha, want_grad)
+
+
+def _teacher_forced(
+    params: PgParams,
+    groups: Iterable[PaddedGroup],
+    mode: str,
+    alpha: float,
+    want_grad: bool,
+) -> TeacherForced:
     _mode_total(mode, 0.0, 0.0, 0.0)
+    check_alpha(alpha)
     base = flatten(params)
     if not np.isfinite(base).all():
         raise DivergenceError("non-finite copy-module parameters")
     grads = unflatten(np.zeros_like(base), params.shapes) if want_grad else None
-    l_gen = l_ptr = l_asr = 0.0
+    sums = np.zeros(len(LOSS_KEYS))
     n_clamped = 0
-    groups = []
-    for start in range(0, len(batch), GROUP_SIZE):
-        group = batch[start:start + GROUP_SIZE]
-        found, real, clamped = _group_pass(params, group, mode, alpha, grads)
-        l_gen += float(found["l_gen"].sum())
-        l_ptr += float(found["l_ptr"].sum())
-        l_asr += float(found["l_asr"].sum())
+    per_group = []
+    for padded in groups:
+        found, clamped = _group_pass(params, padded, mode, alpha, grads)
+        sums += _loss_sums(found)
         n_clamped += clamped
-        groups.append((found, real))
+        per_group.append((found, padded.real))
+    l_gen, l_ptr, l_asr = map(float, sums)
     report = LossReport(l_asr, l_gen, l_ptr, _mode_total(mode, l_gen, l_ptr, l_asr), n_clamped)
-    return TeacherForced(report, grads, groups)
+    return TeacherForced(report, grads, per_group)
 
 
 def _rates(terms: dict[str, np.ndarray], threshold: float) -> dict[str, float]:
@@ -434,6 +515,22 @@ def grad(
     return out.grads, out.report
 
 
+def probe_totals(
+    probes: np.ndarray,
+    shapes: dict[str, tuple[int, ...]],
+    groups: list[PaddedGroup],
+    mode: str,
+    alpha: float,
+) -> np.ndarray:
+    """The mode's total at every parameter vector of ``probes`` (the last
+    axis, in ``flatten``'s layout for ``shapes``), one forward per group."""
+    stacked = unflatten(probes, shapes)
+    sums = np.zeros((len(LOSS_KEYS), *probes.shape[:-1]))
+    for padded in groups:
+        sums += _loss_sums(_group_pass(stacked, padded, mode, alpha, None)[0])
+    return _mode_total(mode, *sums)
+
+
 def fd_check(
     params: PgParams,
     batch: list[BiasExample],
@@ -441,26 +538,27 @@ def fd_check(
     alpha: float,
     step: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference gradients.
+
+    The gradient pass pads the batch once; the ±step probes then run
+    ``PROBE_BLOCK`` at a time through one forward per group.
+    """
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"finite-difference step {step} outside [1e-7, 1e-3]")
-    analytic = flatten(grad(params, batch, mode, alpha)[0])
+    groups = list(_groups(batch))
+    analytic = flatten(_teacher_forced(params, groups, mode, alpha, want_grad=True).grads)
     base = flatten(params)
-    shapes = params.shapes
-
-    def total_at(vec: np.ndarray) -> float:
-        return evaluate(unflatten(vec, shapes, params.seed), batch, mode, alpha).total
-
     worst = 0.0
-    for j in range(base.size):
-        probe = base.copy()
-        probe[j] = base[j] + step
-        up = total_at(probe)
-        probe[j] = base[j] - step
-        down = total_at(probe)
+    for start in range(0, base.size, PROBE_BLOCK // 2):
+        cols = np.arange(start, min(start + PROBE_BLOCK // 2, base.size))
+        rows = np.arange(cols.size)
+        probes = np.tile(base, (2, cols.size, 1))
+        probes[0, rows, cols] += step
+        probes[1, rows, cols] -= step
+        up, down = probe_totals(probes, params.shapes, groups, mode, alpha)
         numeric = (up - down) / (2.0 * step)
-        err = abs(analytic[j] - numeric) / max(abs(analytic[j]), abs(numeric), 1e-8)
-        worst = max(worst, err)
+        scale = np.maximum(np.maximum(abs(analytic[cols]), abs(numeric)), 1e-8)
+        worst = max(worst, np.max(abs(analytic[cols] - numeric) / scale))
     return worst
 
 

@@ -51,6 +51,10 @@ class PgParams:
     w_query:     (d, d_h) projection of the decoder state to query space.
     w_gate:      (d_h + d,) gate weights over [state ; context].
     b_gate:      gate bias scalar.
+
+    A stack of parameter sets (``unflatten`` of vectors with leading axes)
+    puts those axes in front of every array, and ``b_gate`` is then an
+    array over them; the dimension properties read the trailing axes.
     """
 
     token_embed: np.ndarray
@@ -61,15 +65,15 @@ class PgParams:
 
     @property
     def vocab_size(self) -> int:
-        return self.token_embed.shape[0]
+        return self.token_embed.shape[-2]
 
     @property
     def embed_dim(self) -> int:
-        return self.token_embed.shape[1]
+        return self.token_embed.shape[-1]
 
     @property
     def state_dim(self) -> int:
-        return self.w_query.shape[1]
+        return self.w_query.shape[-1]
 
     @property
     def shapes(self) -> dict[str, tuple[int, ...]]:
@@ -83,11 +87,17 @@ def flatten(params: PgParams) -> np.ndarray:
 
 
 def unflatten(vec: np.ndarray, shapes: dict[str, tuple[int, ...]], seed: int = 0) -> PgParams:
-    """Inverse of ``flatten`` for ``shapes`` (as ``PgParams.shapes``); views of ``vec``."""
+    """Inverse of ``flatten`` for ``shapes`` (as ``PgParams.shapes``); views of ``vec``.
+
+    Leading axes of ``vec`` (a stack of vectors) lead every parameter, and
+    ``b_gate`` is then an array over them.
+    """
+    lead = vec.shape[:-1]
     sizes = [math.prod(shapes[name]) for name in PARAM_ORDER]
-    embed, query, gate, bias = (vec[end - size:end].reshape(shapes[name]) for name, size, end
+    embed, query, gate, bias = (vec[..., end - size:end].reshape(*lead, *shapes[name])
+                                for name, size, end
                                 in zip(PARAM_ORDER, sizes, itertools.accumulate(sizes)))
-    return PgParams(embed, query, gate, float(bias[0]), seed)
+    return PgParams(embed, query, gate, bias[..., 0] if lead else float(bias[0]), seed)
 
 
 @dataclass(frozen=True)
@@ -233,6 +243,13 @@ def load_params(path: str) -> PgParams:
                 f"checkpoint {path} stores its parameters in the order {header['order']}; "
                 f"only {list(PARAM_ORDER)} is supported"
             )
+        for name in PARAM_ORDER:
+            dims = header["shapes"][name]
+            if not isinstance(dims, list) or any(type(x) is not int or x < 0 for x in dims):
+                raise ValueError(
+                    f"checkpoint {path}: shape of {name} must be a list of non-negative "
+                    f"integers, got {dims!r}"
+                )
         shapes = {name: tuple(header["shapes"][name]) for name in PARAM_ORDER}
         embed, query, gate, bias = shapes.values()
         if not (len(embed) == len(query) == 2 and query[0] == embed[1]

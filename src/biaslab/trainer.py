@@ -42,8 +42,7 @@ class TrainConfig:
     def validate(self) -> None:
         if self.mode not in losses.MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        losses.check_alpha(self.alpha)
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
         if not 0.0 < self.lr_decay_factor <= 1.0:

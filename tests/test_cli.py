@@ -188,6 +188,18 @@ def test_fd_check_fails_above_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
+    (["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+    (["--utterances", "0"], "utterance counts must be positive"),
+    (["--dims", "0,4"], "dimensions must be positive"),
+], ids=["alpha-above-1", "alpha-nan", "no-utterances", "zero-dim"])
+def test_fd_check_bad_config_exits_2(capsys, flags, message):
+    assert run(["fd-check", "--seed", "11", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "OK" not in captured.out
+
+
 def test_sweep_alpha_rows(workdir, capsys):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons)

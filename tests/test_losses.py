@@ -432,3 +432,84 @@ def test_kernel_matches_reference_losses_and_forward_step(seed, b_gate, alpha, e
     assert _close(out.report.l_gen, l_gen)
     assert _close(out.report.l_ptr, l_ptr)
     assert _close(out.report.l_asr, l_asr)
+
+
+def _empty_off_mask_sets(ex, emptied):
+    """``ex`` with the valid sets at the off-mask positions in ``emptied`` cleared."""
+    drop = {i for i in emptied if i < len(ex.tokens) and i not in ex.mask.positions}
+    return dataclasses.replace(
+        ex, valid_sets=tuple(() if i in drop else v for i, v in enumerate(ex.valid_sets))
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 300),
+    b_gate=st.one_of(st.sampled_from([-40.0, 40.0]), st.floats(-6.0, 6.0)),
+    alpha=st.floats(0.05, 0.95),
+    mode=st.sampled_from(losses.MODES),
+    emptied=st.lists(st.integers(0, 40), max_size=6),
+    cols=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+    step=st.sampled_from([1e-5, 1e-3, 0.5]),
+)
+@example(seed=3, b_gate=40.0, alpha=0.7, mode="asr", emptied=[0, 1, 2, 3], cols=[0], step=1e-5)
+@example(seed=5, b_gate=-40.0, alpha=0.3, mode="two_loss", emptied=[6], cols=[7], step=1e-3)
+def test_stacked_probe_totals_match_evaluate_at_each_probe(
+    seed, b_gate, alpha, mode, emptied, cols, step
+):
+    """The probe axis runs the training forward: each probe's total is
+    ``evaluate``'s at that parameter vector, across groups."""
+    params, batch, _ = make_check_setup(seed, 4, 5, n_utterances=losses.GROUP_SIZE + 3)
+    params.b_gate = b_gate
+    for k in (0, len(batch) - 1):  # one utterance in each group mixes empty and full rows
+        batch[k] = _empty_off_mask_sets(batch[k], emptied)
+    base = flatten(params)
+    cols = [c % base.size for c in cols] + [base.size - 1]  # b_gate is always probed
+    rows = np.arange(len(cols))
+    probes = np.tile(base, (2, len(cols), 1))
+    probes[0, rows, cols] += step
+    probes[1, rows, cols] -= step
+    groups = list(losses._groups(batch))
+    assert len(groups) == 2
+    totals = losses.probe_totals(probes, params.shapes, groups, mode, alpha)
+    assert totals.shape == (2, len(cols))
+    for idx in np.ndindex(totals.shape):
+        want = evaluate(unflatten(probes[idx], params.shapes), batch, mode, alpha).total
+        assert math.isclose(totals[idx], want, rel_tol=1e-12), idx
+
+
+def _nan_parameter(params, batch):
+    params.w_query[0, 0] = np.nan
+    return "non-finite copy-module parameters"
+
+
+def _inf_input(params, batch):
+    batch[1].h_seq = batch[1].h_seq.copy()
+    batch[1].h_seq[0, 0] = np.inf
+    return f"non-finite input on utterance {batch[1].utt_id}"
+
+
+def _gold_off_its_valid_set(params, batch):
+    b, i = next((b, i) for b, ex in enumerate(batch) for i in sorted(ex.mask.positions))
+    ex = batch[b]
+    sets = list(ex.valid_sets)
+    sets[i] = tuple(t for t in sets[i] if t != ex.tokens[i])
+    batch[b] = dataclasses.replace(ex, valid_sets=tuple(sets))
+    return f"mask/trie inconsistency at position {i} of utterance {ex.utt_id}"
+
+
+@pytest.mark.parametrize("corrupt", [_nan_parameter, _inf_input, _gold_off_its_valid_set],
+                         ids=["parameter", "input", "mask-trie"])
+def test_fd_check_raises_on_bad_parameters_and_inputs(corrupt):
+    params, batch, _ = make_check_setup(3, n_utterances=3)
+    message = corrupt(params, batch)
+    with pytest.raises(ValueError, match=message):
+        fd_check(params, batch, "two_loss", 0.7)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+def test_kernel_rejects_alpha_outside_the_open_unit_interval(alpha):
+    params, batch, _ = make_check_setup(3)
+    for call in (evaluate, fd_check):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            call(params, batch, "two_loss", alpha)

@@ -234,6 +234,32 @@ def test_checkpoint_in_another_order_rejected(tmp_path):
     assert str(path) in str(caught.value)
 
 
+@pytest.mark.parametrize("name, dims", [
+    ("token_embed", [6.0, 3]),
+    ("b_gate", [True]),
+    ("token_embed", [-6, 3]),
+], ids=["non-integer", "boolean", "negative"])
+def test_checkpoint_header_with_a_bad_dimension_names_file_and_parameter(tmp_path, name, dims):
+    path = tmp_path / "ckpt.bin"
+    save_params(init_params(4, 6, 3, 5), str(path))
+    _edit_header(path, lambda h: h["shapes"].__setitem__(name, dims))
+    with pytest.raises(ValueError, match=f"shape of {name} must be a list of non-negative "
+                                         "integers") as caught:
+        load_params(str(path))
+    assert str(path) in str(caught.value)
+
+
+def test_unflatten_puts_leading_axes_in_front_of_every_parameter():
+    params = init_params(3, 5, 2, 4)
+    stack = np.stack([flatten(params) + k for k in range(6)]).reshape(2, 3, -1)
+    stacked = unflatten(stack, params.shapes)
+    assert stacked.token_embed.shape == (2, 3, 5, 2) and stacked.b_gate.shape == (2, 3)
+    assert (stacked.vocab_size, stacked.embed_dim, stacked.state_dim) == (5, 2, 4)
+    one = unflatten(stack[1, 2], params.shapes)
+    for name in PARAM_ORDER:
+        assert np.array_equal(getattr(stacked, name)[1, 2], getattr(one, name))
+
+
 def test_flatten_follows_the_checkpoint_order_and_unflatten_views_it():
     params = init_params(3, 5, 2, 4)
     params.b_gate = 0.5
