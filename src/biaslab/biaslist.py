@@ -80,5 +80,7 @@ def read_bias_lists(path: str) -> dict[str, list[str]]:
             missing = [key for key in ("id", "words") if key not in record]
             if missing:
                 raise ValueError(f"{path}: a bias-list record lacks key {missing[0]!r}")
+            if record["id"] in lists:
+                raise ValueError(f"{path}: repeated bias-list id {record['id']}")
             lists[record["id"]] = [word.lower() for word in record["words"]]
     return lists

@@ -27,7 +27,8 @@ class UsageError(Exception):
 
 def _print_config(args: argparse.Namespace, resolved: dict) -> None:
     if getattr(args, "print_config", False):
-        print(json.dumps(resolved, sort_keys=True, default=str))
+        shown = {key: value for key, value in resolved.items() if key != "handler"}
+        print(json.dumps(shown, sort_keys=True, default=str))
 
 
 def _load_json(path: str) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .biastrie import PrefixTree, TrieCursor, advance_cursor, build_trie, valid_set
 from .metrics import gate_counts
-from .pointer import PgParams, StepOutput, flatten, sigmoid, unflatten
+from .pointer import PgParams, StepOutput, flatten, sigmoid, state_terms, unflatten
 from .tokenizer import TokenizedUtterance, Vocab
 
 LOG_FLOOR = 1e-12
@@ -45,7 +45,7 @@ class BiasMask:
     size: int
 
     def flags(self) -> np.ndarray:
-        """Mask membership of every position as a boolean array."""
+        """Whether each position is on the mask, as a boolean array."""
         out = np.zeros(self.size, dtype=bool)
         out[sorted(self.positions)] = True
         return out
@@ -63,7 +63,7 @@ class LossReport:
     gate_rates: dict | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiasExample:
     """One utterance prepared for teacher-forced training.
 
@@ -80,23 +80,15 @@ class BiasExample:
     mask: BiasMask
 
     @cached_property
-    def packed(self) -> tuple[np.ndarray, ...]:
-        """The loss kernel's view of the utterance, built on its first pass.
-
-        ``(members, member_mask, gold_col, in_mask, p_mdl_gold)``: each
-        position's valid set as a row of token ids padded to the longest set
-        (true entries flagged in ``member_mask``), the gold token's column in
-        that row (-1 when it is not a member), the bias-mask flags, and the
-        base model's probability of the gold token.  Built on first use and
-        reused by every later pass, so preparing an example stays cheap.
-        """
-        lengths = [len(v) for v in self.valid_sets]
-        member_mask = np.arange(max(lengths, default=0)) < np.array(lengths)[:, None]
-        members = np.zeros(member_mask.shape, dtype=np.intp)
-        members[member_mask] = [t for v in self.valid_sets for t in v]
-        gold = [v.index(g) if g in v else -1 for g, v in zip(self.tokens, self.valid_sets)]
-        p_mdl_gold = self.p_mdl_seq[np.arange(len(lengths)), list(self.tokens)]
-        return members, member_mask, np.array(gold, dtype=np.intp), self.mask.flags(), p_mdl_gold
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(allowed, in_mask)``: each position's valid set as a row of
+        flags over the vocabulary (as wide as the base model's rows), and
+        the bias-mask flags.  Built on the first pass from the immutable
+        valid sets and mask, and reused by every later pass."""
+        allowed = np.zeros(np.shape(self.p_mdl_seq), dtype=bool)
+        for row, valid in zip(allowed, self.valid_sets):
+            row[list(valid)] = True
+        return allowed, self.mask.flags()
 
 
 def bias_positions(ref: TokenizedUtterance, bias_words: set[str]) -> BiasMask:
@@ -152,7 +144,7 @@ def loss_asr(p_seq: np.ndarray, ref: TokenizedUtterance) -> float:
 
 
 def loss_gen(p_gen_seq: np.ndarray, mask: BiasMask, alpha: float) -> float:
-    """Weighted binary cross-entropy of the gate against mask membership.
+    """Weighted binary cross-entropy of the gate against the bias mask.
 
     Positions on the mask are weighted by ``alpha`` and positions off it by
     ``1 - alpha``; an alpha above 0.5 favors the minority (bias) class.
@@ -186,15 +178,15 @@ def _mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
-# Utterances per kernel group.  A pass gathers (utterances, positions, valid
-# set, embed_dim) embeddings for one group at a time, so a pass over a whole
-# split stays near the memory of one minibatch.
+# Utterances per kernel group.  A pass holds (utterances, positions,
+# vocabulary) logits for one group at a time, so a pass over a whole split
+# stays near the memory of one minibatch.
 GROUP_SIZE = 16
 
 # Parameter vectors per finite-difference forward: 32 parameters, each
-# stepped up and down.  Every probe gathers its own copy of a group's
-# embeddings, so ``fd_check`` runs its probes in blocks of this size rather
-# than all 2 x (parameter count) at once.
+# stepped up and down.  Every probe carries its own (utterances, positions,
+# vocabulary) logits of a group, so ``fd_check`` runs its probes in blocks of
+# this size rather than all 2 x (parameter count) at once.
 PROBE_BLOCK = 64
 
 LOSS_KEYS = ("l_gen", "l_ptr", "l_asr")
@@ -208,18 +200,18 @@ def check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class PaddedGroup:
-    """A few utterances padded to their own longest utterance and valid set.
+    """A few utterances padded to their own longest utterance.
 
-    ``members``, ``member_mask``, ``gold_col``, ``in_mask`` and ``p_mdl_gold``
-    stack the examples' ``packed`` arrays, ``h`` their decoder states, and
-    ``real`` flags the positions that exist.
+    ``allowed`` and ``in_mask`` stack the examples' ``packed`` arrays,
+    ``gold`` their tokens, ``p_mdl_gold`` the base model's probability of
+    each gold token, ``h`` their decoder states, and ``real`` flags the
+    positions that exist.
     """
 
     examples: list[BiasExample]
-    members: np.ndarray
-    member_mask: np.ndarray
-    gold_col: np.ndarray
+    allowed: np.ndarray
     in_mask: np.ndarray
+    gold: np.ndarray
     p_mdl_gold: np.ndarray
     h: np.ndarray
     real: np.ndarray
@@ -264,28 +256,21 @@ def _culprit(group: list[BiasExample], ok: np.ndarray) -> BiasExample:
 def _pad_group(group: list[BiasExample]) -> PaddedGroup:
     """Pad a group for ``_group_pass``; rejects non-finite inputs and a
     masked position whose gold token is not in its valid set."""
+    allowed, in_mask = (_pad(list(column), False) for column in zip(*(ex.packed for ex in group)))
+    gold = _pad([np.array(ex.tokens, dtype=np.intp) for ex in group], 0)
     # padded positions have a certain gold token, so every padded term is 0
-    members, member_mask, gold_col, in_mask, p_mdl_gold = (
-        _pad(list(column), fill)
-        for column, fill in zip(zip(*(ex.packed for ex in group)), (0, False, -1, False, 1.0))
-    )
+    p_mdl_gold = _pad([ex.p_mdl_seq[np.arange(len(ex.tokens)), list(ex.tokens)]
+                       for ex in group], 1.0)
     h = _pad([ex.h_seq for ex in group], 0.0)
-    real = np.arange(members.shape[1]) < np.array([len(ex.tokens) for ex in group])[:, None]
+    real = np.arange(gold.shape[1]) < np.array([len(ex.tokens) for ex in group])[:, None]
     finite = np.isfinite(h).all(axis=2) & np.isfinite(p_mdl_gold)
     if not finite.all():
         raise DivergenceError(f"non-finite input on utterance {_culprit(group, finite).utt_id}")
-    inconsistent = in_mask & (gold_col < 0)
+    inconsistent = in_mask & ~np.take_along_axis(allowed, gold[..., None], axis=2)[..., 0]
     if inconsistent.any():
         b, i = np.argwhere(inconsistent)[0]
         raise ValueError(f"mask/trie inconsistency at position {i} of utterance {group[b].utt_id}")
-    return PaddedGroup(group, members, member_mask, gold_col, in_mask, p_mdl_gold, h, real)
-
-
-def _matvec(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` over the last axis, with any leading (probe) axes of ``w``
-    put in front of all of ``x``'s.  A matmul rather than an einsum, so that
-    unstacked parameters round exactly as ``x @ w`` does in training."""
-    return (x @ w[..., None, :, None])[..., 0]
+    return PaddedGroup(group, allowed, in_mask, gold, p_mdl_gold, h, real)
 
 
 def _group_pass(
@@ -301,36 +286,30 @@ def _group_pass(
     vectors); every per-position term then carries them in front.  Only
     unstacked parameters take a gradient.
     """
-    members, member_mask, gold_col, in_mask, p_mdl_gold, h = (
-        padded.members, padded.member_mask, padded.gold_col, padded.in_mask,
-        padded.p_mdl_gold, padded.h,
+    allowed, in_mask, gold, p_mdl_gold, h = (
+        padded.allowed, padded.in_mask, padded.gold, padded.p_mdl_gold, padded.h,
     )
-    n, seq, width = members.shape
-    has_valid = member_mask.any(axis=2)
+    n, seq, vocab = allowed.shape
+    has_valid = allowed.any(axis=2)
 
-    # forward: masked softmax over each valid set, context, gate
-    state_dim = params.state_dim
-    sqrt_d = np.sqrt(params.embed_dim)
-    w_ctx = params.w_gate[..., state_dim:]
-    emb = np.take(params.token_embed, members, axis=-2)
-    query = h @ np.swapaxes(params.w_query, -1, -2)[..., None, :, :]
-    logits = np.where(
-        member_mask, np.einsum("...btkd,...btd->...btk", emb, query) / sqrt_d, -np.inf
-    )
-    top = logits.max(axis=-1, keepdims=True, initial=-np.inf)
+    # forward: softmax over each position's allowed columns, gate
+    terms = state_terms(params, h.reshape(n * seq, -1))
+    lead = terms.gate_token.shape[:-1]
+    logits = terms.query_logits.reshape(*lead, n, seq, vocab)
+    top = np.where(allowed, logits, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
     top[..., ~has_valid, :] = 0.0
-    p = np.exp(logits - top)
+    # exp never sees -inf, an argument that takes a path several times slower
+    p = np.where(allowed, np.exp(np.where(allowed, logits - top, 0.0)), 0.0)
     norm = p.sum(axis=-1, keepdims=True)
     norm[..., ~has_valid, :] = 1.0
     p /= norm
-    ctx = np.einsum("...btk,...btkd->...btd", p, emb)
-    pre = (_matvec(h, params.w_gate[..., :state_dim]) + _matvec(ctx, w_ctx)
-           + np.asarray(params.b_gate)[..., None, None])
-    gate = np.where(has_valid, sigmoid(pre), 0.0)
+    gate_ctx = (p @ terms.gate_token[..., None, :, None])[..., 0]
+    gate = np.where(has_valid, sigmoid(terms.gate_state.reshape(*lead, n, seq) + gate_ctx), 0.0)
 
-    # floored losses; positions off the mask with a valid set train the gate shut
-    onehot = np.arange(width) == gold_col[..., None]
-    ptr_gold = (p * onehot).sum(axis=-1)
+    # floored losses; positions off the mask with a valid set train the gate
+    # shut; the gold token's bias probability is 0 where it is not allowed
+    onehot = np.arange(vocab) == gold[..., None]
+    ptr_gold = p[..., onehot].reshape(p.shape[:-1])
     off = has_valid & ~in_mask
     p_final = p_mdl_gold * (1.0 - gate) + ptr_gold * gate
     gate_floor = gate < LOG_FLOOR
@@ -347,7 +326,7 @@ def _group_pass(
         ),
         "l_ptr": np.where(in_mask, -_floored_log(ptr_gold), 0.0),
         "l_asr": -_floored_log(p_final),
-        "valid_count": member_mask.sum(axis=2),
+        "valid_count": allowed.sum(axis=2),
         "in_mask": in_mask,
     }
     floored = (in_mask & gate_floor, in_mask & ptr_floor, off & shut_floor, final_floor)
@@ -367,29 +346,26 @@ def _group_pass(
         live = has_valid & ~final_floor
         inv = -1.0 / np.where(live, p_final, 1.0)
         d_pre = np.where(live, inv * (ptr_gold - p_mdl_gold) * gate * (1.0 - gate), 0.0)
-        coef = np.where(live & (gold_col >= 0), inv * gate * ptr_gold, 0.0)
+        coef = np.where(live, inv * gate * ptr_gold, 0.0)
     found["d_gate_pre"] = d_pre
 
-    # backward; the context reaches the loss only through the gate
-    d_ctx = d_pre[..., None] * w_ctx
-    proj = np.einsum("btkd,btd->btk", emb, d_ctx) - np.einsum("btd,btd->bt", ctx, d_ctx)[..., None]
-    d_z = coef[..., None] * (onehot - p) + p * proj
-    d_query = np.einsum("btk,btkd->btd", d_z, emb) / sqrt_d
-    # embedding rows: scatter d_z and p onto vocabulary columns, then one
-    # product per utterance; each utterance is reduced on its own and the
+    # backward in vocabulary space; the context reaches the loss only
+    # through the gate, as the bias weights' average of ``gate_token``
+    sqrt_d = np.sqrt(params.embed_dim)
+    d_z = coef[..., None] * (onehot - p) + p * (
+        d_pre[..., None] * (terms.gate_token - gate_ctx[..., None])
+    )
+    d_query = d_z @ params.token_embed / sqrt_d
+    # each utterance is reduced on its own by batched matmuls, and the
     # utterances are summed in batch order
-    vocab = params.vocab_size
-    cells = ((np.arange(n * seq) * vocab).reshape(n, seq, 1) + members).ravel()
-
-    def to_vocab(values: np.ndarray) -> np.ndarray:
-        dense = np.bincount(cells, weights=values.ravel(), minlength=n * seq * vocab)
-        return dense.reshape(n, seq, vocab).transpose(0, 2, 1)
-
+    p_pre = np.matmul(d_pre[:, None, :], p)  # (n, 1, V): sum over t of p * d_pre
+    state_dim = params.state_dim
     per_utt = (
-        to_vocab(d_z) @ query / sqrt_d + to_vocab(p) @ d_ctx,
+        np.matmul(d_z.transpose(0, 2, 1), terms.query.reshape(n, seq, -1)) / sqrt_d
+        + p_pre.transpose(0, 2, 1) * params.w_gate[state_dim:],
         np.matmul(d_query.transpose(0, 2, 1), h),
         np.matmul(d_pre[:, None, :], h)[:, 0],
-        np.matmul(d_pre[:, None, :], ctx)[:, 0],
+        np.matmul(p_pre, params.token_embed)[:, 0],
         d_pre.sum(axis=1),
     )
     finite = np.all([np.isfinite(g).reshape(n, -1).all(axis=1) for g in per_utt], axis=0)
@@ -427,8 +403,8 @@ def teacher_forced(
     """Teacher-forced forward (and optional backward) over a batch.
 
     Every position's valid set is known from the reference, so a group of
-    utterances runs as array operations: masked softmax over the valid set,
-    context, gate, and the floored losses of ``loss_gen``, ``loss_ptr`` and
+    utterances runs as array operations: ``state_terms`` over vocabulary
+    columns, softmax over each valid set, gate, and the floored losses of ``loss_gen``, ``loss_ptr`` and
     ``loss_asr``.  Raises ``ValueError`` on an unknown mode or an alpha
     outside (0, 1), and ``DivergenceError`` on non-finite parameters or
     inputs (before computing anything) and on a non-finite gradient.

@@ -133,26 +133,36 @@ def init_params(seed: int, vocab_size: int, embed_dim: int, state_dim: int) -> P
 class StateTerms:
     """The copy module's terms that depend only on the decoder states.
 
+    query:        (T, d) each position's state projected to query space.
     query_logits: (T, V) every token's scaled attention logit at each position.
     gate_state:   (T,) state part of the gate pre-activation, plus ``b_gate``.
     gate_token:   (V,) each token's gate weight through the context,
                   ``token_embed @ w_gate[d_h:]``; the context term of the
                   gate is the bias weights' average of it over the valid set.
+
+    Parameters with leading probe axes put those axes in front of each term.
     """
 
+    query: np.ndarray
     query_logits: np.ndarray
     gate_state: np.ndarray
     gate_token: np.ndarray
 
 
 def state_terms(params: PgParams, h_seq: np.ndarray) -> StateTerms:
-    """Every position's trie-independent terms as three products, once."""
+    """Every position's trie-independent terms as three products, once.
+
+    Matmuls against transposed views and column vectors, so a stack of
+    parameters broadcasts and unstacked ones round exactly as ``h @ w`` does.
+    """
     state_dim = params.state_dim
-    query = h_seq @ params.w_query.T
+    query = h_seq @ np.swapaxes(params.w_query, -1, -2)
     return StateTerms(
-        query @ params.token_embed.T / np.sqrt(params.embed_dim),
-        h_seq @ params.w_gate[:state_dim] + params.b_gate,
-        params.token_embed @ params.w_gate[state_dim:],
+        query,
+        query @ np.swapaxes(params.token_embed, -1, -2) / np.sqrt(params.embed_dim),
+        (h_seq @ params.w_gate[..., :state_dim, None])[..., 0]
+        + np.asarray(params.b_gate)[..., None],
+        (params.token_embed @ params.w_gate[..., state_dim:, None])[..., 0],
     )
 
 

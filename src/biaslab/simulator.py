@@ -261,7 +261,7 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
                 or not {"vocab", "state_dim"} <= meta.keys()):
             raise ValueError(f"{path} is not a corpus file of a supported version")
         vocab = Vocab(tuple(meta["vocab"]))
-        corpus = []
+        corpus, seen = [], set()
         for line in fh:
             if not line.strip():
                 continue
@@ -269,6 +269,9 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
             missing = [key for key in UTTERANCE_KEYS if key not in record]
             if missing:
                 raise ValueError(f"{path}: an utterance record lacks key {missing[0]!r}")
+            if record["id"] in seen:
+                raise ValueError(f"{path}: repeated utterance id {record['id']}")
+            seen.add(record["id"])
             ref = tokenize(vocab, record["ref_words"])
             where = f"{path}: utterance {record['id']}"
             p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), f"{where} model rows")

@@ -6,6 +6,7 @@ per criterion.  Each test prints its measured values for inspection.
 
 import json
 import time
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -327,7 +328,7 @@ def test_ac8_cli_subcommands_are_deterministic(cli_workspace, capsys):
     for key, (files, fd_out) in runs.items():
         assert fd_out == reference_fd, key
         for name, path in files.items():
-            got = open(path, "rb").read()
-            want = open(reference_files[name], "rb").read()
+            got = Path(path).read_bytes()
+            want = Path(reference_files[name]).read_bytes()
             assert got == want, (key, name)
     print("AC-8: all subcommands byte-identical across repeats and --jobs 1/4")

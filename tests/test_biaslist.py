@@ -88,3 +88,13 @@ def test_list_record_lacking_a_key_is_named(tmp_path):
     with pytest.raises(ValueError, match="lacks key 'words'") as caught:
         read_bias_lists(str(path))
     assert str(path) in str(caught.value)
+
+
+def test_repeated_list_id_is_named(tmp_path):
+    path = tmp_path / "lists.jsonl"
+    path.write_text('{"id": "utt00000", "words": ["kerry"]}\n'
+                    '{"id": "utt00001", "words": []}\n'
+                    '{"id": "utt00000", "words": ["tom"]}\n')
+    with pytest.raises(ValueError, match="repeated bias-list id utt00000") as caught:
+        read_bias_lists(str(path))
+    assert str(path) in str(caught.value)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,7 +62,7 @@ def test_full_pipeline(workdir, capsys):
     out = capsys.readouterr().out
     assert "wrote 30 utterances" in out
     assert "wer,b_wer,u_wer,far,tar,u_we_b" in out
-    payload = json.loads(open(report).read())
+    payload = json.loads(Path(report).read_text())
     assert set(payload) >= {"wer", "b_wer", "u_wer", "far", "tar", "counts"}
     assert (tmp_path / "ckpt.bin.log.csv").exists()
 
@@ -75,15 +76,15 @@ def test_simulate_missing_config_names_path(tmp_path, capsys):
 
 def test_simulate_condition_identical_when_shift_zero(workdir):
     tmp_path, sim, commons = workdir
-    config = json.loads(open(sim).read())
+    config = json.loads(Path(sim).read_text())
     config["domain_shift"] = 0.0
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps(config))
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     assert run(["simulate", "--config", str(flat), "--out", a]) == 0
     assert run(["simulate", "--config", str(flat), "--out", b, "--condition", "test"]) == 0
-    a_bytes = open(a, "rb").read()
-    b_bytes = open(b, "rb").read()
+    a_bytes = Path(a).read_bytes()
+    b_bytes = Path(b).read_bytes()
     assert a_bytes.replace(b'"condition": "train"', b'"condition": "test"') == b_bytes
 
 
@@ -92,7 +93,8 @@ def test_simulate_conditions_differ_when_shifted(workdir):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     assert run(["simulate", "--config", sim, "--out", a]) == 0
     assert run(["simulate", "--config", sim, "--out", b, "--condition", "test"]) == 0
-    assert open(a).readlines()[1] != open(b).readlines()[1]
+    with open(a) as fa, open(b) as fb:
+        assert fa.readlines()[1] != fb.readlines()[1]
 
 
 def test_train_rejects_bad_alpha(workdir, capsys):
@@ -114,7 +116,7 @@ def test_train_trace_writes_per_step_records(workdir):
     trace = str(tmp_path / "trace.jsonl")
     assert run(["train", "--corpus", corpus, "--biaslists", lists, "--epochs", "1",
                 "--seed", "2", "--out", ckpt, "--trace", trace]) == 0
-    records = [json.loads(line) for line in open(trace)]
+    records = [json.loads(line) for line in Path(trace).read_text().splitlines()]
     assert records
     assert {"utt", "step", "p_gen", "l_gen", "l_ptr", "l_asr", "d_gate_pre"} <= set(records[0])
     assert len({r["utt"] for r in records}) == 30
@@ -123,10 +125,10 @@ def test_train_trace_writes_per_step_records(workdir):
 def test_repeat_train_run_identical_checkpoint(workdir):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, _, _ = pipeline(tmp_path, sim, commons)
-    first = open(ckpt, "rb").read()
+    first = Path(ckpt).read_bytes()
     assert run(["train", "--corpus", corpus, "--biaslists", lists, "--mode", "two_loss",
                 "--epochs", "2", "--seed", "2", "--out", ckpt]) == 0
-    assert open(ckpt, "rb").read() == first
+    assert Path(ckpt).read_bytes() == first
 
 
 def test_decode_biased_requires_checkpoint(workdir, capsys):
@@ -145,8 +147,8 @@ def test_decode_biased_requires_checkpoint(workdir, capsys):
 def test_score_missing_hypotheses_is_runtime_error(workdir, capsys):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons)
-    lines = open(hyps).readlines()
-    open(hyps, "w").write("".join(lines[:-3]))
+    lines = Path(hyps).read_text().splitlines(keepends=True)
+    Path(hyps).write_text("".join(lines[:-3]))
     code = run(["score", "--refs", corpus, "--hyps", hyps, "--biaslists", lists,
                 "--out", report])
     assert code == 1
@@ -156,10 +158,10 @@ def test_score_missing_hypotheses_is_runtime_error(workdir, capsys):
 def test_missing_bias_list_rejected_by_decode_score_and_sweep(workdir, capsys):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons)
-    lines = open(lists).readlines()
+    lines = Path(lists).read_text().splitlines(keepends=True)
     dropped = json.loads(lines[0])["id"]
     short = str(tmp_path / "short.jsonl")
-    open(short, "w").write("".join(lines[1:]))
+    Path(short).write_text("".join(lines[1:]))
     capsys.readouterr()
     commands = [
         ["decode", "--corpus", corpus, "--ckpt", ckpt, "--biaslists", short,
@@ -209,7 +211,7 @@ def test_sweep_alpha_rows(workdir, capsys):
                 "--alphas", "0.3,0.7", "--seeds", "0", "--epochs", "1",
                 "--out", sweep])
     assert code == 0
-    rows = open(sweep).read().strip().splitlines()
+    rows = Path(sweep).read_text().strip().splitlines()
     assert rows[0] == "alpha,seed,wer,far,u_we_b,tar,b_wer"
     assert len(rows) == 3
 
@@ -234,17 +236,25 @@ def test_capitalised_corpus_and_lists_score_as_lowercase(workdir):
                 upper["lists"], "--mode", "unscaled", "--out", upper["hyps"]]) == 0
     assert run(["score", "--refs", upper["corpus"], "--hyps", upper["hyps"], "--biaslists",
                 upper["lists"], "--out", upper["report"]]) == 0
-    assert open(upper["hyps"], "rb").read() == open(hyps, "rb").read()
-    assert open(upper["report"], "rb").read() == open(report, "rb").read()
+    assert Path(upper["hyps"]).read_bytes() == Path(hyps).read_bytes()
+    assert Path(upper["report"]).read_bytes() == Path(report).read_bytes()
 
 
-def test_print_config_echoes_json(workdir, capsys):
+def test_print_config_echoes_json(workdir):
     tmp_path, sim, commons = workdir
-    corpus = str(tmp_path / "corpus.jsonl")
-    assert run(["simulate", "--config", sim, "--out", corpus, "--print-config"]) == 0
-    first_line = capsys.readouterr().out.splitlines()[0]
-    config = json.loads(first_line)
-    assert config["seed"] == 9 and config["condition"] == "train"
+    cases = [
+        (["simulate", "--config", sim, "--out", str(tmp_path / "corpus.jsonl")],
+         {"seed": 9, "condition": "train"}),
+        (["fd-check", "--seed", "1"], {"seed": 1}),
+    ]
+    for argv, expected in cases:
+        runs = [subprocess.run([sys.executable, "-m", "biaslab", *argv, "--print-config"],
+                               capture_output=True, text=True) for _ in range(2)]
+        assert runs[0].returncode == 0
+        assert runs[0].stdout == runs[1].stdout  # the same bytes on every run
+        config = json.loads(runs[0].stdout.splitlines()[0])
+        assert "handler" not in config
+        assert expected.items() <= config.items()
 
 
 def test_simulate_seed_override_changes_corpus(workdir):
@@ -252,7 +262,7 @@ def test_simulate_seed_override_changes_corpus(workdir):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     assert run(["simulate", "--config", sim, "--out", a]) == 0
     assert run(["simulate", "--config", sim, "--out", b, "--seed", "777"]) == 0
-    assert open(a).read() != open(b).read()
+    assert Path(a).read_text() != Path(b).read_text()
 
 
 def test_simulate_writes_common_word_list(workdir):
@@ -261,8 +271,8 @@ def test_simulate_writes_common_word_list(workdir):
     exported = str(tmp_path / "exported_common.txt")
     assert run(["simulate", "--config", sim, "--out", corpus,
                 "--write-common", exported]) == 0
-    got = sorted(line.strip() for line in open(exported) if line.strip())
-    expected = sorted(json.loads(open(sim).read())["common_words"])
+    got = sorted(line.strip() for line in Path(exported).read_text().splitlines() if line.strip())
+    expected = sorted(json.loads(Path(sim).read_text())["common_words"])
     assert got == expected
 
 
@@ -298,7 +308,7 @@ def test_sweep_rejects_test_corpus_of_another_state_width(workdir, capsys):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)
     wider = tmp_path / "wider.json"
-    wider.write_text(json.dumps({**json.loads(open(sim).read()), "state_dim": 12}))
+    wider.write_text(json.dumps({**json.loads(Path(sim).read_text()), "state_dim": 12}))
     test = str(tmp_path / "wide.jsonl")
     assert run(["simulate", "--config", str(wider), "--out", test]) == 0
     capsys.readouterr()
@@ -312,12 +322,12 @@ def test_sweep_rejects_test_corpus_of_another_state_width(workdir, capsys):
 def test_sweep_rejects_test_corpus_with_reordered_tokens(workdir, capsys):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)
-    lines = open(corpus).readlines()
+    lines = Path(corpus).read_text().splitlines(keepends=True)
     meta = json.loads(lines[0])
     tokens = meta["vocab"]
     tokens[1], tokens[2] = tokens[2], tokens[1]  # same size, another order
     test = str(tmp_path / "reordered.jsonl")
-    open(test, "w").write(json.dumps(meta) + "\n" + "".join(lines[1:]))
+    Path(test).write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
     capsys.readouterr()
     code = run(["sweep-alpha", "--train-corpus", corpus, "--test-corpus", test,
                 "--train-biaslists", lists, "--test-biaslists", lists, "--alphas", "0.7",

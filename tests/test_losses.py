@@ -243,12 +243,20 @@ def test_report_totals_by_mode():
 def test_two_loss_total_ignores_base_model():
     params, batch, _ = make_check_setup(4)
     before = evaluate(params, batch, "two_loss", 0.7)
-    for ex in batch:
-        ex.p_mdl_seq = np.roll(ex.p_mdl_seq, 1, axis=1)
+    batch = [dataclasses.replace(ex, p_mdl_seq=np.roll(ex.p_mdl_seq, 1, axis=1)) for ex in batch]
     after = evaluate(params, batch, "two_loss", 0.7)
     assert after.l_gen == before.l_gen
     assert after.l_ptr == before.l_ptr
     assert after.total == before.total
+
+
+def test_asr_loss_follows_base_model_rows_changed_in_place():
+    params, batch, _ = make_check_setup(4)
+    evaluate(params, batch, "asr", 0.7)
+    for ex in batch:
+        ex.p_mdl_seq[:] = np.roll(ex.p_mdl_seq, 1, axis=1)
+    fresh = [dataclasses.replace(ex, p_mdl_seq=ex.p_mdl_seq.copy()) for ex in batch]
+    assert evaluate(params, batch, "asr", 0.7).l_asr == evaluate(params, fresh, "asr", 0.7).l_asr
 
 
 def test_asr_mode_matches_interpolated_nll():
@@ -383,7 +391,7 @@ def test_non_finite_parameters_rejected_before_the_pass():
 @pytest.mark.filterwarnings("error")
 def test_non_finite_input_names_the_utterance():
     params, batch, _ = make_check_setup(3, n_utterances=3)
-    batch[1].h_seq = batch[1].h_seq.copy()
+    batch[1] = dataclasses.replace(batch[1], h_seq=batch[1].h_seq.copy())
     batch[1].h_seq[0, 0] = np.inf
     with pytest.raises(losses.DivergenceError, match=batch[1].utt_id):
         grad(params, batch, "two_loss", 0.7)
@@ -484,7 +492,7 @@ def _nan_parameter(params, batch):
 
 
 def _inf_input(params, batch):
-    batch[1].h_seq = batch[1].h_seq.copy()
+    batch[1] = dataclasses.replace(batch[1], h_seq=batch[1].h_seq.copy())
     batch[1].h_seq[0, 0] = np.inf
     return f"non-finite input on utterance {batch[1].utt_id}"
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from biaslab.pointer import (
     interpolate,
     load_params,
     save_params,
+    state_terms,
     unflatten,
 )
 
@@ -181,7 +183,7 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     save_params(init_params(4, 6, 3, 5), a)
     save_params(init_params(4, 6, 3, 5), b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_checkpoint_with_trailing_bytes_rejected(tmp_path):
@@ -258,6 +260,27 @@ def test_unflatten_puts_leading_axes_in_front_of_every_parameter():
     one = unflatten(stack[1, 2], params.shapes)
     for name in PARAM_ORDER:
         assert np.array_equal(getattr(stacked, name)[1, 2], getattr(one, name))
+
+
+def test_state_terms_with_leading_axes_matches_each_slice():
+    params = init_params(3, 7, 4, 5)
+    params.b_gate = 0.25
+    h = np.random.default_rng(0).standard_normal((9, 5))
+    one = state_terms(params, h)
+    d_h = params.state_dim
+    assert np.array_equal(one.query_logits,
+                          h @ params.w_query.T @ params.token_embed.T / np.sqrt(4))
+    assert np.array_equal(one.gate_state, h @ params.w_gate[:d_h] + params.b_gate)
+    assert np.array_equal(one.gate_token, params.token_embed @ params.w_gate[d_h:])
+    steps = np.random.default_rng(1).standard_normal((2, 3, flatten(params).size))
+    stack = flatten(params) + steps
+    stacked = state_terms(unflatten(stack, params.shapes), h)
+    assert stacked.query_logits.shape == (2, 3, 9, 7) and stacked.gate_state.shape == (2, 3, 9)
+    for idx in np.ndindex(2, 3):
+        want = state_terms(unflatten(stack[idx], params.shapes), h)
+        for name in ("query", "query_logits", "gate_state", "gate_token"):
+            got, ref = getattr(stacked, name)[idx], getattr(want, name)
+            assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (idx, name)
 
 
 def test_flatten_follows_the_checkpoint_order_and_unflatten_views_it():

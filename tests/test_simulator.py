@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,16 +179,18 @@ def _set(rows, i, j, value):
     (lambda r: _set(r["h_dec_seq"], 1, 0, float("nan")), "non-finite"),
     (lambda r: _set(r["p_mdl_seq"], 1, 0, float("nan")), "non-finite"),
     (lambda r: _set(r["p_mdl_seq"], 0, 2, float("inf")), "non-finite"),
-], ids=["ragged_state_row", "narrow_states", "nan_state", "nan_model_row", "inf_model_row"])
+    (lambda r: r.update(id="utt00000"), "repeated utterance id"),  # the first record's id
+], ids=["ragged_state_row", "narrow_states", "nan_state", "nan_model_row", "inf_model_row",
+        "repeated_id"])
 def test_malformed_rows_rejected_naming_file_and_utterance(tmp_path, change, problem):
     config = toy_config()
     path = str(tmp_path / "corpus.jsonl")
     write_corpus(path, gen_corpus(config), build_sim_vocab(config), config.seed, "train")
-    lines = open(path).readlines()
+    lines = Path(path).read_text().splitlines(keepends=True)
     record = json.loads(lines[3])
     change(record)
     lines[3] = json.dumps(record) + "\n"
-    open(path, "w").write("".join(lines))
+    Path(path).write_text("".join(lines))
     with pytest.raises(ValueError, match=problem) as caught:
         read_corpus(path)
     assert path in str(caught.value) and record["id"] in str(caught.value)
@@ -197,10 +200,10 @@ def test_meta_line_without_state_dim_rejected(tmp_path):
     config = toy_config()
     path = str(tmp_path / "corpus.jsonl")
     write_corpus(path, gen_corpus(config), build_sim_vocab(config), config.seed, "train")
-    lines = open(path).readlines()
+    lines = Path(path).read_text().splitlines(keepends=True)
     meta = json.loads(lines[0])
     del meta["state_dim"]
-    open(path, "w").write(json.dumps(meta) + "\n" + "".join(lines[1:]))
+    Path(path).write_text(json.dumps(meta) + "\n" + "".join(lines[1:]))
     with pytest.raises(ValueError, match="not a corpus file"):
         read_corpus(path)
 
@@ -209,11 +212,11 @@ def test_utterance_record_lacking_a_key_is_named(tmp_path):
     config = toy_config()
     path = str(tmp_path / "corpus.jsonl")
     write_corpus(path, gen_corpus(config), build_sim_vocab(config), config.seed, "train")
-    lines = open(path).readlines()
+    lines = Path(path).read_text().splitlines(keepends=True)
     record = json.loads(lines[2])
     del record["index"]
     lines[2] = json.dumps(record) + "\n"
-    open(path, "w").write("".join(lines))
+    Path(path).write_text("".join(lines))
     with pytest.raises(ValueError, match="lacks key 'index'") as caught:
         read_corpus(path)
     assert path in str(caught.value)
