@@ -404,8 +404,8 @@ def teacher_forced(
 
     Every position's valid set is known from the reference, so a group of
     utterances runs as array operations: ``state_terms`` over vocabulary
-    columns, softmax over each valid set, gate, and the floored losses of ``loss_gen``, ``loss_ptr`` and
-    ``loss_asr``.  Raises ``ValueError`` on an unknown mode or an alpha
+    columns, softmax over each valid set, gate, and the floored losses of
+    ``loss_gen``, ``loss_ptr`` and ``loss_asr``.  Raises ``ValueError`` on an unknown mode or an alpha
     outside (0, 1), and ``DivergenceError`` on non-finite parameters or
     inputs (before computing anything) and on a non-finite gradient.
     """

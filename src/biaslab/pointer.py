@@ -10,7 +10,8 @@ vocabulary or only over the valid set.
 Decoding computes the terms that do not depend on the valid set once per
 utterance (``state_terms``); a step then gathers its valid set's columns
 (``bias_step``).  ``forward_step`` is the one-position case of the same two
-functions.
+functions, and the teacher-forced training kernel takes its terms from
+``state_terms`` too.
 """
 
 from __future__ import annotations
