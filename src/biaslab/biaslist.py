@@ -7,10 +7,9 @@ distractors from the full rare-word set.
 
 from __future__ import annotations
 
-import json
 import logging
 
-from .simulator import sub_rng
+from .simulator import read_records, sub_rng, write_records
 
 log = logging.getLogger(__name__)
 
@@ -64,23 +63,12 @@ def require_lists(utt_ids: list[str], lists: dict[str, list[str]]) -> None:
 
 def write_bias_lists(path: str, lists: dict[str, list[str]]) -> None:
     """JSON-lines bias lists: {"id": ..., "words": [...]} per utterance."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id in lists:
-            fh.write(json.dumps({"id": utt_id, "words": lists[utt_id]}, sort_keys=True) + "\n")
+    write_records(path, ({"id": utt_id, "words": words} for utt_id, words in lists.items()))
 
 
 def read_bias_lists(path: str) -> dict[str, list[str]]:
     """Read bias lists; words are lowercased, as tokenization does."""
-    lists: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            missing = [key for key in ("id", "words") if key not in record]
-            if missing:
-                raise ValueError(f"{path}: a bias-list record lacks key {missing[0]!r}")
-            if record["id"] in lists:
-                raise ValueError(f"{path}: repeated bias-list id {record['id']}")
-            lists[record["id"]] = [word.lower() for word in record["words"]]
-    return lists
+    return {
+        record["id"]: [word.lower() for word in record["words"]]
+        for record in read_records(path, "bias-list", ("id", "words"))
+    }

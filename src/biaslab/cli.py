@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import biaslist, decoder, losses, pointer, simulator, trainer
 from .biastrie import build_trie
@@ -52,6 +52,12 @@ def _sim_config(raw: dict, seed_override: int | None) -> simulator.SimConfig:
     if seed_override is not None:
         raw["seed"] = seed_override
     generate = raw.pop("inventories", None)
+    unknown = sorted(raw.keys() - {f.name for f in fields(simulator.SimConfig)}) + [
+        f"inventories.{key}" for key in
+        sorted((generate or {}).keys() - {"n_common", "n_rare", "n_confused", "seed"})
+    ]
+    if unknown:
+        raise UsageError(f"bad simulator config: unknown keys {unknown}")
     if generate is not None:
         common, rare, confusion = simulator.make_inventories(
             int(generate["n_common"]),
@@ -149,9 +155,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     trainer.write_train_log(log_path, log)
     if args.trace:
         batch = trainer.prepare_batch(vocab, corpus, lists)
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for record in losses.step_trace(params, batch, config.mode, config.alpha):
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        records = losses.step_trace(params, batch, config.mode, config.alpha)
+        simulator.write_records(args.trace, records)
     print(f"trained {config.epochs} epochs; checkpoint {args.out}, log {log_path}")
     return 0
 
@@ -193,9 +198,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.per_utt:
-        with open(args.per_utt, "w", encoding="utf-8") as fh:
-            for row in breakdown:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        simulator.write_records(args.per_utt, breakdown)
     sys.stdout.write(report.to_csv_row())
     return 0
 

@@ -18,7 +18,6 @@ with the reference (a documented desk-scale simplification).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import metrics
 from .biastrie import PrefixTree, TrieCursor
 from .losses import bias_positions
 from .pointer import PgParams, bias_step, mix, state_terms
-from .simulator import SimUtterance
+from .simulator import SimUtterance, read_records, write_records
 from .tokenizer import Vocab, detokenize
 
 DECODE_MODES = ("none", "scaled", "unscaled")
@@ -152,26 +151,18 @@ def score_corpus(
 
 def write_hypotheses(path: str, decoded: Decoded) -> None:
     """JSON-lines decode output: id, hypothesis words, and gate trace."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, (hyp_words, trace) in decoded.items():
-            record = {
-                "id": utt_id,
-                "hyp_words": hyp_words,
-                "trace": [[e.step, e.p_gen, e.valid_nonempty, e.emitted] for e in trace],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_records(path, (
+        {"id": utt_id, "hyp_words": hyp_words,
+         "trace": [[e.step, e.p_gen, e.valid_nonempty, e.emitted] for e in trace]}
+        for utt_id, (hyp_words, trace) in decoded.items()
+    ))
 
 
 def read_hypotheses(path: str) -> Decoded:
-    out: Decoded = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            trace = [
-                GateTraceEntry(int(s), float(p), bool(v), int(e))
-                for s, p, v, e in record["trace"]
-            ]
-            out[record["id"]] = (list(record["hyp_words"]), trace)
-    return out
+    return {
+        record["id"]: (
+            list(record["hyp_words"]),
+            [GateTraceEntry(int(s), float(p), bool(v), int(e)) for s, p, v, e in record["trace"]],
+        )
+        for record in read_records(path, "hypothesis", ("id", "hyp_words", "trace"))
+    }

@@ -121,8 +121,11 @@ def prepare_example(
     """Bundle an utterance with its bias trie, mask, and teacher-forced sets."""
     h_seq = np.asarray(h_seq, dtype=np.float64)
     p_mdl_seq = np.asarray(p_mdl_seq, dtype=np.float64)
-    if h_seq.shape[0] != ref.size or p_mdl_seq.shape[0] != ref.size:
-        raise ValueError(f"utterance {utt_id}: sequence length mismatch")
+    if p_mdl_seq.shape != (ref.size, vocab.size) or h_seq.ndim != 2 or len(h_seq) != ref.size:
+        raise ValueError(
+            f"utterance {utt_id}: base-model rows {p_mdl_seq.shape} and decoder states "
+            f"{h_seq.shape} do not fit {ref.size} tokens over a vocabulary of {vocab.size}"
+        )
     tree = build_trie(vocab, list(bias_words))
     mask = bias_positions(ref, set(w.lower() for w in bias_words))
     sets = teacher_valid_sets(tree, ref.tokens)
@@ -405,10 +408,20 @@ def teacher_forced(
     Every position's valid set is known from the reference, so a group of
     utterances runs as array operations: ``state_terms`` over vocabulary
     columns, softmax over each valid set, gate, and the floored losses of
-    ``loss_gen``, ``loss_ptr`` and ``loss_asr``.  Raises ``ValueError`` on an unknown mode or an alpha
-    outside (0, 1), and ``DivergenceError`` on non-finite parameters or
-    inputs (before computing anything) and on a non-finite gradient.
+    ``loss_gen``, ``loss_ptr`` and ``loss_asr``.  Raises ``ValueError`` on
+    an unknown mode, an alpha outside (0, 1) or an example whose rows or
+    states do not fit the module, and ``DivergenceError`` on non-finite
+    parameters or inputs (before computing anything) and on a non-finite
+    gradient.
     """
+    for ex in batch:  # padding would hide an example narrower than the module
+        widths = (ex.p_mdl_seq.shape[1:], ex.h_seq.shape[1:])
+        if widths != ((params.vocab_size,), (params.state_dim,)):
+            raise ValueError(
+                f"utterance {ex.utt_id}: base-model rows {ex.p_mdl_seq.shape} and decoder "
+                f"states {ex.h_seq.shape} do not fit a copy module over {params.vocab_size} "
+                f"tokens with decoder states of width {params.state_dim}"
+            )
     return _teacher_forced(params, _groups(batch), mode, alpha, want_grad)
 
 
@@ -438,13 +451,13 @@ def _teacher_forced(
     return TeacherForced(report, grads, per_group)
 
 
-def _rates(terms: dict[str, np.ndarray], threshold: float) -> dict[str, float]:
+def _rates(terms: dict[str, np.ndarray]) -> dict[str, float]:
     if not terms:  # an empty batch has no positions
         return {"tar": 0.0, "far": 0.0, "tp": 0, "fn": 0, "fp": 0, "tn": 0,
                 "mean_gate_on_mask": 0.0}
     gate, on = terms["p_gen"], terms["in_mask"]
     has_valid = terms["valid_count"] > 0
-    counts = gate_counts(gate[has_valid], on[has_valid], threshold)
+    counts = gate_counts(gate[has_valid], on[has_valid])
     tp, fn, fp, tn = counts.values()
     return {
         "tar": tp / (tp + fn) if tp + fn else 0.0,
@@ -454,33 +467,21 @@ def _rates(terms: dict[str, np.ndarray], threshold: float) -> dict[str, float]:
     }
 
 
-def evaluate(
-    params: PgParams,
-    batch: list[BiasExample],
-    mode: str,
-    alpha: float,
-    gate_threshold: float | None = None,
-) -> LossReport:
-    """Losses summed over a batch, without gradients.
-
-    With ``gate_threshold`` the report also carries the batch's
-    ``gate_rates`` at that boundary, from the same pass.
-    """
+def evaluate(params: PgParams, batch: list[BiasExample], mode: str, alpha: float) -> LossReport:
+    """Losses summed over a batch, without gradients, and the batch's
+    ``gate_rates`` from the same pass."""
     out = teacher_forced(params, batch, mode, alpha)
-    if gate_threshold is not None:
-        out.report.gate_rates = _rates(out.terms(), gate_threshold)
+    out.report.gate_rates = _rates(out.terms())
     return out.report
 
 
-def gate_rates(
-    params: PgParams, batch: list[BiasExample], threshold: float = 0.5
-) -> dict[str, float]:
-    """Teacher-forced gate acceptance rates at the decision boundary.
+def gate_rates(params: PgParams, batch: list[BiasExample]) -> dict[str, float]:
+    """Teacher-forced gate acceptance rates at ``metrics.GATE_THRESHOLD``.
 
     Only positions with a nonempty valid set count; the hit rate is over
     masked positions, the false-fire rate over unmasked ones.
     """
-    return _rates(teacher_forced(params, batch, TWO_LOSS, 0.5).terms(), threshold)
+    return evaluate(params, batch, TWO_LOSS, 0.5).gate_rates
 
 
 def grad(

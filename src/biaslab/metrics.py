@@ -4,15 +4,15 @@ Errors are split by the bias list: substitutions and deletions follow the
 reference word, insertions follow the hypothesis word, and every error is
 attributed to exactly one of the biased or unbiased pools.  The biased
 word error rate divides biased errors by the number of reference words on
-the list; the unbiased rate covers the rest.  Gate acceptance rates use a
-0.5 decision boundary and only count decoded positions where the valid
-bias set was nonempty.
+the list; the unbiased rate covers the rest.  Gate acceptance rates use
+the ``GATE_THRESHOLD`` decision boundary and only count decoded positions
+where the valid bias set was nonempty.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,8 @@ MATCH = "match"
 SUBSTITUTION = "substitution"
 DELETION = "deletion"
 INSERTION = "insertion"
+
+GATE_THRESHOLD = 0.5  # the gate fires at p_gen >= this, in reports and training logs alike
 
 
 @dataclass(frozen=True)
@@ -98,16 +100,7 @@ class ScoreReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "wer": self.wer,
-            "b_wer": self.b_wer,
-            "u_wer": self.u_wer,
-            "far": self.far,
-            "tar": self.tar,
-            "counts": self.counts,
-            "notes": self.notes,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def to_csv_row(self) -> str:
         cols = ["wer", "b_wer", "u_wer", "far", "tar", "u_we_b"]
@@ -133,12 +126,10 @@ def _is_bias_error(op: AlignOp, bias_words: set[str]) -> bool:
     return False
 
 
-def gate_counts(
-    p_gen: list | np.ndarray, on_mask: list | np.ndarray, threshold: float = 0.5
-) -> dict[str, int]:
-    """Gate decisions at ``threshold`` against the bias mask, as tp/fn/fp/tn counts.
-    The caller passes only positions whose valid bias set is nonempty."""
-    fired = np.asarray(p_gen, dtype=np.float64) >= threshold
+def gate_counts(p_gen: list | np.ndarray, on_mask: list | np.ndarray) -> dict[str, int]:
+    """Gate decisions at ``GATE_THRESHOLD`` against the bias mask, as tp/fn/fp/tn
+    counts.  The caller passes only positions whose valid bias set is nonempty."""
+    fired = np.asarray(p_gen, dtype=np.float64) >= GATE_THRESHOLD
     on = np.asarray(on_mask, dtype=bool)
     return {
         "tp": int(np.count_nonzero(fired & on)),

@@ -13,8 +13,10 @@ word), which is the error the bias module is meant to fix.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,6 +207,41 @@ def render_condition(
     ]
 
 
+def write_records(path: str, records: Iterable[dict]) -> None:
+    """JSON-lines: one sorted-key JSON object per line, written as ``records`` yields it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def read_records(path: str, kind: str, keys: tuple[str, ...], start: int = 1) -> Iterator[dict]:
+    """The records of a JSON-lines file from line ``start`` on, blank lines skipped.  A line
+    that is not a JSON object, a record that lacks one of ``keys`` (which include "id"),
+    an id that is not a string and a repeated id raise ValueError naming the file, the
+    line and the key or id."""
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if number < start or not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            where = f"{path}, line {number}"
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            missing = [key for key in keys if key not in record]
+            if missing:
+                raise ValueError(f"{where}: {kind} record lacks key {missing[0]!r}")
+            if not isinstance(record["id"], str):
+                raise ValueError(f"{where}: {kind} id {record['id']!r} is not a string")
+            if record["id"] in seen:
+                raise ValueError(f"{where}: repeated {kind} id {record['id']}")
+            seen.add(record["id"])
+            yield record
+
+
 def write_corpus(
     path: str, corpus: list[SimUtterance], vocab: Vocab, seed: int, condition: str
 ) -> None:
@@ -223,17 +260,10 @@ def write_corpus(
         "condition": condition,
         "n_utterances": len(corpus),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for utt in corpus:
-            record = {
-                "id": utt.utt_id,
-                "index": utt.index,
-                "ref_words": utt.ref_words,
-                "p_mdl_seq": utt.p_mdl_seq.tolist(),
-                "h_dec_seq": utt.h_dec_seq.tolist(),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    utterances = ({"id": utt.utt_id, "index": utt.index, "ref_words": utt.ref_words,
+                   "p_mdl_seq": utt.p_mdl_seq.tolist(), "h_dec_seq": utt.h_dec_seq.tolist()}
+                  for utt in corpus)
+    write_records(path, itertools.chain([meta], utterances))
 
 
 def _rows(values, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -256,32 +286,27 @@ UTTERANCE_KEYS = ("id", "index", "ref_words", "p_mdl_seq", "h_dec_seq")
 def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
     """Read a corpus file; reference words are lowercased, as tokenization does."""
     with open(path, encoding="utf-8") as fh:
-        meta = json.loads(fh.readline())
-        if (meta.get("kind") != "meta" or meta.get("version") != CORPUS_FORMAT_VERSION
-                or not {"vocab", "state_dim"} <= meta.keys()):
-            raise ValueError(f"{path} is not a corpus file of a supported version")
-        vocab = Vocab(tuple(meta["vocab"]))
-        corpus, seen = [], set()
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            missing = [key for key in UTTERANCE_KEYS if key not in record]
-            if missing:
-                raise ValueError(f"{path}: an utterance record lacks key {missing[0]!r}")
-            if record["id"] in seen:
-                raise ValueError(f"{path}: repeated utterance id {record['id']}")
-            seen.add(record["id"])
-            ref = tokenize(vocab, record["ref_words"])
-            where = f"{path}: utterance {record['id']}"
-            p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), f"{where} model rows")
-            h_dec = _rows(record["h_dec_seq"], (ref.size, meta["state_dim"]),
-                          f"{where} decoder states")
-            if np.any(np.abs(p_mdl.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError(f"{where}: model rows do not sum to 1")
-            corpus.append(
-                SimUtterance(record["id"], record["index"], list(ref.words), ref, p_mdl, h_dec)
-            )
+        try:
+            meta = json.loads(fh.readline())
+        except ValueError:  # an empty file, or a first line that is not JSON
+            meta = None
+    if (not isinstance(meta, dict) or meta.get("kind") != "meta"
+            or meta.get("version") != CORPUS_FORMAT_VERSION
+            or not {"vocab", "state_dim"} <= meta.keys()):
+        raise ValueError(f"{path} is not a corpus file of a supported version")
+    vocab = Vocab(tuple(meta["vocab"]))
+    corpus = []
+    for record in read_records(path, "utterance", UTTERANCE_KEYS, start=2):
+        ref = tokenize(vocab, record["ref_words"])
+        where = f"{path}: utterance {record['id']}"
+        p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), f"{where} model rows")
+        h_dec = _rows(record["h_dec_seq"], (ref.size, meta["state_dim"]),
+                      f"{where} decoder states")
+        if np.any(np.abs(p_mdl.sum(axis=1) - 1.0) > 1e-9):
+            raise ValueError(f"{where}: model rows do not sum to 1")
+        corpus.append(
+            SimUtterance(record["id"], record["index"], list(ref.words), ref, p_mdl, h_dec)
+        )
     return vocab, corpus, meta
 
 

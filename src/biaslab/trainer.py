@@ -5,9 +5,10 @@ plateau learning-rate decay, and per-epoch snapshots evaluated on a held
 out dev split (the last tenth of the seeded shuffle).  The returned
 parameters are the best-dev snapshot, earliest epoch winning ties.  Each
 log row carries the epoch's end-of-epoch mean train losses and dev gate
-rates (percent, 0.5 boundary), plus ``grad_norm``: the norm of the mean
-full-train-split gradient measured before the epoch's updates, i.e. the
-signal the objective offered that epoch.
+rates (percent, at ``metrics.GATE_THRESHOLD``), plus ``grad_norm``: the
+norm of the mean full-train-split gradient measured before the epoch's
+updates, i.e. the signal the objective offered that epoch.  A divergence
+anywhere stops training, with the best snapshot and the log so far.
 """
 
 from __future__ import annotations
@@ -116,63 +117,46 @@ def train(
     try:
         # gradient signal available to the first epoch, before any update
         signal, _ = losses.grad(params, train_set, config.mode, config.alpha)
-    except losses.DivergenceError:
-        return best_params, log
-    for epoch in range(1, config.epochs + 1):
-        if signal is None:
-            break
-        grad_norm = float(np.sqrt(np.sum((flatten(signal) * (1.0 / n_train)) ** 2)))
-        order = sub_rng(config.seed, "epoch", epoch).permutation(len(train_set))
-        diverged = False
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[int(i)] for i in order[start:start + config.batch_size]]
-            try:
+        for epoch in range(1, config.epochs + 1):
+            grad_norm = float(np.sqrt(np.sum((flatten(signal) * (1.0 / n_train)) ** 2)))
+            order = sub_rng(config.seed, "epoch", epoch).permutation(len(train_set))
+            for start in range(0, len(order), config.batch_size):
+                batch = [train_set[int(i)] for i in order[start:start + config.batch_size]]
                 grads, report = losses.grad(params, batch, config.mode, config.alpha)
-            except losses.DivergenceError:
-                diverged = True
-                break
-            if not math.isfinite(report.total):
-                diverged = True
-                break
-            params = unflatten(
-                flatten(params) - lr / len(batch) * flatten(grads), params.shapes, params.seed
-            )
-        if diverged:
-            # abort and hand back the last good snapshot
-            break
+                if not math.isfinite(report.total):
+                    raise losses.DivergenceError(f"non-finite loss in epoch {epoch}")
+                params = unflatten(
+                    flatten(params) - lr / len(batch) * flatten(grads), params.shapes, params.seed
+                )
 
-        try:
             signal, train_report = _train_pass(params, train_set, config, epoch < config.epochs)
-            dev_report = losses.evaluate(
-                params, dev_set, config.mode, config.alpha, gate_threshold=0.5
-            )
-        except losses.DivergenceError:
-            break
-        dev_rates = dev_report.gate_rates
-        dev_total = dev_report.total / len(dev_set)
-        row = {
-            "epoch": epoch,
-            "l_gen": train_report.l_gen / n_train,
-            "l_ptr": train_report.l_ptr / n_train,
-            "l_asr": train_report.l_asr / n_train,
-            "dev_far": 100.0 * dev_rates["far"],
-            "dev_tar": 100.0 * dev_rates["tar"],
-            "lr": lr,
-            "grad_norm": grad_norm,
-            "dev_total": dev_total,
-        }
-        log.append(row)
+            dev_report = losses.evaluate(params, dev_set, config.mode, config.alpha)
+            dev_total = dev_report.total / len(dev_set)
+            log.append({
+                "epoch": epoch,
+                "l_gen": train_report.l_gen / n_train,
+                "l_ptr": train_report.l_ptr / n_train,
+                "l_asr": train_report.l_asr / n_train,
+                "dev_far": 100.0 * dev_report.gate_rates["far"],
+                "dev_tar": 100.0 * dev_report.gate_rates["tar"],
+                "lr": lr,
+                "grad_norm": grad_norm,
+                "dev_total": dev_total,
+            })
 
-        if dev_total < best_dev:
-            best_dev = dev_total
-            best_params = params
-            epochs_since_improve = 0
-        else:
-            epochs_since_improve += 1
-            if epochs_since_improve >= config.patience:
-                lr *= config.lr_decay_factor
+            if dev_total < best_dev:
+                best_dev = dev_total
+                best_params = params
                 epochs_since_improve = 0
-
+            else:
+                epochs_since_improve += 1
+                if epochs_since_improve >= config.patience:
+                    lr *= config.lr_decay_factor
+                    epochs_since_improve = 0
+            if signal is None:  # the end-of-epoch gradient diverged
+                break
+    except losses.DivergenceError:
+        pass  # stop and hand back the best snapshot so far
     return best_params, log
 
 

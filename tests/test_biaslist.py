@@ -90,6 +90,14 @@ def test_list_record_lacking_a_key_is_named(tmp_path):
     assert str(path) in str(caught.value)
 
 
+def test_list_line_that_is_not_json_is_named(tmp_path):
+    path = tmp_path / "lists.jsonl"
+    path.write_text('{"id": "utt00000", "words": ["kerry"]}\n{not json\n')
+    with pytest.raises(ValueError, match="line 2: not a JSON object") as caught:
+        read_bias_lists(str(path))
+    assert str(path) in str(caught.value)
+
+
 def test_repeated_list_id_is_named(tmp_path):
     path = tmp_path / "lists.jsonl"
     path.write_text('{"id": "utt00000", "words": ["kerry"]}\n'

@@ -155,6 +155,21 @@ def test_score_missing_hypotheses_is_runtime_error(workdir, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_score_rejects_hypotheses_that_repeat_an_id(workdir, capsys):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons)
+    lines = Path(hyps).read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["hyp_words"] = ["other", "words"]
+    Path(hyps).write_text("".join(lines) + json.dumps(record) + "\n")
+    capsys.readouterr()
+    code = run(["score", "--refs", corpus, "--hyps", hyps, "--biaslists", lists,
+                "--out", report])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert hyps in err and f"repeated hypothesis id {record['id']}" in err
+
+
 def test_missing_bias_list_rejected_by_decode_score_and_sweep(workdir, capsys):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons)
@@ -255,6 +270,22 @@ def test_print_config_echoes_json(workdir):
         config = json.loads(runs[0].stdout.splitlines()[0])
         assert "handler" not in config
         assert expected.items() <= config.items()
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda config: config.update(domian_shift=0.3), "'domian_shift'"),
+    (lambda config: config.update(inventories={"n_common": 12, "n_rare": 8, "n_confsued": 4}),
+     "'inventories.n_confsued'"),
+], ids=["top_level", "inventories"])
+def test_simulate_rejects_unknown_config_keys(workdir, capsys, change, named):
+    tmp_path, sim, commons = workdir
+    config = json.loads(Path(sim).read_text())
+    change(config)
+    Path(sim).write_text(json.dumps(config))
+    code = run(["simulate", "--config", sim, "--out", str(tmp_path / "corpus.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad simulator config" in err and named in err
 
 
 def test_simulate_seed_override_changes_corpus(workdir):

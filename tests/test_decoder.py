@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -143,6 +144,47 @@ def test_hypotheses_file_roundtrip(tmp_path):
     write_hypotheses(path, decoded)
     loaded = read_hypotheses(path)
     assert loaded == decoded and list(loaded) == list(decoded)  # same records, same order
+
+
+def _drop_trace(lines):
+    record = json.loads(lines[1])
+    del record["trace"]
+    lines[1] = json.dumps(record) + "\n"
+
+
+def _repeat_first_id(lines):
+    record = json.loads(lines[0])
+    record["hyp_words"] = ["other", "words"]
+    lines.append(json.dumps(record) + "\n")
+
+
+def _not_json(lines):
+    lines[2] = "{not json\n"
+
+
+def _list_id(lines):
+    record = json.loads(lines[3])
+    record["id"] = [record["id"]]
+    lines[3] = json.dumps(record) + "\n"
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_drop_trace, "line 2: hypothesis record lacks key 'trace'"),
+    (_repeat_first_id, "line 5: repeated hypothesis id utt00000"),
+    (_not_json, "line 3: not a JSON object"),
+    (_list_id, r"line 4: hypothesis id \['utt00003'\] is not a string"),
+], ids=["without_trace", "repeated_id", "not_json", "list_id"])
+def test_malformed_hypotheses_named(tmp_path, edit, problem):
+    config = perfect_config()
+    vocab = build_sim_vocab(config)
+    path = tmp_path / "hyps.jsonl"
+    write_hypotheses(str(path), decode_corpus(gen_corpus(config)[:4], vocab, None, None, "none"))
+    lines = path.read_text().splitlines(keepends=True)
+    edit(lines)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=problem) as caught:
+        read_hypotheses(str(path))
+    assert str(path) in str(caught.value)
 
 
 def reference_decode(utt, vocab, params, tree, mode):

@@ -210,6 +210,34 @@ def test_prepare_example_guarantees_gold_membership():
         assert ex.tokens[i] in ex.valid_sets[i]
 
 
+@pytest.mark.parametrize("rows, states", [
+    (lambda p: p[:, :3], lambda h: h),
+    (lambda p: p[:-1], lambda h: h),
+    (lambda p: p, lambda h: h[:, 0]),
+    (lambda p: p, lambda h: h[:-1]),
+], ids=["narrow_rows", "short_rows", "one_dim_states", "short_states"])
+def test_prepare_example_rejects_rows_and_states_that_do_not_fit(rows, states):
+    vocab = small_world()
+    ref = tokenize(vocab, ["my", "kerry"])
+    rng = np.random.default_rng(0)
+    h_seq = states(rng.standard_normal((ref.size, 6)))
+    p_mdl = rows(rng.dirichlet(np.ones(vocab.size), size=ref.size))
+    with pytest.raises(ValueError, match="utterance u0: base-model rows") as caught:
+        prepare_example(vocab, "u0", ref, h_seq, p_mdl, ["kerry"])
+    assert f"{p_mdl.shape}" in str(caught.value) and f"{h_seq.shape}" in str(caught.value)
+
+
+@pytest.mark.parametrize("alone", [True, False], ids=["alone", "in_a_group"])
+def test_kernel_rejects_states_that_do_not_fit_the_module(alone):
+    params, batch, _ = make_check_setup(3, n_utterances=3)
+    narrow = dataclasses.replace(batch[1], h_seq=batch[1].h_seq[:, :4])
+    group = [narrow] if alone else [batch[0], narrow, batch[2]]
+    shape = rf"\({len(narrow.tokens)}, 4\)"
+    for mode in losses.MODES:
+        with pytest.raises(ValueError, match=rf"utterance {narrow.utt_id}: .*{shape}.*width 6"):
+            evaluate(params, group, mode, 0.7)
+
+
 def test_grad_inconsistent_mask_raises():
     vocab = small_world()
     ex = example_for(vocab, ["tom"], ["kerry"])

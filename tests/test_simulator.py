@@ -220,3 +220,25 @@ def test_utterance_record_lacking_a_key_is_named(tmp_path):
     with pytest.raises(ValueError, match="lacks key 'index'") as caught:
         read_corpus(path)
     assert path in str(caught.value)
+
+
+@pytest.mark.parametrize("first_line", ["", "{not json\n", "[1, 2]\n"],
+                         ids=["empty_file", "not_json", "not_an_object"])
+def test_corpus_without_a_meta_line_is_named(tmp_path, first_line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(first_line)
+    with pytest.raises(ValueError, match="not a corpus file") as caught:
+        read_corpus(str(path))
+    assert str(path) in str(caught.value)
+
+
+def test_utterance_line_that_is_not_json_is_named(tmp_path):
+    config = toy_config()
+    path = str(tmp_path / "corpus.jsonl")
+    write_corpus(path, gen_corpus(config), build_sim_vocab(config), config.seed, "train")
+    lines = Path(path).read_text().splitlines(keepends=True)
+    lines[2] = "{not json\n"
+    Path(path).write_text("".join(lines))
+    with pytest.raises(ValueError, match="line 3: not a JSON object") as caught:
+        read_corpus(path)
+    assert path in str(caught.value)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from biaslab import losses
+from biaslab.pointer import flatten, init_params
 from biaslab.trainer import LOG_COLUMNS, TrainConfig, train, write_train_log
 from conftest import toy_experiment
 
@@ -110,6 +112,51 @@ def test_divergence_aborts_with_finite_snapshot():
     assert math.isfinite(params.b_gate)
     assert np.all(np.isfinite(params.token_embed))
     assert log == []
+
+
+def _diverge_on_call(monkeypatch, name, call, how):
+    """Make ``losses.<name>`` raise DivergenceError (how="raise") or return a
+    NaN total (how="nan") on its ``call``-th call; every other call is real."""
+    real = getattr(losses, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call and how == "raise":
+            raise losses.DivergenceError("injected")
+        out = real(*args, **kwargs)
+        if len(calls) == call:
+            out[1].total = float("nan")
+        return out
+
+    monkeypatch.setattr(losses, name, patched)
+
+
+# At n=40 the train split has 36 utterances, 4 minibatches of 10: grad call 1
+# is the initial full-split gradient, 2-5 are epoch 1's minibatches, 6 its
+# end-of-epoch gradient, 7 epoch 2's first minibatch and 11 epoch 2's
+# end-of-epoch gradient.  Evaluate call 2 is epoch 2's dev pass.
+@pytest.mark.parametrize("name, call, how, rows", [
+    ("grad", 1, "raise", 0),
+    ("grad", 7, "raise", 1),
+    ("grad", 7, "nan", 1),
+    ("grad", 11, "raise", 2),  # the row is logged from evaluate, then training stops
+    ("evaluate", 2, "raise", 1),
+], ids=["initial_gradient", "minibatch", "nan_minibatch_total", "end_of_epoch_gradient",
+        "dev_pass"])
+def test_every_divergence_stop_site(monkeypatch, name, call, how, rows):
+    vocab, corpus, lists = small_setup(n=40)
+    config = TrainConfig(epochs=4, seed=2)
+    _, full_log = train(corpus, lists, vocab, config)
+    _diverge_on_call(monkeypatch, name, call, how)
+    params, log = train(corpus, lists, vocab, config)
+    monkeypatch.undo()
+    assert log == full_log[:rows]
+    if rows:
+        expected, _ = train(corpus, lists, vocab, TrainConfig(epochs=rows, seed=2))
+    else:
+        expected = init_params(2, vocab.size, 16, corpus[0].h_dec_seq.shape[1])
+    assert np.array_equal(flatten(params), flatten(expected))
 
 
 def test_extreme_lr_saturates_but_stays_finite():
