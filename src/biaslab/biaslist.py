@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 
-from .simulator import read_records, sub_rng, write_records
+from .simulator import WORDS, SimUtterance, read_records, sub_rng, write_records
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,16 @@ def build_utterance_list(
     return sorted(own + picked)
 
 
+def build_lists(corpus: list[SimUtterance], common_words: set[str], n_distractors: int,
+                seed: int, pool: set[str] | None = None) -> dict[str, list[str]]:
+    """Each utterance's list: its own rare words plus distractors drawn from
+    the rare words seen in the corpus, or from ``pool`` when given."""
+    observed = extract_rarewords([u.ref_words for u in corpus], common_words)
+    candidates = observed if pool is None else pool
+    return {u.utt_id: build_utterance_list(u.utt_id, set(u.ref_words) & observed, candidates,
+                                           n_distractors, seed) for u in corpus}
+
+
 def require_lists(utt_ids: list[str], lists: dict[str, list[str]]) -> None:
     """Every utterance needs a bias list: a missing one is an input error,
     never silently an empty list."""
@@ -70,5 +80,5 @@ def read_bias_lists(path: str) -> dict[str, list[str]]:
     """Read bias lists; words are lowercased, as tokenization does."""
     return {
         record["id"]: [word.lower() for word in record["words"]]
-        for record in read_records(path, "bias-list", ("id", "words"))
+        for record in read_records(path, "bias-list", ("id", "words"), shapes={"words": WORDS})
     }

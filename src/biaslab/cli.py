@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, fields
 
 from . import biaslist, decoder, losses, pointer, simulator, trainer
@@ -48,41 +49,38 @@ def _require(path: str, what: str) -> str:
 
 
 def _sim_config(raw: dict, seed_override: int | None) -> simulator.SimConfig:
+    """``SimConfig`` from the keys the file gives, each cast to its field's
+    type; a key the file leaves out takes the dataclass's default."""
+    if not isinstance(raw, dict):
+        raise UsageError("bad simulator config: the config must be a JSON object")
     raw = dict(raw)
+    generate = raw.pop("inventories", None) or {}
+    if not isinstance(generate, dict):
+        raise UsageError("bad simulator config: inventories must be a JSON object")
     if seed_override is not None:
         raw["seed"] = seed_override
-    generate = raw.pop("inventories", None)
-    unknown = sorted(raw.keys() - {f.name for f in fields(simulator.SimConfig)}) + [
+    types = typing.get_type_hints(simulator.SimConfig)
+    unknown = sorted(raw.keys() - types.keys()) + [
         f"inventories.{key}" for key in
-        sorted((generate or {}).keys() - {"n_common", "n_rare", "n_confused", "seed"})
+        sorted(generate.keys() - {"n_common", "n_rare", "n_confused", "seed"})
     ]
     if unknown:
         raise UsageError(f"bad simulator config: unknown keys {unknown}")
-    if generate is not None:
-        common, rare, confusion = simulator.make_inventories(
-            int(generate["n_common"]),
-            int(generate["n_rare"]),
-            int(generate.get("n_confused", 0)),
-            int(generate.get("seed", raw.get("seed", 0))),
-        )
-        raw.setdefault("common_words", common)
-        raw.setdefault("rare_words", rare)
-        raw.setdefault("confusion_map", confusion)
     try:
-        config = simulator.SimConfig(
-            seed=int(raw["seed"]),
-            n_utterances=int(raw["n_utterances"]),
-            words_per_utterance=tuple(raw["words_per_utterance"]),
-            common_words=list(raw["common_words"]),
-            rare_words=list(raw["rare_words"]),
-            rare_word_rate=float(raw["rare_word_rate"]),
-            base_accuracy_common=float(raw.get("base_accuracy_common", 0.95)),
-            base_accuracy_rare=float(raw.get("base_accuracy_rare", 0.75)),
-            confusion_map=dict(raw.get("confusion_map", {})),
-            state_dim=int(raw.get("state_dim", 24)),
-            domain_shift=float(raw.get("domain_shift", 0.0)),
-            utterance_noise=float(raw.get("utterance_noise", 0.1)),
-        )
+        if generate:
+            common, rare, confusion = simulator.make_inventories(
+                int(generate["n_common"]),
+                int(generate["n_rare"]),
+                int(generate.get("n_confused", 0)),
+                int(generate.get("seed", raw.get("seed", 0))),
+            )
+            raw.setdefault("common_words", common)
+            raw.setdefault("rare_words", rare)
+            raw.setdefault("confusion_map", confusion)
+        config = simulator.SimConfig(**{
+            key: (typing.get_origin(types[key]) or types[key])(value)
+            for key, value in raw.items()
+        })
         config.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad simulator config: {exc}") from None
@@ -110,21 +108,15 @@ def cmd_make_biaslists(args: argparse.Namespace) -> int:
     _print_config(args, vars(args))
     _, corpus, _ = simulator.read_corpus(args.corpus)
     common = set(read_word_list(args.common_words))
-    all_rare = biaslist.extract_rarewords([u.ref_words for u in corpus], common)
-    lists = {
-        u.utt_id: biaslist.build_utterance_list(
-            u.utt_id, set(u.ref_words) - common, all_rare, args.n_distractors, args.seed
-        )
-        for u in corpus
-    }
+    lists = biaslist.build_lists(corpus, common, args.n_distractors, args.seed)
     biaslist.write_bias_lists(args.out, lists)
     print(f"wrote {len(lists)} bias lists to {args.out}")
     return 0
 
 
-def _train_config(**fields) -> trainer.TrainConfig:
+def _train_config(**values) -> trainer.TrainConfig:
     try:
-        config = trainer.TrainConfig(**fields)
+        config = trainer.TrainConfig(**values)
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -134,17 +126,9 @@ def _train_config(**fields) -> trainer.TrainConfig:
 def cmd_train(args: argparse.Namespace) -> int:
     _require(args.corpus, "corpus")
     _require(args.biaslists, "bias lists")
-    config = _train_config(
-        mode=args.mode,
-        alpha=args.alpha,
-        lr=args.lr,
-        lr_decay_factor=args.lr_decay,
-        patience=args.patience,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        embed_dim=args.embed_dim,
-    )
+    # every field but jobs has a flag (--jobs has no effect)
+    config = _train_config(**{f.name: getattr(args, f.name)
+                              for f in fields(trainer.TrainConfig) if f.name != "jobs"})
     log_path = args.log if args.log else args.out + ".log.csv"
     _print_config(args, {**asdict(config), "corpus": args.corpus, "out": args.out,
                          "log": log_path})
@@ -173,9 +157,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     params = pointer.load_params(_require(args.ckpt, "checkpoint")) if args.ckpt else None
     trees = None
     if args.mode != "none":
-        try:  # a copy module that does not fit the corpus is a usage error
-            for utt in corpus:
-                decoder.check_params(params, vocab, utt)
+        try:  # a copy module that does not fit the corpus is a usage error; read_corpus
+            for utt in corpus[:1]:  # gives every utterance the first one's widths
+                pointer.check_fit(params, utt.utt_id, utt.p_mdl_seq, utt.h_dec_seq)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         trees = {u.utt_id: build_trie(vocab, lists[u.utt_id]) for u in corpus}
@@ -292,6 +276,16 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_train_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """A flag per ``TrainConfig`` field, typed and defaulted by the dataclass;
+    ``--lr-decay`` sets ``lr_decay_factor``."""
+    types, defaults = typing.get_type_hints(trainer.TrainConfig), trainer.TrainConfig()
+    for flag in flags:
+        name = "lr_decay_factor" if flag == "lr-decay" else flag.replace("-", "_")
+        p.add_argument(f"--{flag}", dest=name, metavar=flag.replace("-", "_").upper(),
+                       type=types[name], default=getattr(defaults, name))
+
+
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1, help="accepted for uniformity; no effect")
     p.add_argument("--print-config", action="store_true", help="echo the resolved config")
@@ -326,15 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the copy module; writes checkpoint and log CSV")
     p.add_argument("--corpus", required=True)
     p.add_argument("--biaslists", required=True)
-    p.add_argument("--mode", choices=losses.MODES, default=losses.TWO_LOSS)
-    p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--lr-decay", type=float, default=0.5)
-    p.add_argument("--patience", type=int, default=2)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--embed-dim", type=int, default=16)
+    p.add_argument("--mode", choices=losses.MODES, default=trainer.TrainConfig.mode)
+    _add_train_flags(p, "alpha", "epochs", "seed", "lr", "lr-decay", "patience", "batch-size",
+                     "embed-dim")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log CSV (default <out>.log.csv)")
     p.add_argument("--trace", default=None,
@@ -367,10 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-biaslists", required=True)
     p.add_argument("--alphas", default="0.1,0.3,0.5,0.7")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--embed-dim", type=int, default=16)
+    _add_train_flags(p, "epochs", "lr", "batch-size", "embed-dim")
     p.add_argument("--decode-mode", choices=("scaled", "unscaled"), default="unscaled")
     p.add_argument("--out", required=True, help="sweep CSV path")
     _add_jobs(p)
@@ -380,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dims", default="6,6", help="embed_dim,state_dim")
     p.add_argument("--utterances", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.7)
+    _add_train_flags(p, "alpha")
     p.add_argument("--mode", choices=(*losses.MODES, "both"), default="both")
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)

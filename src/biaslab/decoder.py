@@ -25,8 +25,8 @@ import numpy as np
 from . import metrics
 from .biastrie import PrefixTree, TrieCursor
 from .losses import bias_positions
-from .pointer import PgParams, bias_step, mix, state_terms
-from .simulator import SimUtterance, read_records, write_records
+from .pointer import PgParams, bias_step, check_fit, mix, state_terms
+from .simulator import WORDS, SimUtterance, read_records, write_records
 from .tokenizer import Vocab, detokenize
 
 DECODE_MODES = ("none", "scaled", "unscaled")
@@ -38,20 +38,6 @@ class GateTraceEntry:
     p_gen: float
     valid_nonempty: bool
     emitted: int
-
-
-def check_params(params: PgParams, vocab: Vocab, utt: SimUtterance) -> None:
-    """Raise ValueError, naming both shapes, unless the copy module fits the
-    vocabulary and the utterance's base-model rows and decoder states."""
-    rows, states = np.shape(utt.p_mdl_seq), np.shape(utt.h_dec_seq)
-    need = (params.vocab_size, (params.vocab_size,), (params.state_dim,))
-    if (vocab.size, rows[1:], states[1:]) != need:
-        raise ValueError(
-            f"copy-module parameters (token_embed {params.token_embed.shape}, w_query "
-            f"{params.w_query.shape}) need {need[0]} tokens and decoder states of width "
-            f"{params.state_dim}; utterance {utt.utt_id} has {vocab.size} tokens, "
-            f"base-model rows {rows} and decoder states {states}"
-        )
 
 
 def greedy_decode(
@@ -74,7 +60,7 @@ def greedy_decode(
     steps = utt.ref.size
     rows = np.asarray(utt.p_mdl_seq, dtype=np.float64)[:steps]
     if mode != "none":
-        check_params(params, vocab, utt)
+        check_fit(params, utt.utt_id, utt.p_mdl_seq, utt.h_dec_seq)
         h = np.asarray(utt.h_dec_seq, dtype=np.float64)[:steps]
         finite = np.isfinite(h).all(axis=1)
         # a non-finite row raises when its step is reached; until then it is zeroed
@@ -158,11 +144,17 @@ def write_hypotheses(path: str, decoded: Decoded) -> None:
     ))
 
 
+TRACE = ("a list of [step, p_gen, valid_nonempty, emitted] entries",
+         lambda trace: isinstance(trace, list)
+         and all(isinstance(entry, list) and len(entry) == 4 for entry in trace))
+
+
 def read_hypotheses(path: str) -> Decoded:
     return {
         record["id"]: (
-            list(record["hyp_words"]),
+            record["hyp_words"],
             [GateTraceEntry(int(s), float(p), bool(v), int(e)) for s, p, v, e in record["trace"]],
         )
-        for record in read_records(path, "hypothesis", ("id", "hyp_words", "trace"))
+        for record in read_records(path, "hypothesis", ("id", "hyp_words", "trace"),
+                                   shapes={"hyp_words": WORDS, "trace": TRACE})
     }

@@ -7,7 +7,7 @@ scalar parameter stays cheap.
 
 from __future__ import annotations
 
-from .biaslist import build_utterance_list, extract_rarewords
+from .biaslist import build_lists
 from .losses import BiasExample, prepare_example
 from .pointer import PgParams, init_params
 from .simulator import SimConfig, build_sim_vocab, gen_corpus, make_inventories, sub_rng
@@ -46,16 +46,12 @@ def make_check_setup(
     )
     vocab = build_sim_vocab(config)
     corpus = gen_corpus(config)
-    observed = extract_rarewords([u.ref_words for u in corpus], set(common))
-    pool = set(rare)  # all possible rare words, so distractor draws never run dry
-    batch = []
-    for utt in corpus:
-        words = build_utterance_list(
-            utt.utt_id, set(utt.ref_words) & observed, pool, n_distractors, seed
-        )
-        batch.append(
-            prepare_example(vocab, utt.utt_id, utt.ref, utt.h_dec_seq, utt.p_mdl_seq, words)
-        )
+    # distractors come from every possible rare word, so their draws never run dry
+    lists = build_lists(corpus, set(common), n_distractors, seed, pool=set(rare))
+    batch = [
+        prepare_example(vocab, u.utt_id, u.ref, u.h_dec_seq, u.p_mdl_seq, lists[u.utt_id])
+        for u in corpus
+    ]
     params = init_params(seed, vocab.size, embed_dim, state_dim)
     # probe a generic operating point: at the inert training init the gate-path
     # derivatives sit below finite-difference noise

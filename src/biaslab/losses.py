@@ -23,7 +23,7 @@ import numpy as np
 
 from .biastrie import PrefixTree, TrieCursor, advance_cursor, build_trie, valid_set
 from .metrics import gate_counts
-from .pointer import PgParams, StepOutput, flatten, sigmoid, state_terms, unflatten
+from .pointer import PgParams, StepOutput, check_fit, flatten, sigmoid, state_terms, unflatten
 from .tokenizer import TokenizedUtterance, Vocab
 
 LOG_FLOOR = 1e-12
@@ -415,13 +415,7 @@ def teacher_forced(
     gradient.
     """
     for ex in batch:  # padding would hide an example narrower than the module
-        widths = (ex.p_mdl_seq.shape[1:], ex.h_seq.shape[1:])
-        if widths != ((params.vocab_size,), (params.state_dim,)):
-            raise ValueError(
-                f"utterance {ex.utt_id}: base-model rows {ex.p_mdl_seq.shape} and decoder "
-                f"states {ex.h_seq.shape} do not fit a copy module over {params.vocab_size} "
-                f"tokens with decoder states of width {params.state_dim}"
-            )
+        check_fit(params, ex.utt_id, ex.p_mdl_seq, ex.h_seq)
     return _teacher_forced(params, _groups(batch), mode, alpha, want_grad)
 
 

@@ -82,6 +82,18 @@ class PgParams:
         return {name: np.shape(getattr(self, name)) or (1,) for name in PARAM_ORDER}
 
 
+def check_fit(params: PgParams, utt_id: str, p_mdl_seq: np.ndarray, h_seq: np.ndarray) -> None:
+    """Raise ValueError, naming both sides' shapes, unless the copy module fits
+    an utterance's base-model rows (T, V) and decoder states (T, d_h)."""
+    rows, states = np.shape(p_mdl_seq), np.shape(h_seq)
+    if (rows[1:], states[1:]) != ((params.vocab_size,), (params.state_dim,)):
+        raise ValueError(
+            f"utterance {utt_id}: base-model rows {rows} over {rows[-1]} tokens and decoder "
+            f"states {states} do not fit copy-module parameters token_embed "
+            f"{params.token_embed.shape} and w_query {params.w_query.shape}, which need "
+            f"{params.vocab_size} tokens and decoder states of width {params.state_dim}")
+
+
 def flatten(params: PgParams) -> np.ndarray:
     """All parameters as one float64 vector in ``PARAM_ORDER``."""
     return np.concatenate([np.ravel(getattr(params, name)) for name in PARAM_ORDER])

@@ -214,11 +214,17 @@ def write_records(path: str, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_records(path: str, kind: str, keys: tuple[str, ...], start: int = 1) -> Iterator[dict]:
+# a shape for ``read_records``: what a word field must be, and its test
+WORDS = ("a list of words",
+         lambda value: isinstance(value, list) and all(isinstance(w, str) for w in value))
+
+
+def read_records(path: str, kind: str, keys: tuple[str, ...], start: int = 1,
+                 shapes: dict[str, tuple] | None = None) -> Iterator[dict]:
     """The records of a JSON-lines file from line ``start`` on, blank lines skipped.  A line
     that is not a JSON object, a record that lacks one of ``keys`` (which include "id"),
-    an id that is not a string and a repeated id raise ValueError naming the file, the
-    line and the key or id."""
+    an id that is not a string, a repeated id and a value that fails the test ``shapes``
+    gives its key raise ValueError naming the file, the line and the key or id."""
     seen = set()
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -239,6 +245,9 @@ def read_records(path: str, kind: str, keys: tuple[str, ...], start: int = 1) ->
             if record["id"] in seen:
                 raise ValueError(f"{where}: repeated {kind} id {record['id']}")
             seen.add(record["id"])
+            for key, (what, fits) in (shapes or {}).items():
+                if not fits(record[key]):
+                    raise ValueError(f"{where}: {key!r} of {kind} {record['id']} is not {what}")
             yield record
 
 
@@ -296,7 +305,8 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
         raise ValueError(f"{path} is not a corpus file of a supported version")
     vocab = Vocab(tuple(meta["vocab"]))
     corpus = []
-    for record in read_records(path, "utterance", UTTERANCE_KEYS, start=2):
+    for record in read_records(path, "utterance", UTTERANCE_KEYS, start=2,
+                               shapes={"ref_words": WORDS}):
         ref = tokenize(vocab, record["ref_words"])
         where = f"{path}: utterance {record['id']}"
         p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), f"{where} model rows")

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def prepare_batch(

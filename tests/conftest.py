@@ -1,6 +1,6 @@
 """Shared fixtures: hand-scored corpora and toy-experiment builders."""
 
-from biaslab.biaslist import build_utterance_list, extract_rarewords
+from biaslab.biaslist import build_lists
 from biaslab.simulator import (
     SimConfig,
     build_sim_vocab,
@@ -12,13 +12,7 @@ from biaslab.simulator import (
 
 def make_lists(corpus, common_words, n_distractors, seed):
     """Per-utterance bias lists from a corpus, distractors drawn per id."""
-    observed = extract_rarewords([u.ref_words for u in corpus], set(common_words))
-    return {
-        u.utt_id: build_utterance_list(
-            u.utt_id, set(u.ref_words) & observed, observed, n_distractors, seed
-        )
-        for u in corpus
-    }
+    return build_lists(corpus, set(common_words), n_distractors, seed)
 
 
 def toy_experiment(seed=3, n_train=500, n_test=200, domain_shift=0.3,

@@ -98,6 +98,17 @@ def test_list_line_that_is_not_json_is_named(tmp_path):
     assert str(path) in str(caught.value)
 
 
+@pytest.mark.parametrize("words", ['"kerry tom"', '["kerry", 7]'], ids=["string", "number"])
+def test_list_words_that_are_not_a_list_of_words_are_named(tmp_path, words):
+    path = tmp_path / "lists.jsonl"
+    path.write_text('{"id": "utt00000", "words": ["kerry"]}\n'
+                    f'{{"id": "utt00001", "words": {words}}}\n')
+    with pytest.raises(ValueError, match="line 2: 'words' of bias-list utt00001 is not a list") \
+            as caught:
+        read_bias_lists(str(path))
+    assert str(path) in str(caught.value)
+
+
 def test_repeated_list_id_is_named(tmp_path):
     path = tmp_path / "lists.jsonl"
     path.write_text('{"id": "utt00000", "words": ["kerry"]}\n'

@@ -1,13 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import pytest
 
 from biaslab.cli import main
 from biaslab.pointer import init_params, load_params, save_params
-from biaslab.simulator import make_inventories
+from biaslab.simulator import SimConfig, make_inventories
+from biaslab.trainer import TrainConfig
 
 
 @pytest.fixture()
@@ -108,6 +110,40 @@ def test_train_rejects_bad_alpha(workdir, capsys):
                 "--epochs", "1", "--out", str(tmp_path / "ckpt.bin")])
     assert code == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def test_train_rejects_negative_seed(workdir, capsys):
+    tmp_path, sim, commons = workdir
+    corpus = str(tmp_path / "corpus.jsonl")
+    lists = str(tmp_path / "lists.jsonl")
+    run(["simulate", "--config", sim, "--out", corpus])
+    run(["make-biaslists", "--corpus", corpus, "--common-words", commons, "--out", lists])
+    ckpt = tmp_path / "ckpt.bin"
+    code = run(["train", "--corpus", corpus, "--biaslists", lists, "--seed", "-1",
+                "--epochs", "1", "--out", str(ckpt)])
+    assert code == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_training_flags_default_to_train_config(workdir, capsys):
+    tmp_path, sim, commons = workdir
+    corpus = str(tmp_path / "corpus.jsonl")
+    lists = str(tmp_path / "lists.jsonl")
+    run(["simulate", "--config", sim, "--out", corpus])
+    run(["make-biaslists", "--corpus", corpus, "--common-words", commons, "--out", lists])
+    capsys.readouterr()
+    assert run(["train", "--corpus", corpus, "--biaslists", lists,
+                "--out", str(tmp_path / "ckpt.bin"), "--print-config"]) == 0
+    shown = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert asdict(TrainConfig()).items() <= shown.items()
+    assert run(["sweep-alpha", "--train-corpus", corpus, "--test-corpus", corpus,
+                "--train-biaslists", lists, "--test-biaslists", lists, "--alphas", "0.7",
+                "--out", str(tmp_path / "sweep.csv"), "--print-config"]) == 0
+    shown = json.loads(capsys.readouterr().out.splitlines()[0])
+    defaults = asdict(TrainConfig())
+    assert {key: shown[key] for key in ("lr", "epochs", "batch_size", "embed_dim")} == {
+        key: defaults[key] for key in ("lr", "epochs", "batch_size", "embed_dim")}
 
 
 def test_train_trace_writes_per_step_records(workdir):
@@ -288,6 +324,31 @@ def test_simulate_rejects_unknown_config_keys(workdir, capsys, change, named):
     assert "bad simulator config" in err and named in err
 
 
+@pytest.mark.parametrize("config, named", [
+    ([1, 2], "the config must be a JSON object"),
+    ({"inventories": 5}, "inventories must be a JSON object"),
+], ids=["top_level", "inventories"])
+def test_simulate_rejects_config_that_is_not_an_object(tmp_path, capsys, config, named):
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps(config))
+    assert run(["simulate", "--config", str(sim), "--out", str(tmp_path / "c.jsonl")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_simulate_config_without_optional_keys_takes_sim_config_defaults(workdir, capsys):
+    tmp_path, sim, commons = workdir
+    required = {f.name for f in fields(SimConfig)
+                if f.default is MISSING and f.default_factory is MISSING}
+    given = {key: value for key, value in json.loads(Path(sim).read_text()).items()
+             if key in required}
+    Path(sim).write_text(json.dumps(given))
+    assert run(["simulate", "--config", sim, "--out", str(tmp_path / "c.jsonl"),
+                "--print-config"]) == 0
+    shown = json.loads(capsys.readouterr().out.splitlines()[0])
+    expected = SimConfig(**{**given, "words_per_utterance": tuple(given["words_per_utterance"])})
+    assert json.loads(json.dumps(asdict(expected))).items() <= shown.items()
+
+
 def test_simulate_seed_override_changes_corpus(workdir):
     tmp_path, sim, commons = workdir
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -370,8 +431,9 @@ def test_sweep_rejects_test_corpus_with_reordered_tokens(workdir, capsys):
 
 
 @pytest.mark.parametrize("flags, problem", [(["--alphas", "0.3,1.5"], "alpha"),
-                                            (["--lr", "0"], "learning rate")],
-                         ids=["alpha_out_of_range", "zero_lr"])
+                                            (["--lr", "0"], "learning rate"),
+                                            (["--seeds", "0,-1"], "seed")],
+                         ids=["alpha_out_of_range", "zero_lr", "negative_seed"])
 def test_sweep_validates_every_cell_before_training(workdir, capsys, flags, problem):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)

@@ -168,12 +168,27 @@ def _list_id(lines):
     lines[3] = json.dumps(record) + "\n"
 
 
+def _string_hyp_words(lines):
+    record = json.loads(lines[1])
+    record["hyp_words"] = " ".join(record["hyp_words"])
+    lines[1] = json.dumps(record) + "\n"
+
+
+def _short_trace_entry(lines):
+    record = json.loads(lines[2])
+    record["trace"][0].pop()
+    lines[2] = json.dumps(record) + "\n"
+
+
 @pytest.mark.parametrize("edit, problem", [
     (_drop_trace, "line 2: hypothesis record lacks key 'trace'"),
     (_repeat_first_id, "line 5: repeated hypothesis id utt00000"),
     (_not_json, "line 3: not a JSON object"),
     (_list_id, r"line 4: hypothesis id \['utt00003'\] is not a string"),
-], ids=["without_trace", "repeated_id", "not_json", "list_id"])
+    (_string_hyp_words, "line 2: 'hyp_words' of hypothesis utt00001 is not a list of words"),
+    (_short_trace_entry, r"line 3: 'trace' of hypothesis utt00002 is not a list of \[step"),
+], ids=["without_trace", "repeated_id", "not_json", "list_id", "string_hyp_words",
+        "short_trace_entry"])
 def test_malformed_hypotheses_named(tmp_path, edit, problem):
     config = perfect_config()
     vocab = build_sim_vocab(config)

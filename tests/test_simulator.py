@@ -180,8 +180,9 @@ def _set(rows, i, j, value):
     (lambda r: _set(r["p_mdl_seq"], 1, 0, float("nan")), "non-finite"),
     (lambda r: _set(r["p_mdl_seq"], 0, 2, float("inf")), "non-finite"),
     (lambda r: r.update(id="utt00000"), "repeated utterance id"),  # the first record's id
+    (lambda r: r.update(ref_words=" ".join(r["ref_words"])), "'ref_words' of utterance"),
 ], ids=["ragged_state_row", "narrow_states", "nan_state", "nan_model_row", "inf_model_row",
-        "repeated_id"])
+        "repeated_id", "string_ref_words"])
 def test_malformed_rows_rejected_naming_file_and_utterance(tmp_path, change, problem):
     config = toy_config()
     path = str(tmp_path / "corpus.jsonl")
