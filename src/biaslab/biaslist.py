@@ -77,8 +77,10 @@ def write_bias_lists(path: str, lists: dict[str, list[str]]) -> None:
 
 
 def read_bias_lists(path: str) -> dict[str, list[str]]:
-    """Read bias lists; words are lowercased, as tokenization does."""
+    """Read bias lists; words are lowercased, as tokenization does, and a
+    word on several lists is held as one string."""
+    seen: dict[str, str] = {}
     return {
-        record["id"]: [word.lower() for word in record["words"]]
+        record["id"]: [seen.setdefault(word, word) for word in map(str.lower, record["words"])]
         for record in read_records(path, "bias-list", ("id", "words"), shapes={"words": WORDS})
     }

@@ -48,9 +48,16 @@ def _require(path: str, what: str) -> str:
     return path
 
 
+# the JSON value each kind of ``SimConfig`` field takes: list() would split
+# a string into characters, and int() would read a boolean as 0 or 1
+_JSON_KINDS = {list: ("a list", list), tuple: ("a list", list), dict: ("an object", dict),
+               int: ("a number", (int, float)), float: ("a number", (int, float))}
+
+
 def _sim_config(raw: dict, seed_override: int | None) -> simulator.SimConfig:
-    """``SimConfig`` from the keys the file gives, each cast to its field's
-    type; a key the file leaves out takes the dataclass's default."""
+    """``SimConfig`` from the keys the file gives, each checked against and
+    cast to its field's type; a key the file leaves out takes the
+    dataclass's default."""
     if not isinstance(raw, dict):
         raise UsageError("bad simulator config: the config must be a JSON object")
     raw = dict(raw)
@@ -77,10 +84,13 @@ def _sim_config(raw: dict, seed_override: int | None) -> simulator.SimConfig:
             raw.setdefault("common_words", common)
             raw.setdefault("rare_words", rare)
             raw.setdefault("confusion_map", confusion)
-        config = simulator.SimConfig(**{
-            key: (typing.get_origin(types[key]) or types[key])(value)
-            for key, value in raw.items()
-        })
+        casts = {key: typing.get_origin(types[key]) or types[key] for key in raw}
+        for key, cast in casts.items():
+            what, kind = _JSON_KINDS[cast]
+            if not isinstance(raw[key], kind) or isinstance(raw[key], bool):
+                raise UsageError(f"bad simulator config: {key!r} must be {what}, "
+                                 f"got {raw[key]!r}")
+        config = simulator.SimConfig(**{key: cast(raw[key]) for key, cast in casts.items()})
         config.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad simulator config: {exc}") from None
@@ -134,12 +144,12 @@ def cmd_train(args: argparse.Namespace) -> int:
                          "log": log_path})
     vocab, corpus, _ = simulator.read_corpus(args.corpus)
     lists = biaslist.read_bias_lists(args.biaslists)
-    params, log = trainer.train(corpus, lists, vocab, config)
+    examples = losses.pack(trainer.prepare_batch(vocab, corpus, lists))
+    params, log = trainer.fit(examples, config)
     pointer.save_params(params, args.out)
     trainer.write_train_log(log_path, log)
     if args.trace:
-        batch = trainer.prepare_batch(vocab, corpus, lists)
-        records = losses.step_trace(params, batch, config.mode, config.alpha)
+        records = losses.step_trace(params, examples, config.mode, config.alpha)
         simulator.write_records(args.trace, records)
     print(f"trained {config.epochs} epochs; checkpoint {args.out}, log {log_path}")
     return 0
@@ -224,10 +234,11 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     biaslist.require_lists([u.utt_id for u in train_corpus], train_lists)
     biaslist.require_lists([u.utt_id for u in test_corpus], test_lists)
     trees = {u.utt_id: build_trie(vocab, test_lists[u.utt_id]) for u in test_corpus}
+    examples = losses.pack(trainer.prepare_batch(vocab, train_corpus, train_lists))
 
     rows = []
     for config in configs:
-        params, _ = trainer.train(train_corpus, train_lists, vocab, config)
+        params, _ = trainer.fit(examples, config)
         decoded = decoder.decode_corpus(test_corpus, vocab, params, trees, args.decode_mode)
         report, _ = decoder.score_corpus(test_corpus, test_lists, decoded)
         row = {

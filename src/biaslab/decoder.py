@@ -144,9 +144,12 @@ def write_hypotheses(path: str, decoded: Decoded) -> None:
     ))
 
 
-TRACE = ("a list of [step, p_gen, valid_nonempty, emitted] entries",
-         lambda trace: isinstance(trace, list)
-         and all(isinstance(entry, list) and len(entry) == 4 for entry in trace))
+TRACE = ("a list of [step, p_gen, valid_nonempty, emitted] entries "
+         "(an integer, a number, a boolean and an integer)",
+         lambda trace: isinstance(trace, list) and all(
+             isinstance(entry, list) and [type(value) for value in entry]
+             in ([int, float, bool, int], [int, int, bool, int])
+             for entry in trace))
 
 
 def read_hypotheses(path: str) -> Decoded:

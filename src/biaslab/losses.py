@@ -15,9 +15,8 @@ the caller.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,17 +77,6 @@ class BiasExample:
     p_mdl_seq: np.ndarray
     valid_sets: tuple[tuple[int, ...], ...]
     mask: BiasMask
-
-    @cached_property
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(allowed, in_mask)``: each position's valid set as a row of
-        flags over the vocabulary (as wide as the base model's rows), and
-        the bias-mask flags.  Built on the first pass from the immutable
-        valid sets and mask, and reused by every later pass."""
-        allowed = np.zeros(np.shape(self.p_mdl_seq), dtype=bool)
-        for row, valid in zip(allowed, self.valid_sets):
-            row[list(valid)] = True
-        return allowed, self.mask.flags()
 
 
 def bias_positions(ref: TokenizedUtterance, bias_words: set[str]) -> BiasMask:
@@ -201,23 +189,114 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-@dataclass(frozen=True)
-class PaddedGroup:
-    """A few utterances padded to their own longest utterance.
+@dataclass(frozen=True, eq=False)
+class Pack(Sequence):
+    """A batch of examples padded once to its longest utterance, or some of
+    its rows; ``pack`` builds one.
 
-    ``allowed`` and ``in_mask`` stack the examples' ``packed`` arrays,
-    ``gold`` their tokens, ``p_mdl_gold`` the base model's probability of
-    each gold token, ``h`` their decoder states, and ``real`` flags the
-    positions that exist.
+    The arrays cover every example of ``examples``: ``allowed`` flags each
+    position's valid set over the vocabulary, ``in_mask`` the bias mask,
+    ``gold`` holds the tokens, ``p_mdl_gold`` the base model's probability
+    of each gold token, ``h`` the decoder states and ``lengths`` each
+    utterance's length.  A padded position has no valid set, gold token 0
+    at probability 1 and zero states, so every padded term is 0.  ``rows``
+    are the examples this pack holds, in order: ``take`` selects among them
+    without copying, and ``_groups`` copies them out a group at a time.
     """
 
-    examples: list[BiasExample]
+    examples: tuple[BiasExample, ...]
     allowed: np.ndarray
     in_mask: np.ndarray
     gold: np.ndarray
     p_mdl_gold: np.ndarray
     h: np.ndarray
-    real: np.ndarray
+    lengths: np.ndarray
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> BiasExample:
+        return self.examples[self.rows[i]]
+
+    def __iter__(self) -> Iterator[BiasExample]:
+        return (self.examples[r] for r in self.rows)
+
+    def take(self, rows) -> Pack:
+        """These rows of this pack, in the order given; shares the arrays."""
+        return replace(self, rows=self.rows[np.asarray(rows, dtype=np.intp)])
+
+    @property
+    def real(self) -> np.ndarray:
+        """Flags the positions of the arrays that exist."""
+        return np.arange(self.gold.shape[1]) < self.lengths[:, None]
+
+
+def _culprit(examples: Sequence[BiasExample], ok: np.ndarray) -> BiasExample:
+    """The first utterance whose ``ok`` flags are not all true."""
+    return examples[int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))]
+
+
+def pack(examples: Sequence[BiasExample]) -> Pack:
+    """Pad a batch once for the kernel; a ``Pack`` is returned as it is.
+
+    Every input check runs here, once: rejects examples whose base-model
+    rows or decoder states differ in width from the first's (padding would
+    hide a narrower one), non-finite inputs (``DivergenceError``) and a
+    masked position whose gold token is not in its valid set, each naming
+    the utterance.
+    """
+    if isinstance(examples, Pack):
+        return examples
+    examples = tuple(examples)
+    widths = [(np.shape(ex.p_mdl_seq)[1:], np.shape(ex.h_seq)[1:]) for ex in examples]
+    for ex, width in zip(examples, widths):
+        if width != widths[0]:
+            first = examples[0]
+            raise ValueError(
+                f"utterance {ex.utt_id}: base-model rows {np.shape(ex.p_mdl_seq)} and decoder "
+                f"states {np.shape(ex.h_seq)} differ in width from utterance {first.utt_id}'s "
+                f"{np.shape(first.p_mdl_seq)[-1]} tokens and decoder states of width "
+                f"{np.shape(first.h_seq)[-1]}")
+    vocab, state = widths[0] if widths else ((0,), (0,))
+    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
+    shape = (len(examples), int(lengths.max(initial=0)))
+    allowed = np.zeros((*shape, *vocab), dtype=bool)
+    in_mask = np.zeros(shape, dtype=bool)
+    gold = np.zeros(shape, dtype=np.intp)
+    p_mdl_gold = np.ones(shape)
+    h = np.zeros((*shape, *state))
+    for b, ex in enumerate(examples):
+        size = len(ex.tokens)
+        for row, valid in zip(allowed[b], ex.valid_sets):
+            row[list(valid)] = True
+        in_mask[b, :size] = ex.mask.flags()
+        gold[b, :size] = ex.tokens
+        p_mdl_gold[b, :size] = ex.p_mdl_seq[np.arange(size), gold[b, :size]]
+        h[b, :size] = ex.h_seq
+    finite = np.isfinite(h).all(axis=2) & np.isfinite(p_mdl_gold)
+    if not finite.all():
+        raise DivergenceError(f"non-finite input on utterance {_culprit(examples, finite).utt_id}")
+    inconsistent = in_mask & ~np.take_along_axis(allowed, gold[..., None], axis=2)[..., 0]
+    if inconsistent.any():
+        b, i = np.argwhere(inconsistent)[0]
+        raise ValueError(
+            f"mask/trie inconsistency at position {i} of utterance {examples[b].utt_id}")
+    return Pack(examples, allowed, in_mask, gold, p_mdl_gold, h, lengths,
+                np.arange(len(examples)))
+
+
+def _groups(batch: Sequence[BiasExample]) -> Iterator[Pack]:
+    """The batch's rows ``GROUP_SIZE`` at a time, each group copied out of
+    the pack when it is reached and trimmed to its own longest utterance."""
+    packed = pack(batch)
+    for start in range(0, len(packed), GROUP_SIZE):
+        rows = packed.rows[start:start + GROUP_SIZE]
+        seq = int(packed.lengths[rows].max())
+        yield Pack(tuple(packed.examples[r] for r in rows),
+                   *(array[rows, :seq] for array in (packed.allowed, packed.in_mask, packed.gold,
+                                                     packed.p_mdl_gold, packed.h)),
+                   packed.lengths[rows], np.arange(len(rows)))
 
 
 @dataclass
@@ -242,55 +321,22 @@ class TeacherForced:
         return {key: np.concatenate([f[key][real] for f, real in self.groups]) for key in keys}
 
 
-def _pad(rows: list[np.ndarray], fill: float) -> np.ndarray:
-    """Stack arrays along a new first axis, padding every other axis to the longest."""
-    shape = tuple(map(max, zip(*(r.shape for r in rows))))
-    out = np.full((len(rows), *shape), fill, rows[0].dtype)
-    for b, row in enumerate(rows):
-        out[(b, *map(slice, row.shape))] = row
-    return out
-
-
-def _culprit(group: list[BiasExample], ok: np.ndarray) -> BiasExample:
-    """The first utterance whose ``ok`` flags are not all true."""
-    return group[int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))]
-
-
-def _pad_group(group: list[BiasExample]) -> PaddedGroup:
-    """Pad a group for ``_group_pass``; rejects non-finite inputs and a
-    masked position whose gold token is not in its valid set."""
-    allowed, in_mask = (_pad(list(column), False) for column in zip(*(ex.packed for ex in group)))
-    gold = _pad([np.array(ex.tokens, dtype=np.intp) for ex in group], 0)
-    # padded positions have a certain gold token, so every padded term is 0
-    p_mdl_gold = _pad([ex.p_mdl_seq[np.arange(len(ex.tokens)), list(ex.tokens)]
-                       for ex in group], 1.0)
-    h = _pad([ex.h_seq for ex in group], 0.0)
-    real = np.arange(gold.shape[1]) < np.array([len(ex.tokens) for ex in group])[:, None]
-    finite = np.isfinite(h).all(axis=2) & np.isfinite(p_mdl_gold)
-    if not finite.all():
-        raise DivergenceError(f"non-finite input on utterance {_culprit(group, finite).utt_id}")
-    inconsistent = in_mask & ~np.take_along_axis(allowed, gold[..., None], axis=2)[..., 0]
-    if inconsistent.any():
-        b, i = np.argwhere(inconsistent)[0]
-        raise ValueError(f"mask/trie inconsistency at position {i} of utterance {group[b].utt_id}")
-    return PaddedGroup(group, allowed, in_mask, gold, p_mdl_gold, h, real)
-
-
 def _group_pass(
     params: PgParams,
-    padded: PaddedGroup,
+    group: Pack,
     mode: str,
     alpha: float,
     grads: PgParams | None,
 ) -> tuple[dict[str, np.ndarray], int]:
-    """Every position of a padded group at once; adds the gradient into ``grads``.
+    """Every position of a group (from ``_groups``) at once; adds the
+    gradient into ``grads``.
 
     The parameters may carry leading probe axes (``unflatten`` of a stack of
     vectors); every per-position term then carries them in front.  Only
     unstacked parameters take a gradient.
     """
     allowed, in_mask, gold, p_mdl_gold, h = (
-        padded.allowed, padded.in_mask, padded.gold, padded.p_mdl_gold, padded.h,
+        group.allowed, group.in_mask, group.gold, group.p_mdl_gold, group.h,
     )
     n, seq, vocab = allowed.shape
     has_valid = allowed.any(axis=2)
@@ -373,7 +419,7 @@ def _group_pass(
     )
     finite = np.all([np.isfinite(g).reshape(n, -1).all(axis=1) for g in per_utt], axis=0)
     if not finite.all():
-        culprit = _culprit(padded.examples, finite)
+        culprit = _culprit(group.examples, finite)
         raise DivergenceError(f"non-finite gradient on utterance {culprit.utt_id}")
     grads.token_embed += per_utt[0].sum(axis=0)
     grads.w_query += per_utt[1].sum(axis=0)
@@ -390,56 +436,41 @@ def _loss_sums(found: dict[str, np.ndarray]) -> np.ndarray:
     return np.array([found[key].reshape(*lead, -1).sum(axis=-1) for key in LOSS_KEYS])
 
 
-def _groups(batch: list[BiasExample]) -> Iterator[PaddedGroup]:
-    """The batch in groups of ``GROUP_SIZE``, each padded when it is reached."""
-    for start in range(0, len(batch), GROUP_SIZE):
-        yield _pad_group(batch[start:start + GROUP_SIZE])
-
-
 def teacher_forced(
     params: PgParams,
-    batch: list[BiasExample],
+    batch: Sequence[BiasExample],
     mode: str,
     alpha: float,
     want_grad: bool = False,
 ) -> TeacherForced:
-    """Teacher-forced forward (and optional backward) over a batch.
+    """Teacher-forced forward (and optional backward) over a batch, a
+    ``Pack`` or a list of examples, which is packed on entry.
 
     Every position's valid set is known from the reference, so a group of
     utterances runs as array operations: ``state_terms`` over vocabulary
     columns, softmax over each valid set, gate, and the floored losses of
     ``loss_gen``, ``loss_ptr`` and ``loss_asr``.  Raises ``ValueError`` on
-    an unknown mode, an alpha outside (0, 1) or an example whose rows or
-    states do not fit the module, and ``DivergenceError`` on non-finite
-    parameters or inputs (before computing anything) and on a non-finite
-    gradient.
+    an unknown mode, an alpha outside (0, 1), examples whose rows or states
+    do not fit the module or a mask/trie inconsistency, and
+    ``DivergenceError`` on non-finite parameters or inputs (before
+    computing anything) and on a non-finite gradient.
     """
-    for ex in batch:  # padding would hide an example narrower than the module
-        check_fit(params, ex.utt_id, ex.p_mdl_seq, ex.h_seq)
-    return _teacher_forced(params, _groups(batch), mode, alpha, want_grad)
-
-
-def _teacher_forced(
-    params: PgParams,
-    groups: Iterable[PaddedGroup],
-    mode: str,
-    alpha: float,
-    want_grad: bool,
-) -> TeacherForced:
     _mode_total(mode, 0.0, 0.0, 0.0)
     check_alpha(alpha)
     base = flatten(params)
     if not np.isfinite(base).all():
         raise DivergenceError("non-finite copy-module parameters")
+    if len(batch):  # the pack holds every other example to the first one's widths
+        check_fit(params, batch[0].utt_id, batch[0].p_mdl_seq, batch[0].h_seq)
     grads = unflatten(np.zeros_like(base), params.shapes) if want_grad else None
     sums = np.zeros(len(LOSS_KEYS))
     n_clamped = 0
     per_group = []
-    for padded in groups:
-        found, clamped = _group_pass(params, padded, mode, alpha, grads)
+    for group in _groups(batch):
+        found, clamped = _group_pass(params, group, mode, alpha, grads)
         sums += _loss_sums(found)
         n_clamped += clamped
-        per_group.append((found, padded.real))
+        per_group.append((found, group.real))
     l_gen, l_ptr, l_asr = map(float, sums)
     report = LossReport(l_asr, l_gen, l_ptr, _mode_total(mode, l_gen, l_ptr, l_asr), n_clamped)
     return TeacherForced(report, grads, per_group)
@@ -461,7 +492,7 @@ def _rates(terms: dict[str, np.ndarray]) -> dict[str, float]:
     }
 
 
-def evaluate(params: PgParams, batch: list[BiasExample], mode: str, alpha: float) -> LossReport:
+def evaluate(params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: float) -> LossReport:
     """Losses summed over a batch, without gradients, and the batch's
     ``gate_rates`` from the same pass."""
     out = teacher_forced(params, batch, mode, alpha)
@@ -469,7 +500,7 @@ def evaluate(params: PgParams, batch: list[BiasExample], mode: str, alpha: float
     return out.report
 
 
-def gate_rates(params: PgParams, batch: list[BiasExample]) -> dict[str, float]:
+def gate_rates(params: PgParams, batch: Sequence[BiasExample]) -> dict[str, float]:
     """Teacher-forced gate acceptance rates at ``metrics.GATE_THRESHOLD``.
 
     Only positions with a nonempty valid set count; the hit rate is over
@@ -479,7 +510,7 @@ def gate_rates(params: PgParams, batch: list[BiasExample]) -> dict[str, float]:
 
 
 def grad(
-    params: PgParams, batch: list[BiasExample], mode: str, alpha: float
+    params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: float
 ) -> tuple[PgParams, LossReport]:
     """Analytic gradient of the mode's objective, summed over the batch."""
     out = teacher_forced(params, batch, mode, alpha, want_grad=True)
@@ -489,7 +520,7 @@ def grad(
 def probe_totals(
     probes: np.ndarray,
     shapes: dict[str, tuple[int, ...]],
-    groups: list[PaddedGroup],
+    groups: list[Pack],
     mode: str,
     alpha: float,
 ) -> np.ndarray:
@@ -497,27 +528,28 @@ def probe_totals(
     axis, in ``flatten``'s layout for ``shapes``), one forward per group."""
     stacked = unflatten(probes, shapes)
     sums = np.zeros((len(LOSS_KEYS), *probes.shape[:-1]))
-    for padded in groups:
-        sums += _loss_sums(_group_pass(stacked, padded, mode, alpha, None)[0])
+    for group in groups:
+        sums += _loss_sums(_group_pass(stacked, group, mode, alpha, None)[0])
     return _mode_total(mode, *sums)
 
 
 def fd_check(
     params: PgParams,
-    batch: list[BiasExample],
+    batch: Sequence[BiasExample],
     mode: str,
     alpha: float,
     step: float = 1e-5,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The gradient pass pads the batch once; the ±step probes then run
-    ``PROBE_BLOCK`` at a time through one forward per group.
+    The batch is packed once, for the gradient pass and the ±step probes,
+    which run ``PROBE_BLOCK`` at a time through one forward per group.
     """
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"finite-difference step {step} outside [1e-7, 1e-3]")
+    batch = pack(batch)
+    analytic = flatten(teacher_forced(params, batch, mode, alpha, want_grad=True).grads)
     groups = list(_groups(batch))
-    analytic = flatten(_teacher_forced(params, groups, mode, alpha, want_grad=True).grads)
     base = flatten(params)
     worst = 0.0
     for start in range(0, base.size, PROBE_BLOCK // 2):
@@ -534,7 +566,7 @@ def fd_check(
 
 
 def step_trace(
-    params: PgParams, batch: list[BiasExample], mode: str, alpha: float
+    params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: float
 ) -> list[dict]:
     """Per-step diagnostic records: losses, gate, and the gate gradient seed.
 

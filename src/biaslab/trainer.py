@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ def prepare_batch(
 
 
 def _train_pass(
-    params: PgParams, train_set: list[BiasExample], config: TrainConfig, want_signal: bool
+    params: PgParams, train_set: losses.Pack, config: TrainConfig, want_signal: bool
 ) -> tuple[PgParams | None, losses.LossReport]:
     """Train-split losses at the current parameters and, if wanted, their
     gradient: the next epoch's signal, None when it is not finite."""
@@ -95,35 +96,40 @@ def train(
     config: TrainConfig,
 ) -> tuple[PgParams, list[dict]]:
     """Train the copy module; returns the best-dev snapshot and the epoch log."""
-    config.validate()
-    if len(corpus) < 2:
-        raise ValueError("training needs at least two utterances for a dev split")
-    examples = prepare_batch(vocab, corpus, bias_lists)
+    return fit(prepare_batch(vocab, corpus, bias_lists), config)
 
+
+def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams, list[dict]]:
+    """``train`` on prepared examples: a ``losses.Pack``, or a list that is
+    packed once, at the start of training.  The splits and minibatches take
+    the pack's rows."""
+    config.validate()
+    if len(examples) < 2:
+        raise ValueError("training needs at least two utterances for a dev split")
     shuffle = sub_rng(config.seed, "shuffle").permutation(len(examples))
     dev_count = max(1, len(examples) // 10)
-    train_idx = [int(i) for i in shuffle[:-dev_count]]
-    dev_idx = [int(i) for i in shuffle[-dev_count:]]
-    train_set = [examples[i] for i in train_idx]
-    dev_set = [examples[i] for i in dev_idx]
+    n_train = len(examples) - dev_count
 
-    state_dim = corpus[0].h_dec_seq.shape[1]
-    params = init_params(config.seed, vocab.size, config.embed_dim, state_dim)
+    first = examples[0]
+    params = init_params(config.seed, first.p_mdl_seq.shape[1], config.embed_dim,
+                         first.h_seq.shape[1])
     lr = config.lr
     best_params = params  # an update builds new arrays, so a snapshot needs no copy
     best_dev = float("inf")
     epochs_since_improve = 0
     log: list[dict] = []
-    n_train = len(train_set)
 
     try:
+        packed = losses.pack(examples)  # a bad input stops training like a divergence
+        train_set = packed.take(shuffle[:-dev_count])
+        dev_set = packed.take(shuffle[-dev_count:])
         # gradient signal available to the first epoch, before any update
         signal, _ = losses.grad(params, train_set, config.mode, config.alpha)
         for epoch in range(1, config.epochs + 1):
             grad_norm = float(np.sqrt(np.sum((flatten(signal) * (1.0 / n_train)) ** 2)))
             order = sub_rng(config.seed, "epoch", epoch).permutation(len(train_set))
             for start in range(0, len(order), config.batch_size):
-                batch = [train_set[int(i)] for i in order[start:start + config.batch_size]]
+                batch = train_set.take(order[start:start + config.batch_size])
                 grads, report = losses.grad(params, batch, config.mode, config.alpha)
                 if not math.isfinite(report.total):
                     raise losses.DivergenceError(f"non-finite loss in epoch {epoch}")

@@ -82,6 +82,14 @@ def test_lists_file_roundtrip(tmp_path):
     assert read_bias_lists(path) == lists
 
 
+def test_lists_that_share_a_word_hold_one_string(tmp_path):
+    path = str(tmp_path / "lists.jsonl")
+    write_bias_lists(path, {"utt00000": ["Kerry", "tom"], "utt00001": ["kerry"]})
+    lists = read_bias_lists(path)
+    assert lists == {"utt00000": ["kerry", "tom"], "utt00001": ["kerry"]}
+    assert lists["utt00000"][0] is lists["utt00001"][0]
+
+
 def test_list_record_lacking_a_key_is_named(tmp_path):
     path = tmp_path / "lists.jsonl"
     path.write_text('{"id": "utt00000", "words": ["kerry"]}\n{"id": "utt00001"}\n')

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from biaslab import trainer
+from biaslab.biaslist import read_bias_lists
 from biaslab.cli import main
 from biaslab.pointer import init_params, load_params, save_params
-from biaslab.simulator import SimConfig, make_inventories
+from biaslab.simulator import SimConfig, make_inventories, read_corpus
 from biaslab.trainer import TrainConfig
 
 
@@ -253,18 +255,33 @@ def test_fd_check_bad_config_exits_2(capsys, flags, message):
     assert message in captured.err and "OK" not in captured.out
 
 
-def test_sweep_alpha_rows(workdir, capsys):
+def test_sweep_alpha_rows(workdir, capsys, monkeypatch):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons)
     sweep = str(tmp_path / "sweep.csv")
-    code = run(["sweep-alpha", "--train-corpus", corpus, "--test-corpus", corpus,
-                "--train-biaslists", lists, "--test-biaslists", lists,
-                "--alphas", "0.3,0.7", "--seeds", "0", "--epochs", "1",
-                "--out", sweep])
+    argv = ["sweep-alpha", "--train-corpus", corpus, "--test-corpus", corpus,
+            "--train-biaslists", lists, "--test-biaslists", lists,
+            "--alphas", "0.3,0.7", "--seeds", "0,1", "--epochs", "1"]
+    prepare, prepared = trainer.prepare_batch, []
+    monkeypatch.setattr(trainer, "prepare_batch",
+                        lambda *args: prepared.append(args) or prepare(*args))
+    code = run([*argv, "--out", sweep])
     assert code == 0
+    assert len(prepared) == 1  # one prepared and packed training corpus serves every cell
     rows = Path(sweep).read_text().strip().splitlines()
     assert rows[0] == "alpha,seed,wer,far,u_we_b,tar,b_wer"
-    assert len(rows) == 3
+    assert len(rows) == 5
+
+    # the same CSV bytes as training each cell on its own with trainer.train
+    monkeypatch.undo()
+    vocab, train_corpus, _ = read_corpus(corpus)
+    train_lists = read_bias_lists(lists)
+    separate = {(alpha, seed): trainer.train(train_corpus, train_lists, vocab,
+                                             TrainConfig(alpha=alpha, seed=seed, epochs=1))
+                for alpha in (0.3, 0.7) for seed in (0, 1)}
+    monkeypatch.setattr(trainer, "fit", lambda examples, config: separate[config.alpha, config.seed])
+    assert run([*argv, "--out", str(tmp_path / "separate.csv")]) == 0
+    assert Path(sweep).read_bytes() == (tmp_path / "separate.csv").read_bytes()
 
 
 def test_capitalised_corpus_and_lists_score_as_lowercase(workdir):
@@ -312,7 +329,11 @@ def test_print_config_echoes_json(workdir):
     (lambda config: config.update(domian_shift=0.3), "'domian_shift'"),
     (lambda config: config.update(inventories={"n_common": 12, "n_rare": 8, "n_confsued": 4}),
      "'inventories.n_confsued'"),
-], ids=["top_level", "inventories"])
+    (lambda config: config.update(common_words="adeinor"), "'common_words' must be a list"),
+    (lambda config: config.update(confusion_map=5), "'confusion_map' must be an object"),
+    (lambda config: config.update(state_dim=True), "'state_dim' must be a number"),
+], ids=["top_level", "inventories", "string_for_a_list", "number_for_an_object",
+        "boolean_for_a_number"])
 def test_simulate_rejects_unknown_config_keys(workdir, capsys, change, named):
     tmp_path, sim, commons = workdir
     config = json.loads(Path(sim).read_text())

@@ -180,6 +180,12 @@ def _short_trace_entry(lines):
     lines[2] = json.dumps(record) + "\n"
 
 
+def _non_number_trace_entry(lines):
+    record = json.loads(lines[2])
+    record["trace"][0] = ["x", 0.0, False, 3]
+    lines[2] = json.dumps(record) + "\n"
+
+
 @pytest.mark.parametrize("edit, problem", [
     (_drop_trace, "line 2: hypothesis record lacks key 'trace'"),
     (_repeat_first_id, "line 5: repeated hypothesis id utt00000"),
@@ -187,8 +193,9 @@ def _short_trace_entry(lines):
     (_list_id, r"line 4: hypothesis id \['utt00003'\] is not a string"),
     (_string_hyp_words, "line 2: 'hyp_words' of hypothesis utt00001 is not a list of words"),
     (_short_trace_entry, r"line 3: 'trace' of hypothesis utt00002 is not a list of \[step"),
+    (_non_number_trace_entry, r"line 3: 'trace' of hypothesis utt00002 is not a list of \[step"),
 ], ids=["without_trace", "repeated_id", "not_json", "list_id", "string_hyp_words",
-        "short_trace_entry"])
+        "short_trace_entry", "non_number_trace_entry"])
 def test_malformed_hypotheses_named(tmp_path, edit, problem):
     config = perfect_config()
     vocab = build_sim_vocab(config)

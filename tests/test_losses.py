@@ -236,6 +236,9 @@ def test_kernel_rejects_states_that_do_not_fit_the_module(alone):
     for mode in losses.MODES:
         with pytest.raises(ValueError, match=rf"utterance {narrow.utt_id}: .*{shape}.*width 6"):
             evaluate(params, group, mode, 0.7)
+    if not alone:  # packing rejects it before any module is known
+        with pytest.raises(ValueError, match=rf"utterance {narrow.utt_id}: .*{shape}.*width 6"):
+            losses.pack(group)
 
 
 def test_grad_inconsistent_mask_raises():
@@ -409,6 +412,45 @@ def test_kernel_groups_match_per_utterance_sums():
     assert np.allclose(acc.token_embed, whole.token_embed, rtol=1e-12, atol=1e-14)
 
 
+def _padded_by_position(examples):
+    """A group's kernel inputs built one position at a time: allowed flags,
+    mask flags, gold tokens, the base model's gold probability and states,
+    padded to the longest utterance."""
+    n, seq = len(examples), max(len(ex.tokens) for ex in examples)
+    vocab, state = examples[0].p_mdl_seq.shape[1], examples[0].h_seq.shape[1]
+    allowed, in_mask = np.zeros((n, seq, vocab), dtype=bool), np.zeros((n, seq), dtype=bool)
+    gold, p_mdl_gold = np.zeros((n, seq), dtype=np.intp), np.ones((n, seq))
+    h = np.zeros((n, seq, state))
+    for b, ex in enumerate(examples):
+        for t, tok in enumerate(ex.tokens):
+            allowed[b, t, list(ex.valid_sets[t])] = True
+            in_mask[b, t] = t in ex.mask.positions
+            gold[b, t], p_mdl_gold[b, t], h[b, t] = tok, ex.p_mdl_seq[t, tok], ex.h_seq[t]
+    return allowed, in_mask, gold, p_mdl_gold, h
+
+
+def test_groups_of_a_take_match_a_fresh_pack_of_its_rows():
+    _, batch, _ = make_check_setup(7, n_utterances=2 * losses.GROUP_SIZE + 5)
+    assert len({len(ex.tokens) for ex in batch}) > 1
+    rows = np.random.default_rng(0).permutation(len(batch))[:losses.GROUP_SIZE + 7]
+    packed = losses.pack(batch)
+    taken = packed.take(rows)
+    assert taken.allowed is packed.allowed and taken.h is packed.h  # no copy
+    assert len(taken) == len(rows) and list(taken) == [batch[r] for r in rows]
+    chosen = [batch[r] for r in rows]
+    groups, fresh = list(losses._groups(taken)), list(losses._groups(losses.pack(chosen)))
+    assert len(groups) == len(fresh) == 2
+    keys = ("allowed", "in_mask", "gold", "p_mdl_gold", "h", "lengths", "real")
+    for start, group, other in zip((0, losses.GROUP_SIZE), groups, fresh):
+        members = chosen[start:start + losses.GROUP_SIZE]
+        assert list(group) == list(other) == members
+        for key in keys:
+            mine, theirs = getattr(group, key), getattr(other, key)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), key
+        for key, want in zip(keys, _padded_by_position(members)):
+            assert np.array_equal(getattr(group, key), want), key
+
+
 def test_non_finite_parameters_rejected_before_the_pass():
     params, batch, _ = make_check_setup(3)
     params.w_query[0, 0] = np.nan
@@ -541,6 +583,9 @@ def test_fd_check_raises_on_bad_parameters_and_inputs(corrupt):
     message = corrupt(params, batch)
     with pytest.raises(ValueError, match=message):
         fd_check(params, batch, "two_loss", 0.7)
+    if corrupt is not _nan_parameter:  # a bad input is rejected when the batch is packed
+        with pytest.raises(ValueError, match=message):
+            losses.pack(batch)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
