@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 
-from .simulator import WORDS, SimUtterance, read_records, sub_rng, write_records
+from .simulator import SimUtterance, read_records, sub_rng, write_records
 
 log = logging.getLogger(__name__)
 
@@ -82,5 +82,5 @@ def read_bias_lists(path: str) -> dict[str, list[str]]:
     seen: dict[str, str] = {}
     return {
         record["id"]: [seen.setdefault(word, word) for word in map(str.lower, record["words"])]
-        for record in read_records(path, "bias-list", ("id", "words"), shapes={"words": WORDS})
+        for record in read_records(path, "bias-list", {"id": str, "words": list[str]})
     }

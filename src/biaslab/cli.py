@@ -14,11 +14,12 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 from . import biaslist, decoder, losses, pointer, simulator, trainer
 from .biastrie import build_trie
 from .harness import make_check_setup
+from .simulator import check
 from .tokenizer import read_word_list
 
 
@@ -33,11 +34,11 @@ def _print_config(args: argparse.Namespace, resolved: dict) -> None:
 
 
 def _load_json(path: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(_require(path, "config file"), "rb") as fh:
+            return json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: byte {exc.start} is not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}") from None
 
@@ -48,51 +49,35 @@ def _require(path: str, what: str) -> str:
     return path
 
 
-# the JSON value each kind of ``SimConfig`` field takes: list() would split
-# a string into characters, and int() would read a boolean as 0 or 1
-_JSON_KINDS = {list: ("a list", list), tuple: ("a list", list), dict: ("an object", dict),
-               int: ("a number", (int, float)), float: ("a number", (int, float))}
+# the simulator config's ``inventories``: ``simulator.make_inventories``' arguments
+INVENTORIES = {"n_common": int, "n_rare": int, "n_confused": int, "seed": int}
 
 
 def _sim_config(raw: dict, seed_override: int | None) -> simulator.SimConfig:
-    """``SimConfig`` from the keys the file gives, each checked against and
-    cast to its field's type; a key the file leaves out takes the
-    dataclass's default."""
-    if not isinstance(raw, dict):
-        raise UsageError("bad simulator config: the config must be a JSON object")
-    raw = dict(raw)
-    generate = raw.pop("inventories", None) or {}
-    if not isinstance(generate, dict):
-        raise UsageError("bad simulator config: inventories must be a JSON object")
-    if seed_override is not None:
-        raw["seed"] = seed_override
-    types = typing.get_type_hints(simulator.SimConfig)
-    unknown = sorted(raw.keys() - types.keys()) + [
-        f"inventories.{key}" for key in
-        sorted(generate.keys() - {"n_common", "n_rare", "n_confused", "seed"})
-    ]
-    if unknown:
-        raise UsageError(f"bad simulator config: unknown keys {unknown}")
+    """``SimConfig`` from the keys the file gives, each checked against its field's
+    type hint; ``inventories`` generates the word lists and ``confusion_map`` the file
+    leaves out, and any other key it leaves out takes the dataclass's default."""
+    where, types = "the config", typing.get_type_hints(simulator.SimConfig)
     try:
+        raw = check(raw, {}, where)
+        generate = check(raw.pop("inventories", {}), {}, where, ("inventories",))
+        unknown = sorted(raw.keys() - types.keys()) + [
+            f"inventories.{key}" for key in sorted(generate.keys() - INVENTORIES.keys())]
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        if seed_override is not None:
+            raw["seed"] = seed_override
+        words = ("common_words", "rare_words", "confusion_map")  # inventories can give them
+        required = [f.name for f in fields(simulator.SimConfig) if f.default is MISSING
+                    and f.default_factory is MISSING and not (generate and f.name in words)]
+        raw = check(raw, {key: types[key] for key in (*raw, *required)}, where)
         if generate:
-            common, rare, confusion = simulator.make_inventories(
-                int(generate["n_common"]),
-                int(generate["n_rare"]),
-                int(generate.get("n_confused", 0)),
-                int(generate.get("seed", raw.get("seed", 0))),
-            )
-            raw.setdefault("common_words", common)
-            raw.setdefault("rare_words", rare)
-            raw.setdefault("confusion_map", confusion)
-        casts = {key: typing.get_origin(types[key]) or types[key] for key in raw}
-        for key, cast in casts.items():
-            what, kind = _JSON_KINDS[cast]
-            if not isinstance(raw[key], kind) or isinstance(raw[key], bool):
-                raise UsageError(f"bad simulator config: {key!r} must be {what}, "
-                                 f"got {raw[key]!r}")
-        config = simulator.SimConfig(**{key: cast(raw[key]) for key, cast in casts.items()})
+            generate = check({"n_confused": 0, "seed": raw["seed"], **generate},
+                             INVENTORIES, where, ("inventories",))
+            raw = {**dict(zip(words, simulator.make_inventories(**generate))), **raw}
+        config = simulator.SimConfig(**raw)
         config.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad simulator config: {exc}") from None
     return config
 
@@ -237,10 +222,9 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     examples = losses.pack(trainer.prepare_batch(vocab, train_corpus, train_lists))
 
     rows = []
-    for config in configs:
-        params, _ = trainer.fit(examples, config)
-        decoded = decoder.decode_corpus(test_corpus, vocab, params, trees, args.decode_mode)
-        report, _ = decoder.score_corpus(test_corpus, test_lists, decoded)
+    reports = trainer.sweep(examples, test_corpus, vocab, trees, test_lists, configs,
+                            args.decode_mode)
+    for config, report in zip(configs, reports):
         row = {
             "alpha": config.alpha,
             "seed": config.seed,

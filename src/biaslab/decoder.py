@@ -18,7 +18,7 @@ with the reference (a documented desk-scale simplification).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +26,13 @@ from . import metrics
 from .biastrie import PrefixTree, TrieCursor
 from .losses import bias_positions
 from .pointer import PgParams, bias_step, check_fit, mix, state_terms
-from .simulator import WORDS, SimUtterance, read_records, write_records
+from .simulator import SimUtterance, read_records, write_records
 from .tokenizer import Vocab, detokenize
 
 DECODE_MODES = ("none", "scaled", "unscaled")
 
 
-@dataclass(frozen=True)
-class GateTraceEntry:
+class GateTraceEntry(NamedTuple):
     step: int
     p_gen: float
     valid_nonempty: bool
@@ -137,27 +136,19 @@ def score_corpus(
 
 def write_hypotheses(path: str, decoded: Decoded) -> None:
     """JSON-lines decode output: id, hypothesis words, and gate trace."""
-    write_records(path, (
-        {"id": utt_id, "hyp_words": hyp_words,
-         "trace": [[e.step, e.p_gen, e.valid_nonempty, e.emitted] for e in trace]}
-        for utt_id, (hyp_words, trace) in decoded.items()
-    ))
-
-
-TRACE = ("a list of [step, p_gen, valid_nonempty, emitted] entries "
-         "(an integer, a number, a boolean and an integer)",
-         lambda trace: isinstance(trace, list) and all(
-             isinstance(entry, list) and [type(value) for value in entry]
-             in ([int, float, bool, int], [int, int, bool, int])
-             for entry in trace))
+    write_records(path, ({"id": utt_id, "hyp_words": hyp_words, "trace": trace}
+                         for utt_id, (hyp_words, trace) in decoded.items()))
 
 
 def read_hypotheses(path: str) -> Decoded:
-    return {
-        record["id"]: (
-            record["hyp_words"],
-            [GateTraceEntry(int(s), float(p), bool(v), int(e)) for s, p, v, e in record["trace"]],
-        )
-        for record in read_records(path, "hypothesis", ("id", "hyp_words", "trace"),
-                                   shapes={"hyp_words": WORDS, "trace": TRACE})
-    }
+    """Read a hypotheses file; a gate probability outside [0, 1] is rejected."""
+    decoded = {}
+    schema = {"id": str, "hyp_words": list[str], "trace": list[tuple[int, float, bool, int]]}
+    for record in read_records(path, "hypothesis", schema):
+        trace = [GateTraceEntry(*entry) for entry in record["trace"]]
+        for i, entry in enumerate(trace):
+            if not 0.0 <= entry.p_gen <= 1.0:
+                raise ValueError(f"{path}: hypothesis {record['id']}: 'trace.{i}.1' (p_gen) "
+                                 f"must lie in [0, 1], got {entry.p_gen}")
+        decoded[record["id"]] = (record["hyp_words"], trace)
+    return decoded

@@ -19,9 +19,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
+
+from .simulator import check
 
 # Untrained biasing must be inert: at sigmoid(-9) ~ 1.2e-4 the gate passes
 # essentially nothing through, and every gradient path of the recognizer's
@@ -125,7 +129,6 @@ class StepOutput:
     p_ptr: np.ndarray
     p_gen: float
     valid: tuple[int, ...]
-    context: np.ndarray
 
 
 def init_params(seed: int, vocab_size: int, embed_dim: int, state_dim: int) -> PgParams:
@@ -195,12 +198,11 @@ def forward_step(params: PgParams, h_dec: np.ndarray, valid: list[int]) -> StepO
         raise ValueError("non-finite decoder state")
     p_ptr = np.zeros(params.vocab_size)
     if not valid:
-        return StepOutput(p_ptr, 0.0, (), np.zeros(params.embed_dim))
+        return StepOutput(p_ptr, 0.0, ())
     members = np.asarray(sorted(valid), dtype=np.intp)
     weights, p_gen = bias_step(state_terms(params, h_dec[None]), 0, members)
     p_ptr[members] = weights
-    context = weights @ params.token_embed[members]
-    return StepOutput(p_ptr, p_gen, tuple(int(m) for m in members), context)
+    return StepOutput(p_ptr, p_gen, tuple(int(m) for m in members))
 
 
 def mix(
@@ -253,40 +255,37 @@ def save_params(params: PgParams, path: str) -> None:
 
 def load_params(path: str) -> PgParams:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
-        missing = [key for key in ("seed", "order", "shapes") if key not in header]
-        if not missing:
-            missing = [f"shapes.{name}" for name in PARAM_ORDER if name not in header["shapes"]]
-        if missing:
-            raise ValueError(f"checkpoint {path}: header lacks key {missing[0]!r}")
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        header = check(header, {"version": typing.Literal[CHECKPOINT_VERSION], "seed": int,
+                                "order": list[str],
+                                "shapes": dict.fromkeys(PARAM_ORDER, list[int])},
+                       f"checkpoint {path}: header")
         if header["order"] != list(PARAM_ORDER):
             raise ValueError(
                 f"checkpoint {path} stores its parameters in the order {header['order']}; "
                 f"only {list(PARAM_ORDER)} is supported"
             )
-        for name in PARAM_ORDER:
-            dims = header["shapes"][name]
-            if not isinstance(dims, list) or any(type(x) is not int or x < 0 for x in dims):
-                raise ValueError(
-                    f"checkpoint {path}: shape of {name} must be a list of non-negative "
-                    f"integers, got {dims!r}"
-                )
         shapes = {name: tuple(header["shapes"][name]) for name in PARAM_ORDER}
         embed, query, gate, bias = shapes.values()
         if not (len(embed) == len(query) == 2 and query[0] == embed[1]
-                and gate == (query[1] + embed[1],) and bias == (1,)):
+                and gate == (query[1] + embed[1],) and bias == (1,) and min(embed + query) >= 0):
             raise ValueError(
                 f"checkpoint {path} has shapes token_embed {embed}, w_query {query}, "
                 f"w_gate {gate}, b_gate {bias}; they must be (V, d), (d, d_h), "
-                "(d_h + d,) and (1,)"
+                "(d_h + d,) and (1,), no dimension negative"
             )
         size = 8 * sum(math.prod(shape) for shape in shapes.values())
-        buf = fh.read(size)
-        if len(buf) != size:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()  # before a read of ``size`` bytes
+        if left < size:
             raise ValueError(f"truncated checkpoint {path}")
-        if fh.read(1):
+        if left > size:
             raise ValueError(f"trailing bytes after the parameters in checkpoint {path}")
-    vec = np.frombuffer(buf, dtype="<f8").astype(np.float64)
-    return unflatten(vec, shapes, int(header["seed"]))
+        buf = fh.read(size)
+    params = unflatten(np.frombuffer(buf, dtype="<f8").astype(np.float64), shapes, header["seed"])
+    for name in PARAM_ORDER:
+        if not np.isfinite(getattr(params, name)).all():
+            raise ValueError(f"checkpoint {path}: {name} holds non-finite values")
+    return params

@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import sys
+import typing
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -51,7 +53,8 @@ class SimConfig:
     def validate(self) -> None:
         lo, hi = self.words_per_utterance
         if self.n_utterances <= 0 or lo <= 0 or hi < lo:
-            raise ValueError("utterance counts must be positive and ordered")
+            raise ValueError("utterance counts must be positive and ordered, got n_utterances "
+                             f"{self.n_utterances} and words_per_utterance {[lo, hi]}")
         for name in ("rare_word_rate", "base_accuracy_common", "base_accuracy_rare",
                      "domain_shift"):
             value = getattr(self, name)
@@ -74,6 +77,8 @@ class SimConfig:
                 raise ValueError(f"confusable {conf!r} collides with an inventory word")
         if self.state_dim <= 0:
             raise ValueError("state_dim must be positive")
+        if self.utterance_noise < 0.0:
+            raise ValueError(f"utterance_noise must be non-negative, got {self.utterance_noise}")
 
     def all_words(self) -> list[str]:
         return sorted(set(self.common_words) | set(self.rare_words)
@@ -214,41 +219,72 @@ def write_records(path: str, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-# a shape for ``read_records``: what a word field must be, and its test
-WORDS = ("a list of words",
-         lambda value: isinstance(value, list) and all(isinstance(w, str) for w in value))
+# what ``check`` calls each kind of JSON value
+_KINDS = {int: "a number written as an integer", float: "a finite number", str: "a string",
+          bool: "a boolean", list: "a list", dict: "an object"}
 
 
-def read_records(path: str, kind: str, keys: tuple[str, ...], start: int = 1,
-                 shapes: dict[str, tuple] | None = None) -> Iterator[dict]:
-    """The records of a JSON-lines file from line ``start`` on, blank lines skipped.  A line
-    that is not a JSON object, a record that lacks one of ``keys`` (which include "id"),
-    an id that is not a string, a repeated id and a value that fails the test ``shapes``
-    gives its key raise ValueError naming the file, the line and the key or id."""
+def check(value, kind, where: str, path: tuple = ()):
+    """``value``, parsed from JSON, as the type hint ``kind`` declares it, or ValueError
+    naming ``where`` and the path to the part that does not fit.  ``int`` takes no
+    float and ``float`` only finite numbers, neither a boolean; ``tuple[X, Y]`` takes a
+    list of that length; a schema (a dict of key -> kind) takes an object that has
+    every key it names, and passes the object's other keys unchecked."""
+    origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
+    if isinstance(kind, dict) and type(value) is dict:
+        value = dict(value)
+        for key, inner in kind.items():
+            if key not in value:
+                raise ValueError(f"{where} lacks key {'.'.join(map(str, (*path, key)))!r}")
+            value[key] = check(value[key], inner, where, (*path, key))
+        return value
+    if origin is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # NaN, infinities and integers past the float range fail
+    if origin in (int, str, bool) and type(value) is origin:
+        return value
+    if origin is typing.Literal and any(type(value) is type(arg) and value == arg for arg in args):
+        return value
+    if origin is list and type(value) is list:
+        if not args or args[0] in (int, str) and all(type(item) is args[0] for item in value):
+            return value
+        return [check(item, args[0], where, (*path, i)) for i, item in enumerate(value)]
+    if origin is dict and type(value) is dict:
+        return {key: check(item, args[1], where, (*path, key)) for key, item in value.items()}
+    if origin is tuple and type(value) is list and len(value) == len(args):
+        return tuple(check(item, arg, where, (*path, i)) for i, (item, arg)
+                     in enumerate(zip(value, args)))
+    if isinstance(kind, dict):
+        what = "a JSON object"
+    elif origin is typing.Literal:
+        what = " or ".join(map(repr, args))
+    else:  # a tuple is a list of its length
+        what = _KINDS.get(origin, f"a list of {len(args)}")
+    subject = f"{where}: {'.'.join(map(str, path))!r}" if path else where
+    raise ValueError(f"{subject} must be {what}, got {value!r:.60}")
+
+
+def read_records(path: str, kind: str, schema: dict, start: int = 1) -> Iterator[dict]:
+    """The records of a JSON-lines file from line ``start`` on, blank lines skipped,
+    each checked against ``schema`` (which has an "id" string).  A line that is not
+    a JSON object in UTF-8, a repeated id and a record that does not fit ``schema``
+    raise ValueError naming the file, the line and the key or id."""
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if number < start or not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except ValueError:
+            except ValueError:  # not JSON, or not UTF-8
                 record = None
             where = f"{path}, line {number}"
             if not isinstance(record, dict):
                 raise ValueError(f"{where}: not a JSON object")
-            missing = [key for key in keys if key not in record]
-            if missing:
-                raise ValueError(f"{where}: {kind} record lacks key {missing[0]!r}")
-            if not isinstance(record["id"], str):
-                raise ValueError(f"{where}: {kind} id {record['id']!r} is not a string")
+            check(record, {"id": str}, f"{where}: {kind} record")
             if record["id"] in seen:
                 raise ValueError(f"{where}: repeated {kind} id {record['id']}")
             seen.add(record["id"])
-            for key, (what, fits) in (shapes or {}).items():
-                if not fits(record[key]):
-                    raise ValueError(f"{where}: {key!r} of {kind} {record['id']} is not {what}")
-            yield record
+            yield check(record, schema, f"{where}: {kind} {record['id']}")
 
 
 def write_corpus(
@@ -289,31 +325,33 @@ def _rows(values, shape: tuple[int, int], what: str) -> np.ndarray:
     return rows
 
 
-UTTERANCE_KEYS = ("id", "index", "ref_words", "p_mdl_seq", "h_dec_seq")
-
-
 def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
     """Read a corpus file; reference words are lowercased, as tokenization does."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
             meta = json.loads(fh.readline())
-        except ValueError:  # an empty file, or a first line that is not JSON
+        except ValueError:  # an empty file, or a first line that is not UTF-8 JSON
             meta = None
-    if (not isinstance(meta, dict) or meta.get("kind") != "meta"
-            or meta.get("version") != CORPUS_FORMAT_VERSION
-            or not {"vocab", "state_dim"} <= meta.keys()):
-        raise ValueError(f"{path} is not a corpus file of a supported version")
-    vocab = Vocab(tuple(meta["vocab"]))
+    meta = check(meta, {"kind": typing.Literal["meta"], "vocab": list[str], "state_dim": int,
+                        "version": typing.Literal[CORPUS_FORMAT_VERSION]},
+                 f"{path} is not a corpus file of a supported version: line 1")
+    try:
+        vocab = Vocab(tuple(meta["vocab"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}, line 1: 'vocab': {exc}") from None
     corpus = []
-    for record in read_records(path, "utterance", UTTERANCE_KEYS, start=2,
-                               shapes={"ref_words": WORDS}):
-        ref = tokenize(vocab, record["ref_words"])
-        where = f"{path}: utterance {record['id']}"
-        p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), f"{where} model rows")
-        h_dec = _rows(record["h_dec_seq"], (ref.size, meta["state_dim"]),
-                      f"{where} decoder states")
-        if np.any(np.abs(p_mdl.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError(f"{where}: model rows do not sum to 1")
+    schema = {"id": str, "index": int, "ref_words": list[str], "p_mdl_seq": list,
+              "h_dec_seq": list}  # ``_rows`` checks the numbers of the rows
+    for record in read_records(path, "utterance", schema, start=2):
+        try:
+            ref = tokenize(vocab, record["ref_words"])
+            p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), "model rows 'p_mdl_seq'")
+            h_dec = _rows(record["h_dec_seq"], (ref.size, meta["state_dim"]),
+                          "decoder states 'h_dec_seq'")
+            if np.any(np.abs(p_mdl.sum(axis=1) - 1.0) > 1e-9):
+                raise ValueError("model rows 'p_mdl_seq' do not sum to 1")
+        except ValueError as exc:
+            raise ValueError(f"{path}: utterance {record['id']}: {exc}") from None
         corpus.append(
             SimUtterance(record["id"], record["index"], list(ref.words), ref, p_mdl, h_dec)
         )
@@ -346,6 +384,9 @@ def make_inventories(
     common alphabet.  Confusables differ from their source word only in the
     initial character and belong to neither inventory.
     """
+    if min(n_common, n_rare, n_confused) < 0:
+        raise ValueError("n_common, n_rare and n_confused must be non-negative, got "
+                         f"{n_common}, {n_rare} and {n_confused}")
     if n_confused > n_rare:
         raise ValueError("cannot confuse more words than the rare inventory holds")
     rng = sub_rng(seed, "inventories")

@@ -23,7 +23,7 @@ class Vocab:
     def __post_init__(self):
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate token strings in vocabulary")
-        if self.tokens[0] != EOS_TOKEN:
+        if self.tokens[:1] != (EOS_TOKEN,):
             raise ValueError("token id 0 must be the end-of-sequence token")
         object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.tokens)})
 
@@ -144,5 +144,10 @@ def detokenize(vocab: Vocab, token_ids: list[int]) -> list[str]:
 
 def read_word_list(path: str) -> list[str]:
     """Read a UTF-8 word list, one word per line; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip().lower() for line in fh if line.strip()]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8") from None
+    return [line.strip().lower() for line in text.splitlines() if line.strip()]

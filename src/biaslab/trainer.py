@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
+from . import decoder, losses, metrics
 from .biaslist import require_lists
+from .biastrie import PrefixTree
 from .losses import BiasExample, prepare_example
 from .pointer import PgParams, flatten, init_params, unflatten
 from .simulator import SimUtterance, sub_rng
@@ -166,6 +167,18 @@ def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams,
     except losses.DivergenceError:
         pass  # stop and hand back the best snapshot so far
     return best_params, log
+
+
+def sweep(examples: losses.Pack, corpus: list[SimUtterance], vocab: Vocab,
+          trees: dict[str, PrefixTree], lists: dict[str, list[str]], configs: list[TrainConfig],
+          mode: str) -> Iterator[metrics.ScoreReport]:
+    """Each config's cell in turn: ``fit`` on the packed ``examples``, decode the test
+    ``corpus`` biased by its ``trees`` in ``mode``, and yield the report of scoring
+    it against its bias ``lists``."""
+    for config in configs:
+        params, _ = fit(examples, config)
+        decoded = decoder.decode_corpus(corpus, vocab, params, trees, mode)
+        yield decoder.score_corpus(corpus, lists, decoded)[0]
 
 
 LOG_COLUMNS = ("epoch", "l_gen", "l_ptr", "l_asr", "dev_far", "dev_tar", "lr", "grad_norm")

@@ -27,7 +27,7 @@ from biaslab.simulator import (
     make_inventories,
 )
 from biaslab.tokenizer import build_vocab, tokenize_word
-from biaslab.trainer import TrainConfig, prepare_batch, train
+from biaslab.trainer import TrainConfig, prepare_batch, sweep, train
 from conftest import make_lists, scorer_fixture, toy_experiment
 
 
@@ -71,14 +71,14 @@ def test_ac2_interpolation_law():
         p_ptr = np.zeros(vocab_size)
         p_ptr[members] = rng.dirichlet(np.ones(k))
         gate = float(rng.uniform())
-        step = StepOutput(p_ptr, gate, tuple(int(m) for m in members), np.zeros(2))
+        step = StepOutput(p_ptr, gate, tuple(int(m) for m in members))
         out = interpolate(p_mdl, step, "scaled")
         worst_sum = max(worst_sum, abs(out.sum() - 1.0))
 
-        closed = StepOutput(p_ptr, 0.0, step.valid, np.zeros(2))
+        closed = StepOutput(p_ptr, 0.0, step.valid)
         assert np.max(np.abs(interpolate(p_mdl, closed, "scaled") - p_mdl)) <= 1e-15
         assert np.max(np.abs(interpolate(p_mdl, closed, "unscaled") - p_mdl)) <= 1e-15
-        open_ = StepOutput(p_ptr, 1.0, step.valid, np.zeros(2))
+        open_ = StepOutput(p_ptr, 1.0, step.valid)
         assert np.max(np.abs(interpolate(p_mdl, open_, "scaled") - p_ptr)) <= 1e-15
     elapsed = time.perf_counter() - start
     print(f"AC-2: worst scaled-sum deviation {worst_sum:.3e}, {elapsed:.1f}s")
@@ -148,21 +148,18 @@ def test_ac5_alpha_sweep_reproduces_acceptance_trend():
     vocab, train_corpus, test_corpus, train_lists, test_lists = toy_experiment(
         seed=3, n_train=500, n_test=200, domain_shift=0.3, n_distractors=10
     )
-    alphas = (0.1, 0.3, 0.5, 0.7)
-    med_far, med_tar, med_bwer = {}, {}, {}
-    for alpha in alphas:
-        fars, tars, bwers = [], [], []
-        for seed in (0, 1, 2):
-            config = TrainConfig(mode="two_loss", alpha=alpha, lr=0.3, epochs=8,
-                                 batch_size=10, seed=seed, embed_dim=16)
-            params, _ = train(train_corpus, train_lists, vocab, config)
-            report = decode_and_score(test_corpus, vocab, test_lists, params, "unscaled")
-            fars.append(report.far)
-            tars.append(report.tar)
-            bwers.append(report.b_wer)
-        med_far[alpha] = median(fars)
-        med_tar[alpha] = median(tars)
-        med_bwer[alpha] = median(bwers)
+    alphas, seeds = (0.1, 0.3, 0.5, 0.7), (0, 1, 2)
+    configs = [TrainConfig(mode="two_loss", alpha=alpha, lr=0.3, epochs=8,
+                           batch_size=10, seed=seed, embed_dim=16)
+               for alpha in alphas for seed in seeds]
+    examples = losses.pack(prepare_batch(vocab, train_corpus, train_lists))
+    trees = {u.utt_id: build_trie(vocab, test_lists[u.utt_id]) for u in test_corpus}
+    reports = list(sweep(examples, test_corpus, vocab, trees, test_lists, configs, "unscaled"))
+    cells = {alpha: reports[i * len(seeds):(i + 1) * len(seeds)]
+             for i, alpha in enumerate(alphas)}
+    med_far = {alpha: median(r.far for r in cells[alpha]) for alpha in alphas}
+    med_tar = {alpha: median(r.tar for r in cells[alpha]) for alpha in alphas}
+    med_bwer = {alpha: median(r.b_wer for r in cells[alpha]) for alpha in alphas}
     elapsed = time.perf_counter() - start
     print(f"AC-5: FAR medians {[round(med_far[a], 3) for a in alphas]}, "
           f"TAR medians {[round(med_tar[a], 2) for a in alphas]}, "

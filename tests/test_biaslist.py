@@ -111,7 +111,7 @@ def test_list_words_that_are_not_a_list_of_words_are_named(tmp_path, words):
     path = tmp_path / "lists.jsonl"
     path.write_text('{"id": "utt00000", "words": ["kerry"]}\n'
                     f'{{"id": "utt00001", "words": {words}}}\n')
-    with pytest.raises(ValueError, match="line 2: 'words' of bias-list utt00001 is not a list") \
+    with pytest.raises(ValueError, match=r"line 2: bias-list utt00001: 'words(\.1)?' must be a") \
             as caught:
         read_bias_lists(str(path))
     assert str(path) in str(caught.value)

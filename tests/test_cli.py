@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -347,7 +348,7 @@ def test_simulate_rejects_unknown_config_keys(workdir, capsys, change, named):
 
 @pytest.mark.parametrize("config, named", [
     ([1, 2], "the config must be a JSON object"),
-    ({"inventories": 5}, "inventories must be a JSON object"),
+    ({"inventories": 5}, "'inventories' must be a JSON object"),
 ], ids=["top_level", "inventories"])
 def test_simulate_rejects_config_that_is_not_an_object(tmp_path, capsys, config, named):
     sim = tmp_path / "sim.json"
@@ -467,3 +468,30 @@ def test_sweep_validates_every_cell_before_training(workdir, capsys, flags, prob
     captured = capsys.readouterr()
     assert problem in captured.err
     assert "alpha=" not in captured.out and not sweep.exists()
+
+
+# Every subcommand's flags besides -h/--help, --jobs and --print-config.  A flag
+# added or removed is a change of the command-line interface and fails here.
+FLAGS = {
+    "simulate": "--config --out --condition --seed --write-common",
+    "make-biaslists": "--corpus --common-words --n-distractors --seed --out",
+    "train": "--corpus --biaslists --mode --alpha --epochs --seed --lr --lr-decay --patience "
+             "--batch-size --embed-dim --out --log --trace",
+    "decode": "--corpus --ckpt --biaslists --mode --out",
+    "score": "--refs --hyps --biaslists --out --per-utt",
+    "sweep-alpha": "--train-corpus --test-corpus --train-biaslists --test-biaslists --alphas "
+                   "--seeds --epochs --lr --batch-size --embed-dim --decode-mode --out",
+    "fd-check": "--seed --dims --utterances --alpha --mode --step --tol",
+}
+
+
+def test_help_of_every_subcommand_lists_its_pinned_flags(capsys):
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    assert set(re.findall(r"\{(.*)\}", capsys.readouterr().out)[0].split(",")) == set(FLAGS)
+    for command, flags in FLAGS.items():
+        with pytest.raises(SystemExit) as exited:
+            run([command, "--help"])
+        assert exited.value.code == 0
+        shown = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert shown == {"-h", "--help", "--jobs", "--print-config", *flags.split()}, command

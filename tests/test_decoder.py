@@ -187,13 +187,13 @@ def _non_number_trace_entry(lines):
 
 
 @pytest.mark.parametrize("edit, problem", [
-    (_drop_trace, "line 2: hypothesis record lacks key 'trace'"),
+    (_drop_trace, "line 2: hypothesis utt00001 lacks key 'trace'"),
     (_repeat_first_id, "line 5: repeated hypothesis id utt00000"),
     (_not_json, "line 3: not a JSON object"),
-    (_list_id, r"line 4: hypothesis id \['utt00003'\] is not a string"),
-    (_string_hyp_words, "line 2: 'hyp_words' of hypothesis utt00001 is not a list of words"),
-    (_short_trace_entry, r"line 3: 'trace' of hypothesis utt00002 is not a list of \[step"),
-    (_non_number_trace_entry, r"line 3: 'trace' of hypothesis utt00002 is not a list of \[step"),
+    (_list_id, r"line 4: hypothesis record: 'id' must be a string, got \['utt00003'\]"),
+    (_string_hyp_words, "line 2: hypothesis utt00001: 'hyp_words' must be a list"),
+    (_short_trace_entry, "line 3: hypothesis utt00002: 'trace.0' must be a list of 4"),
+    (_non_number_trace_entry, "line 3: hypothesis utt00002: 'trace.0.0' must be a number"),
 ], ids=["without_trace", "repeated_id", "not_json", "list_id", "string_hyp_words",
         "short_trace_entry", "non_number_trace_entry"])
 def test_malformed_hypotheses_named(tmp_path, edit, problem):

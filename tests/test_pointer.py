@@ -60,7 +60,6 @@ def test_forward_empty_valid_set():
     step = forward_step(params, np.zeros(6), [])
     assert step.p_gen == 0.0
     assert np.all(step.p_ptr == 0.0)
-    assert np.all(step.context == 0.0)
 
 
 def test_forward_singleton_is_certain():
@@ -96,8 +95,7 @@ def test_forward_deterministic():
 def make_step(p_ptr, p_gen, valid):
     p = np.asarray(p_ptr, dtype=np.float64)
     members = np.asarray(sorted(valid), dtype=np.intp)
-    ctx = np.zeros(2)
-    return StepOutput(p, p_gen, tuple(int(m) for m in members), ctx)
+    return StepOutput(p, p_gen, tuple(int(m) for m in members))
 
 
 def test_interpolate_hand_example():
@@ -236,17 +234,31 @@ def test_checkpoint_in_another_order_rejected(tmp_path):
     assert str(path) in str(caught.value)
 
 
-@pytest.mark.parametrize("name, dims", [
-    ("token_embed", [6.0, 3]),
-    ("b_gate", [True]),
-    ("token_embed", [-6, 3]),
-], ids=["non-integer", "boolean", "negative"])
-def test_checkpoint_header_with_a_bad_dimension_names_file_and_parameter(tmp_path, name, dims):
+@pytest.mark.parametrize("name, dims, problem", [
+    ("token_embed", [6.0, 3], "'shapes.token_embed.0' must be a number written as an integer"),
+    ("b_gate", [True], "'shapes.b_gate.0' must be a number written as an integer"),
+    ("token_embed", [-6, 3], r"token_embed \(-6, 3\).*no dimension negative"),
+    ("token_embed", [10**12, 3], "truncated checkpoint"),  # found before reading 24 TB
+], ids=["non-integer", "boolean", "negative", "larger_than_the_file"])
+def test_checkpoint_header_with_a_bad_dimension_names_file_and_parameter(tmp_path, name, dims,
+                                                                         problem):
     path = tmp_path / "ckpt.bin"
     save_params(init_params(4, 6, 3, 5), str(path))
     _edit_header(path, lambda h: h["shapes"].__setitem__(name, dims))
-    with pytest.raises(ValueError, match=f"shape of {name} must be a list of non-negative "
-                                         "integers") as caught:
+    with pytest.raises(ValueError, match=problem) as caught:
+        load_params(str(path))
+    assert str(path) in str(caught.value)
+
+
+@pytest.mark.parametrize("name, value", [("w_query", np.nan), ("b_gate", -np.inf)])
+def test_checkpoint_with_a_non_finite_value_names_file_and_parameter(tmp_path, name, value):
+    params = init_params(4, 6, 3, 5)
+    vec = flatten(params)
+    before = PARAM_ORDER[:PARAM_ORDER.index(name)]
+    vec[sum(np.size(getattr(params, other)) for other in before)] = value
+    path = tmp_path / "ckpt.bin"
+    save_params(unflatten(vec, params.shapes, params.seed), str(path))
+    with pytest.raises(ValueError, match=f"{name} holds non-finite values") as caught:
         load_params(str(path))
     assert str(path) in str(caught.value)
 
@@ -301,7 +313,10 @@ def test_flatten_follows_the_checkpoint_order_and_unflatten_views_it():
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, data, vocab_size, embed_dim,
                                            state_dim, seed):
     def draw(*shape):
-        return data.draw(arrays(np.float64, shape))  # any float64, NaN and -0.0 included
+        # any finite float64, -0.0 and subnormals included: a checkpoint holding NaN or
+        # an infinity is rejected
+        return data.draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False,
+                                                                      allow_infinity=False)))
 
     params = init_params(seed, vocab_size, embed_dim, state_dim)
     params.token_embed = draw(vocab_size, embed_dim)

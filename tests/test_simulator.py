@@ -1,4 +1,5 @@
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from biaslab import simulator
 from biaslab.simulator import (
     SimConfig,
     build_sim_vocab,
+    check,
     gen_corpus,
     make_inventories,
     read_corpus,
@@ -143,6 +145,17 @@ def test_confusable_length_mismatch_rejected():
         config.validate()
 
 
+def test_negative_utterance_noise_rejected():
+    with pytest.raises(ValueError, match="utterance_noise must be non-negative, got -0.1"):
+        toy_config(utterance_noise=-0.1).validate()
+
+
+@pytest.mark.parametrize("sizes", [(-1, 8, 4), (12, -8, 0)], ids=["common", "rare"])
+def test_negative_inventory_size_rejected(sizes):
+    with pytest.raises(ValueError, match="n_common, n_rare and n_confused must be non-negative"):
+        make_inventories(*sizes, seed=50)
+
+
 def test_corpus_file_roundtrip(tmp_path):
     config = toy_config()
     corpus = gen_corpus(config)
@@ -180,7 +193,7 @@ def _set(rows, i, j, value):
     (lambda r: _set(r["p_mdl_seq"], 1, 0, float("nan")), "non-finite"),
     (lambda r: _set(r["p_mdl_seq"], 0, 2, float("inf")), "non-finite"),
     (lambda r: r.update(id="utt00000"), "repeated utterance id"),  # the first record's id
-    (lambda r: r.update(ref_words=" ".join(r["ref_words"])), "'ref_words' of utterance"),
+    (lambda r: r.update(ref_words=" ".join(r["ref_words"])), "'ref_words' must be a list"),
 ], ids=["ragged_state_row", "narrow_states", "nan_state", "nan_model_row", "inf_model_row",
         "repeated_id", "string_ref_words"])
 def test_malformed_rows_rejected_naming_file_and_utterance(tmp_path, change, problem):
@@ -243,3 +256,33 @@ def test_utterance_line_that_is_not_json_is_named(tmp_path):
     with pytest.raises(ValueError, match="line 3: not a JSON object") as caught:
         read_corpus(path)
     assert path in str(caught.value)
+
+
+@pytest.mark.parametrize("value, kind, read", [
+    (3, int, 3), (3, float, 3.0), (0.5, float, 0.5), ([2, 4], tuple[int, int], (2, 4)),
+    ({"a": "b"}, dict[str, str], {"a": "b"}), ("meta", typing.Literal["meta"], "meta"),
+    ([[0, 1.0, True, 3]], list[tuple[int, float, bool, int]], [(0, 1.0, True, 3)]),
+], ids=["int", "int_as_float", "float", "tuple", "dict", "literal", "trace"])
+def test_check_reads_each_declared_kind(value, kind, read):
+    got = check(value, kind, "f")
+    assert got == read and type(got) is type(read)
+
+
+@pytest.mark.parametrize("value, kind, problem", [
+    (True, int, "'k' must be a number written as an integer, got True"),
+    (3.9, int, "must be a number written as an integer, got 3.9"),
+    (24.0, int, "must be a number written as an integer, got 24.0"),
+    (True, float, "'k' must be a finite number, got True"),
+    (float("nan"), float, "must be a finite number, got nan"),
+    (10**400, float, "must be a finite number"),
+    ([1, 2, 3], tuple[int, int], "'k' must be a list of 2, got [1, 2, 3]"),
+    ({"a": 5}, dict[str, str], "'k.a' must be a string, got 5"),
+    (["x", 7], list[str], "'k.1' must be a string, got 7"),
+    (2, typing.Literal[1], "'k' must be 1, got 2"),
+    ({"b": {}}, {"b": {"c": int}}, "f lacks key 'k.b.c'"),
+], ids=["bool_for_int", "float_for_int", "integral_float_for_int", "bool_for_float", "nan",
+        "past_the_float_range", "long_tuple", "dict_value", "list_item", "literal", "nested_key"])
+def test_check_names_the_part_that_does_not_fit(value, kind, problem):
+    with pytest.raises(ValueError) as caught:
+        check(value, kind, "f", ("k",))
+    assert problem in str(caught.value)
