@@ -6,7 +6,7 @@ cross-entropy) or the recognizer's own cross-entropy, with greedy biased
 decoding and biased/unbiased word error scoring.
 """
 
-from .biastrie import PrefixTree, TrieCursor, advance_cursor, build_trie, valid_set
+from .biastrie import PrefixTree, build_trie
 from .losses import BiasMask, LossReport, bias_positions, fd_check, grad
 from .metrics import Alignment, ScoreReport, align, score
 from .pointer import PgParams, StepOutput, forward_step, init_params, interpolate
@@ -28,9 +28,7 @@ __all__ = [
     "StepOutput",
     "TokenizedUtterance",
     "TrainConfig",
-    "TrieCursor",
     "Vocab",
-    "advance_cursor",
     "align",
     "bias_positions",
     "build_trie",
@@ -46,5 +44,4 @@ __all__ = [
     "score",
     "tokenize",
     "train",
-    "valid_set",
 ]

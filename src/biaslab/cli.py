@@ -20,7 +20,7 @@ from . import biaslist, decoder, losses, pointer, simulator, trainer
 from .biastrie import build_trie
 from .harness import make_check_setup
 from .simulator import check
-from .tokenizer import read_word_list
+from .tokenizer import read_word_list, tokenize_word
 
 
 class UsageError(Exception):
@@ -49,6 +49,25 @@ def _require(path: str, what: str) -> str:
     return path
 
 
+def _bias_lists(path: str, corpus: list, vocab=None) -> dict[str, list[str]]:
+    """The bias lists of ``path``, one for every utterance of ``corpus``.  With
+    ``vocab``, every word must be tokenizable; one that is not names the file and
+    the first utterance that lists it."""
+    lists = biaslist.read_bias_lists(path)
+    biaslist.require_lists([u.utt_id for u in corpus], lists)
+    checked: set[str] = set()
+    for utt in corpus if vocab is not None else ():
+        for word in lists[utt.utt_id]:
+            if word not in checked:
+                try:
+                    tokenize_word(vocab, word)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: utterance {utt.utt_id}: bias word {word!r} "
+                                     f"is not tokenizable: {exc}") from None
+                checked.add(word)
+    return lists
+
+
 # the simulator config's ``inventories``: ``simulator.make_inventories``' arguments
 INVENTORIES = {"n_common": int, "n_rare": int, "n_confused": int, "seed": int}
 
@@ -74,7 +93,11 @@ def _sim_config(raw: dict, seed_override: int | None) -> simulator.SimConfig:
         if generate:
             generate = check({"n_confused": 0, "seed": raw["seed"], **generate},
                              INVENTORIES, where, ("inventories",))
-            raw = {**dict(zip(words, simulator.make_inventories(**generate))), **raw}
+            try:
+                made = simulator.make_inventories(**generate)
+            except ValueError as exc:  # its messages start with the argument they name
+                raise ValueError(f"inventories.{exc}") from None
+            raw = {**dict(zip(words, made)), **raw}
         config = simulator.SimConfig(**raw)
         config.validate()
     except ValueError as exc:
@@ -128,7 +151,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _print_config(args, {**asdict(config), "corpus": args.corpus, "out": args.out,
                          "log": log_path})
     vocab, corpus, _ = simulator.read_corpus(args.corpus)
-    lists = biaslist.read_bias_lists(args.biaslists)
+    lists = _bias_lists(args.biaslists, corpus, vocab)
     examples = losses.pack(trainer.prepare_batch(vocab, corpus, lists))
     params, log = trainer.fit(examples, config)
     pointer.save_params(params, args.out)
@@ -147,8 +170,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         raise UsageError("biased decoding requires --ckpt")
     _print_config(args, vars(args))
     vocab, corpus, _ = simulator.read_corpus(args.corpus)
-    lists = biaslist.read_bias_lists(args.biaslists)
-    biaslist.require_lists([u.utt_id for u in corpus], lists)
+    lists = _bias_lists(args.biaslists, corpus, vocab if args.mode != "none" else None)
     params = pointer.load_params(_require(args.ckpt, "checkpoint")) if args.ckpt else None
     trees = None
     if args.mode != "none":
@@ -169,10 +191,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     _require(args.hyps, "hypotheses")
     _require(args.biaslists, "bias lists")
     _print_config(args, vars(args))
-    _, corpus, _ = simulator.read_corpus(args.refs)
+    vocab, corpus, _ = simulator.read_corpus(args.refs)
     hyps = decoder.read_hypotheses(args.hyps)
-    lists = biaslist.read_bias_lists(args.biaslists)
-    biaslist.require_lists([u.utt_id for u in corpus], lists)
+    decoder.check_traces(args.hyps, hyps, corpus, vocab)
+    lists = _bias_lists(args.biaslists, corpus)
     report, breakdown = decoder.score_corpus(corpus, lists, hyps)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
@@ -214,10 +236,8 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
             "token list and decoder-state width of train corpus "
             f"{_corpus_kind(args.train_corpus, vocab, train_meta)}"
         )
-    train_lists = biaslist.read_bias_lists(args.train_biaslists)
-    test_lists = biaslist.read_bias_lists(args.test_biaslists)
-    biaslist.require_lists([u.utt_id for u in train_corpus], train_lists)
-    biaslist.require_lists([u.utt_id for u in test_corpus], test_lists)
+    train_lists = _bias_lists(args.train_biaslists, train_corpus, vocab)
+    test_lists = _bias_lists(args.test_biaslists, test_corpus, vocab)
     trees = {u.utt_id: build_trie(vocab, test_lists[u.utt_id]) for u in test_corpus}
     examples = losses.pack(trainer.prepare_batch(vocab, train_corpus, train_lists))
 

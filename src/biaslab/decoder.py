@@ -3,10 +3,10 @@
 With biasing off the hypothesis is the base model's per-step argmax.  With
 biasing on, the copy module's terms that do not depend on the trie are
 computed for the whole utterance before the first step
-(``pointer.state_terms``).  Each step takes the cursor's valid set from the
-tree's memo, gathers its columns for the softmax and the gate
+(``pointer.state_terms``).  Each step takes the active trie node's valid set
+from the tree's memo, gathers its columns for the softmax and the gate
 (``pointer.bias_step``), mixes them into the base row in the requested
-mode, emits the argmax token, and advances the cursor with it.  The
+mode, emits the argmax token, and walks the trie with it.  The
 per-step gate trace is kept for acceptance-rate analysis.
 ``decode_corpus`` decodes a corpus and ``score_corpus`` scores it; every
 command that decodes or scores goes through them, one utterance at a time.
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .biastrie import PrefixTree, TrieCursor
+from .biastrie import PrefixTree
 from .losses import bias_positions
 from .pointer import PgParams, bias_step, check_fit, mix, state_terms
 from .simulator import SimUtterance, read_records, write_records
@@ -68,7 +68,7 @@ def greedy_decode(
         off_simplex = (np.abs(rows.sum(axis=1) - 1.0) > 1e-9).tolist()
     emitted_ids: list[int] = []
     trace: list[GateTraceEntry] = []
-    cursor = TrieCursor()
+    node = 0  # the trie root: no partial bias word
     for i in range(steps):
         row = rows[i]
         if mode == "none":
@@ -79,14 +79,14 @@ def greedy_decode(
                 raise ValueError("non-finite decoder state")
             if off_simplex[i]:
                 raise ValueError("base-model row does not sum to 1")
-            valid, members = tree.valid(cursor)
+            valid, members = tree.valid(node)
             p_gen = 0.0
             if valid:
                 weights, p_gen = bias_step(terms, i, members)
                 row = mix(row, members, weights, p_gen, mode)
             emitted = int(np.argmax(row))
             trace.append(GateTraceEntry(i, p_gen, bool(valid), emitted))
-            cursor = tree.advance(cursor, emitted)
+            node = tree.advance(node, emitted)
         if emitted == vocab.eos_id:
             break
         emitted_ids.append(emitted)
@@ -138,6 +138,24 @@ def write_hypotheses(path: str, decoded: Decoded) -> None:
     """JSON-lines decode output: id, hypothesis words, and gate trace."""
     write_records(path, ({"id": utt_id, "hyp_words": hyp_words, "trace": trace}
                          for utt_id, (hyp_words, trace) in decoded.items()))
+
+
+def check_traces(path: str, decoded: Decoded, corpus: list[SimUtterance], vocab: Vocab) -> None:
+    """Reject a gate-trace entry that does not fit its reference: a step that is not
+    its index, an entry past the reference's last token, or an emitted token outside
+    the vocabulary.  ``path`` is the hypotheses file the traces were read from."""
+    for utt in corpus:  # a missing hypothesis is ``score_corpus``'s to report
+        for i, entry in enumerate(decoded.get(utt.utt_id, ((), ()))[1]):
+            if entry.step != i:
+                problem = f"'trace.{i}.0' (step) must be {i}, got {entry.step}"
+            elif i >= utt.ref.size:
+                problem = f"'trace.{i}' lies past the reference's {utt.ref.size} tokens"
+            elif not 0 <= entry.emitted < vocab.size:
+                problem = (f"'trace.{i}.3' (emitted) must be a token id below {vocab.size}, "
+                           f"got {entry.emitted}")
+            else:
+                continue
+            raise ValueError(f"{path}: hypothesis {utt.utt_id}: {problem}")
 
 
 def read_hypotheses(path: str) -> Decoded:

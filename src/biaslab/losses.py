@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .biastrie import PrefixTree, TrieCursor, advance_cursor, build_trie, valid_set
+from .biastrie import PrefixTree, build_trie
 from .metrics import gate_counts
 from .pointer import PgParams, StepOutput, check_fit, flatten, sigmoid, state_terms, unflatten
 from .tokenizer import TokenizedUtterance, Vocab
@@ -89,12 +89,12 @@ def bias_positions(ref: TokenizedUtterance, bias_words: set[str]) -> BiasMask:
 
 
 def teacher_valid_sets(tree: PrefixTree, tokens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Valid bias sets along the reference, advancing the cursor with gold tokens."""
-    cursor = TrieCursor()
-    out = []
+    """Valid bias sets along the reference, walking the trie with gold tokens;
+    the tuples are the tree's memoized ones."""
+    node, out = 0, []
     for tok in tokens:
-        out.append(tuple(valid_set(tree, cursor)))
-        cursor = advance_cursor(tree, cursor, tok)
+        out.append(tree.valid(node)[0])
+        node = tree.advance(node, tok)
     return tuple(out)
 
 

@@ -382,13 +382,25 @@ def make_inventories(
     Rare words start with characters no common word uses, so word starts are
     an unambiguous bias signal, while their inner characters overlap with the
     common alphabet.  Confusables differ from their source word only in the
-    initial character and belong to neither inventory.
+    initial character and belong to neither inventory.  A size larger than the
+    distinct words its pools and lengths allow is rejected before any draw (the
+    rare initials must stay out of the common alphabet, or common words could
+    use up rare ones).
     """
     if min(n_common, n_rare, n_confused) < 0:
         raise ValueError("n_common, n_rare and n_confused must be non-negative, got "
                          f"{n_common}, {n_rare} and {n_confused}")
     if n_confused > n_rare:
-        raise ValueError("cannot confuse more words than the rare inventory holds")
+        raise ValueError(f"n_confused must be at most n_rare ({n_rare}): cannot confuse more "
+                         f"words than the rare inventory holds, got {n_confused}")
+    for key, size, first_pool, rest_pool in (
+            ("n_common", n_common, common_alphabet, common_alphabet),
+            ("n_rare", n_rare, rare_initials, rare_internal)):
+        limit = sum(len(set(first_pool)) * len(set(rest_pool)) ** (n - 1)
+                    for n in range(min_len, max_len + 1))
+        if size > limit:
+            raise ValueError(f"{key} must be at most {limit}, the distinct words its pools "
+                             f"and lengths allow, got {size}")
     rng = sub_rng(seed, "inventories")
     words: set[str] = set()
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from biaslab import losses
-from biaslab.biastrie import TrieCursor, advance_cursor, build_trie, valid_set
+from biaslab.biastrie import build_trie
 from biaslab.cli import main as cli_main
 from biaslab.decoder import decode_corpus, score_corpus
 from biaslab.harness import make_check_setup
@@ -109,14 +109,14 @@ def test_ac3_trie_matches_bruteforce_scan():
         vocab = build_vocab(words)
         word_tokens = [tuple(tokenize_word(vocab, w)) for w in words]
         tree = build_trie(vocab, words)
-        cursor = TrieCursor()
+        node = 0
         emitted = []
         for _ in range(25):
-            assert set(valid_set(tree, cursor)) == oracle_valid(word_tokens, emitted)
+            assert set(tree.valid(node)[0]) == oracle_valid(word_tokens, emitted)
             tok = int(rng.integers(vocab.size))
-            cursor = advance_cursor(tree, cursor, tok)
+            node = tree.advance(node, tok)
             emitted.append(tok)
-        assert set(valid_set(tree, cursor)) == oracle_valid(word_tokens, emitted)
+        assert set(tree.valid(node)[0]) == oracle_valid(word_tokens, emitted)
     elapsed = time.perf_counter() - start
     print(f"AC-3: 200 instances checked, {elapsed:.1f}s")
     assert elapsed < 5.0

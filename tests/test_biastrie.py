@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslab.biastrie import TrieCursor, advance_cursor, build_trie, valid_set
+from biaslab.biastrie import build_trie
 from biaslab.tokenizer import BOUNDARY, build_vocab, tokenize_word
 
 
@@ -28,42 +28,50 @@ def oracle_valid(vocab, bias_words, emitted):
 def test_empty_trie():
     vocab = build_vocab(["tom"])
     tree = build_trie(vocab, [])
-    assert tree.word_count == 0
-    assert valid_set(tree, TrieCursor()) == []
+    assert tree.valid(0)[0] == ()
+    assert tree.advance(0, tid(vocab, BOUNDARY + "t")) == 0
+
+
+def walk(tree, tokens):
+    """The (node, valid set) pairs met walking ``tokens`` from the root, and the end node."""
+    node, seen = 0, []
+    for tok in tokens:
+        seen.append((node, tree.valid(node)[0]))
+        node = tree.advance(node, tok)
+    return seen, node
 
 
 def test_single_word_path():
     vocab = build_vocab(["tom"])
     tree = build_trie(vocab, ["tom"])
-    assert tree.word_count == 1
-    node = tree.root
-    for name in (BOUNDARY + "t", "o", "m"):
-        node = tree.children(node)[tid(vocab, name)]
-    assert tree.is_terminal(node)
+    seen, end = walk(tree, tokenize_word(vocab, "tom"))
+    names = [{vocab.token_of(t) for t in valid} for _, valid in seen]
+    assert names == [{BOUNDARY + "t"}, {BOUNDARY + "t", "o"}, {BOUNDARY + "t", "m"}]
+    inner = [node for node, _ in seen][1:]
+    assert 0 not in inner and len(set(inner)) == 2 and end == 0
 
 
 def test_two_word_structure_hand_built():
     vocab = build_vocab(["kerry", "tom"])
     tree = build_trie(vocab, ["kerry", "tom"])
-    roots = {vocab.token_of(t) for t in tree.children(tree.root)}
+    roots = {vocab.token_of(t) for t in tree.valid(0)[0]}
     assert roots == {BOUNDARY + "k", BOUNDARY + "t"}
 
-    def depth(word):
-        node, count = tree.root, 0
-        for t in tokenize_word(vocab, word):
-            node = tree.children(node)[t]
-            count += 1
-        assert tree.is_terminal(node)
-        return count
+    def inner_nodes(word):
+        seen, end = walk(tree, tokenize_word(vocab, word))
+        assert end == 0  # the completed word retires its path
+        return [node for node, _ in seen][1:]
 
-    assert depth("kerry") == 5
-    assert depth("tom") == 3
+    kerry, tom = inner_nodes("kerry"), inner_nodes("tom")
+    assert len(set(kerry)) == 4 and len(set(tom)) == 2
+    assert 0 not in kerry + tom and not set(kerry) & set(tom)
 
 
 def test_duplicates_deduplicated():
     vocab = build_vocab(["tom"])
-    tree = build_trie(vocab, ["tom", "tom"])
-    assert tree.word_count == 1
+    stream = tokenize_word(vocab, "tom") * 2
+    once, twice = build_trie(vocab, ["tom"]), build_trie(vocab, ["tom", "tom"])
+    assert walk(twice, stream) == walk(once, stream)
 
 
 def test_untokenizable_bias_word_named():
@@ -75,18 +83,16 @@ def test_untokenizable_bias_word_named():
 def test_fresh_cursor_sees_root_children():
     vocab = build_vocab(["kerry", "tom"])
     tree = build_trie(vocab, ["kerry", "tom"])
-    got = {vocab.token_of(t) for t in valid_set(tree, TrieCursor())}
+    got = {vocab.token_of(t) for t in tree.valid(0)[0]}
     assert got == {BOUNDARY + "k", BOUNDARY + "t"}
 
 
 def test_valid_set_mid_word_matches_prefix_scan():
     vocab = build_vocab(["kerry", "tom"])
     tree = build_trie(vocab, ["kerry", "tom"])
-    cursor = TrieCursor()
     stream = tokenize_word(vocab, "kerry")[:4]
-    for tok in stream:
-        cursor = advance_cursor(tree, cursor, tok)
-    got = set(valid_set(tree, cursor))
+    _, node = walk(tree, stream)
+    got = set(tree.valid(node)[0])
     assert got == {tid(vocab, "y"), tid(vocab, BOUNDARY + "k"), tid(vocab, BOUNDARY + "t")}
     assert got == oracle_valid(vocab, ["kerry", "tom"], stream)
 
@@ -94,41 +100,27 @@ def test_valid_set_mid_word_matches_prefix_scan():
 def test_advance_on_match_and_mismatch():
     vocab = build_vocab(["tom"])
     tree = build_trie(vocab, ["tom"])
-    stepped = advance_cursor(tree, TrieCursor(), tid(vocab, BOUNDARY + "t"))
-    assert len(stepped.active_nodes) == 1
+    assert tree.advance(0, tid(vocab, BOUNDARY + "t")) != 0
     # non-boundary token matches nothing from the root
-    assert advance_cursor(tree, TrieCursor(), tid(vocab, "o")).active_nodes == frozenset()
+    assert tree.advance(0, tid(vocab, "o")) == 0
 
 
 def test_word_completion_retires_path():
     vocab = build_vocab(["tom"])
     tree = build_trie(vocab, ["tom"])
-    cursor = TrieCursor()
-    for tok in tokenize_word(vocab, "tom"):
-        cursor = advance_cursor(tree, cursor, tok)
-    assert cursor.active_nodes == frozenset()
-    got = {vocab.token_of(t) for t in valid_set(tree, cursor)}
+    _, node = walk(tree, tokenize_word(vocab, "tom"))
+    assert node == 0
+    got = {vocab.token_of(t) for t in tree.valid(node)[0]}
     assert got == {BOUNDARY + "t"}
-
-
-def test_advance_does_not_mutate_input_cursor():
-    vocab = build_vocab(["tom"])
-    tree = build_trie(vocab, ["tom"])
-    fresh = TrieCursor()
-    advance_cursor(tree, fresh, tid(vocab, BOUNDARY + "t"))
-    assert fresh.active_nodes == frozenset()
 
 
 def test_nested_word_keeps_longer_continuation():
     # "to" finishing must not retire the shared path to "tom"
     vocab = build_vocab(["to", "tom"])
     tree = build_trie(vocab, ["to", "tom"])
-    cursor = TrieCursor()
-    stream = []
-    for tok in tokenize_word(vocab, "to"):
-        stream.append(tok)
-        cursor = advance_cursor(tree, cursor, tok)
-    got = set(valid_set(tree, cursor))
+    stream = tokenize_word(vocab, "to")
+    _, node = walk(tree, stream)
+    got = set(tree.valid(node)[0])
     assert tid(vocab, "m") in got
     assert got == oracle_valid(vocab, ["to", "tom"], stream)
 
@@ -136,21 +128,19 @@ def test_nested_word_keeps_longer_continuation():
 def test_eos_never_valid():
     vocab = build_vocab(["tom", "to"])
     tree = build_trie(vocab, ["tom", "to"])
-    cursor = TrieCursor()
-    for tok in tokenize_word(vocab, "tom") * 2:
-        assert vocab.eos_id not in valid_set(tree, cursor)
-        cursor = advance_cursor(tree, cursor, tok)
+    seen, _ = walk(tree, tokenize_word(vocab, "tom") * 2)
+    assert all(vocab.eos_id not in valid for _, valid in seen)
 
 
 def walk_matches_oracle(tree, vocab, words, stream):
     """Walk ``stream`` through ``tree``, checking every step's valid set."""
-    cursor = TrieCursor()
+    node = 0
     for n, tok in enumerate(stream):
-        assert valid_set(tree, cursor) == sorted(oracle_valid(vocab, words, stream[:n]))
-        members, index = tree.valid(cursor)
+        members, index = tree.valid(node)
+        assert list(members) == sorted(oracle_valid(vocab, words, stream[:n]))
         assert index.dtype == np.intp and index.tolist() == list(members)
-        cursor = advance_cursor(tree, cursor, tok)
-    assert valid_set(tree, cursor) == sorted(oracle_valid(vocab, words, stream))
+        node = tree.advance(node, tok)
+    assert list(tree.valid(node)[0]) == sorted(oracle_valid(vocab, words, stream))
 
 
 @pytest.mark.parametrize("seed", range(12))

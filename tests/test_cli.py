@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from biaslab import trainer
+from biaslab import simulator, trainer
 from biaslab.biaslist import read_bias_lists
 from biaslab.cli import main
 from biaslab.pointer import init_params, load_params, save_params
@@ -232,6 +232,53 @@ def test_missing_bias_list_rejected_by_decode_score_and_sweep(workdir, capsys):
         assert "no bias list" in err and dropped in err, argv[0]
 
 
+@pytest.mark.parametrize("command", ["train", "decode", "sweep-alpha"])
+def test_untokenizable_bias_word_names_list_file_and_utterance(workdir, capsys, command):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)
+    records = [json.loads(line) for line in Path(lists).read_text().splitlines()]
+    records[2]["words"].append("xyz")  # 'x' is in no word of the corpus
+    bad = str(tmp_path / "bad_lists.jsonl")
+    Path(bad).write_text("".join(json.dumps(record) + "\n" for record in records))
+    out = str(tmp_path / "out")
+    argv = {
+        "train": ["train", "--corpus", corpus, "--biaslists", bad, "--epochs", "1",
+                  "--out", out],
+        "decode": ["decode", "--corpus", corpus, "--ckpt", ckpt, "--biaslists", bad,
+                   "--mode", "unscaled", "--out", out],
+        "sweep-alpha": ["sweep-alpha", "--train-corpus", corpus, "--test-corpus", corpus,
+                        "--train-biaslists", lists, "--test-biaslists", bad, "--alphas", "0.7",
+                        "--epochs", "1", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: utterance {records[2]['id']}: bias word 'xyz' is not tokenizable" in err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda trace, size: trace[-1].__setitem__(0, 999), "(step) must be"),
+    (lambda trace, size: trace[-1].__setitem__(3, 12345), "(emitted) must be a token id below"),
+    (lambda trace, size: trace.extend([n, 0.0, False, 1] for n in range(len(trace), size + 1)),
+     "lies past the reference's"),
+], ids=["step_999", "token_12345", "past_the_end"])
+def test_score_rejects_trace_entries_that_do_not_fit_the_reference(workdir, capsys, edit,
+                                                                    named):
+    tmp_path, sim, commons = workdir
+    corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)
+    _, utterances, _ = read_corpus(corpus)
+    records = [json.loads(line) for line in Path(hyps).read_text().splitlines()]
+    edit(records[1]["trace"], utterances[1].ref.size)
+    Path(hyps).write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    code = run(["score", "--refs", corpus, "--hyps", hyps, "--biaslists", lists,
+                "--out", str(tmp_path / "r2.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{hyps}: hypothesis {records[1]['id']}: 'trace." in err and named in err
+
+
 def test_fd_check_within_tolerance(capsys):
     assert run(["fd-check", "--seed", "11", "--dims", "4,6"]) == 0
     out = capsys.readouterr().out
@@ -354,6 +401,25 @@ def test_simulate_rejects_config_that_is_not_an_object(tmp_path, capsys, config,
     sim = tmp_path / "sim.json"
     sim.write_text(json.dumps(config))
     assert run(["simulate", "--config", str(sim), "--out", str(tmp_path / "c.jsonl")]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ({"n_common": 600000, "n_rare": 0}, "inventories.n_common must be at most 597780"),
+    ({"n_common": 12, "n_rare": 708577}, "inventories.n_rare must be at most 708576"),
+], ids=["common", "rare"])
+def test_simulate_rejects_inventory_larger_than_its_pools(workdir, capsys, monkeypatch,
+                                                          sizes, named):
+    tmp_path, sim, commons = workdir
+    config = json.loads(Path(sim).read_text())
+    for key in ("common_words", "rare_words", "confusion_map"):
+        del config[key]
+    Path(sim).write_text(json.dumps({**config, "inventories": sizes}))
+
+    def no_draws(*args):
+        raise AssertionError("make_inventories started drawing")
+    monkeypatch.setattr(simulator, "sub_rng", no_draws)
+    assert run(["simulate", "--config", sim, "--out", str(tmp_path / "c.jsonl")]) == 2
     assert named in capsys.readouterr().err
 
 

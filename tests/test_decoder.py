@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biaslab.biastrie import TrieCursor, advance_cursor, build_trie, valid_set
+from biaslab.biastrie import build_trie
 from biaslab.decoder import decode_corpus, greedy_decode, read_hypotheses, write_hypotheses
 from biaslab.pointer import forward_step, init_params, interpolate
 from biaslab.simulator import SimConfig, build_sim_vocab, gen_corpus, make_inventories
@@ -212,13 +212,13 @@ def test_malformed_hypotheses_named(tmp_path, edit, problem):
 def reference_decode(utt, vocab, params, tree, mode):
     """Biased greedy decoding one step at a time through the public pieces."""
     emitted_ids, trace = [], []
-    cursor = TrieCursor()
+    node = 0
     for i in range(utt.ref.size):
-        members = valid_set(tree, cursor)
+        members = list(tree.valid(node)[0])
         step = forward_step(params, utt.h_dec_seq[i], members)
         emitted = int(np.argmax(interpolate(utt.p_mdl_seq[i], step, mode)))
         trace.append((i, step.p_gen, bool(members), emitted))
-        cursor = advance_cursor(tree, cursor, emitted)
+        node = tree.advance(node, emitted)
         if emitted == vocab.eos_id:
             break
         emitted_ids.append(emitted)
