@@ -63,12 +63,13 @@ def build_lists(corpus: list[SimUtterance], common_words: set[str], n_distractor
                                            n_distractors, seed) for u in corpus}
 
 
-def require_lists(utt_ids: list[str], lists: dict[str, list[str]]) -> None:
-    """Every utterance needs a bias list: a missing one is an input error,
-    never silently an empty list."""
+def require_lists(utt_ids: list[str], lists: dict[str, list[str]]) -> dict[str, list[str]]:
+    """The lists of ``utt_ids``, in their order.  Every utterance needs a bias
+    list: a missing one is an input error, never silently an empty list."""
     missing = [u for u in utt_ids if u not in lists]
     if missing:
         raise ValueError(f"no bias list for utterances: {missing[:5]}")
+    return {u: lists[u] for u in utt_ids}
 
 
 def write_bias_lists(path: str, lists: dict[str, list[str]]) -> None:

@@ -10,7 +10,8 @@ partial word is ever under way, and the tokens that may continue a bias word
 next are the root's children plus the active node's children.
 
 Each node's valid set is memoized inside the tree on first use; the memo
-lives and dies with the tree.
+lives and dies with the tree.  A corpus's tries are built in one
+``build_tries`` call, which tokenizes each distinct word once.
 """
 
 from __future__ import annotations
@@ -21,10 +22,16 @@ from .tokenizer import Vocab, tokenize_word
 
 
 class PrefixTree:
-    """Token trie of a bias list; immutable once built via ``build_trie``."""
+    """Token trie of the given token sequences (bias words); immutable once built."""
 
-    def __init__(self):
-        self._children: list[dict[int, int]] = [{}]
+    def __init__(self, sequences):
+        self._children = children = [{}]
+        for ids in sequences:
+            node = 0
+            for tid in ids:
+                node = children[node].setdefault(tid, len(children))
+                if node == len(children):  # a new node
+                    children.append({})
         self._valid: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
 
     def valid(self, node: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -46,18 +53,28 @@ class PrefixTree:
         return reached if reached and children[reached] else 0
 
 
+def _word_ids(vocab: Vocab, word: str) -> list[int]:
+    try:
+        return tokenize_word(vocab, word.lower())
+    except ValueError as exc:
+        raise ValueError(f"bias word {word!r} is not tokenizable: {exc}") from None
+
+
 def build_trie(vocab: Vocab, bias_words: list[str]) -> PrefixTree:
     """Compile a bias word list into a prefix tree; duplicates collapse."""
-    tree = PrefixTree()
-    children = tree._children
-    for word in bias_words:
+    return PrefixTree(_word_ids(vocab, word) for word in bias_words)
+
+
+def build_tries(vocab: Vocab, lists: dict[str, list[str]]) -> dict[str, PrefixTree]:
+    """``build_trie`` of every list, keyed like ``lists``; each distinct word is
+    tokenized once, and an untokenizable one names the first utterance (key) whose
+    list holds it."""
+    ids: dict[str, list[int]] = {}
+    for utt_id, words in lists.items():
         try:
-            ids = tokenize_word(vocab, word.lower())
+            for word in words:
+                if word not in ids:
+                    ids[word] = _word_ids(vocab, word)
         except ValueError as exc:
-            raise ValueError(f"bias word {word!r} is not tokenizable: {exc}") from None
-        node = 0
-        for tid in ids:
-            node = children[node].setdefault(tid, len(children))
-            if node == len(children):  # a new node
-                children.append({})
-    return tree
+            raise ValueError(f"utterance {utt_id}: {exc}") from None
+    return {utt_id: PrefixTree(map(ids.__getitem__, words)) for utt_id, words in lists.items()}

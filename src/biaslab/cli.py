@@ -11,16 +11,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import typing
 from dataclasses import MISSING, asdict, fields
 
 from . import biaslist, decoder, losses, pointer, simulator, trainer
-from .biastrie import build_trie
+from .biastrie import build_tries
 from .harness import make_check_setup
 from .simulator import check
-from .tokenizer import read_word_list, tokenize_word
+from .tokenizer import read_word_list
 
 
 class UsageError(Exception):
@@ -49,23 +50,15 @@ def _require(path: str, what: str) -> str:
     return path
 
 
-def _bias_lists(path: str, corpus: list, vocab=None) -> dict[str, list[str]]:
-    """The bias lists of ``path``, one for every utterance of ``corpus``.  With
-    ``vocab``, every word must be tokenizable; one that is not names the file and
-    the first utterance that lists it."""
-    lists = biaslist.read_bias_lists(path)
-    biaslist.require_lists([u.utt_id for u in corpus], lists)
-    checked: set[str] = set()
-    for utt in corpus if vocab is not None else ():
-        for word in lists[utt.utt_id]:
-            if word not in checked:
-                try:
-                    tokenize_word(vocab, word)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: utterance {utt.utt_id}: bias word {word!r} "
-                                     f"is not tokenizable: {exc}") from None
-                checked.add(word)
-    return lists
+def _bias_lists(path: str, corpus: list, vocab=None) -> tuple[dict, dict | None]:
+    """The bias lists of ``path`` for the utterances of ``corpus``, one each, and
+    with ``vocab`` their tries; an untokenizable word names the file and the first
+    utterance that lists it."""
+    lists = biaslist.require_lists([u.utt_id for u in corpus], biaslist.read_bias_lists(path))
+    try:
+        return lists, None if vocab is None else build_tries(vocab, lists)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # the simulator config's ``inventories``: ``simulator.make_inventories``' arguments
@@ -151,8 +144,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     _print_config(args, {**asdict(config), "corpus": args.corpus, "out": args.out,
                          "log": log_path})
     vocab, corpus, _ = simulator.read_corpus(args.corpus)
-    lists = _bias_lists(args.biaslists, corpus, vocab)
-    examples = losses.pack(trainer.prepare_batch(vocab, corpus, lists))
+    examples = losses.pack(trainer.prepare_batch(vocab, corpus,
+                                                 *_bias_lists(args.biaslists, corpus, vocab)))
     params, log = trainer.fit(examples, config)
     pointer.save_params(params, args.out)
     trainer.write_train_log(log_path, log)
@@ -170,16 +163,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
         raise UsageError("biased decoding requires --ckpt")
     _print_config(args, vars(args))
     vocab, corpus, _ = simulator.read_corpus(args.corpus)
-    lists = _bias_lists(args.biaslists, corpus, vocab if args.mode != "none" else None)
+    _, trees = _bias_lists(args.biaslists, corpus, vocab if args.mode != "none" else None)
     params = pointer.load_params(_require(args.ckpt, "checkpoint")) if args.ckpt else None
-    trees = None
     if args.mode != "none":
         try:  # a copy module that does not fit the corpus is a usage error; read_corpus
             for utt in corpus[:1]:  # gives every utterance the first one's widths
                 pointer.check_fit(params, utt.utt_id, utt.p_mdl_seq, utt.h_dec_seq)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        trees = {u.utt_id: build_trie(vocab, lists[u.utt_id]) for u in corpus}
     decoded = decoder.decode_corpus(corpus, vocab, params, trees, args.mode)
     decoder.write_hypotheses(args.out, decoded)
     print(f"decoded {len(decoded)} utterances to {args.out}")
@@ -194,7 +185,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     vocab, corpus, _ = simulator.read_corpus(args.refs)
     hyps = decoder.read_hypotheses(args.hyps)
     decoder.check_traces(args.hyps, hyps, corpus, vocab)
-    lists = _bias_lists(args.biaslists, corpus)
+    lists, _ = _bias_lists(args.biaslists, corpus)
     report, breakdown = decoder.score_corpus(corpus, lists, hyps)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
@@ -236,10 +227,9 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
             "token list and decoder-state width of train corpus "
             f"{_corpus_kind(args.train_corpus, vocab, train_meta)}"
         )
-    train_lists = _bias_lists(args.train_biaslists, train_corpus, vocab)
-    test_lists = _bias_lists(args.test_biaslists, test_corpus, vocab)
-    trees = {u.utt_id: build_trie(vocab, test_lists[u.utt_id]) for u in test_corpus}
-    examples = losses.pack(trainer.prepare_batch(vocab, train_corpus, train_lists))
+    examples = losses.pack(trainer.prepare_batch(
+        vocab, train_corpus, *_bias_lists(args.train_biaslists, train_corpus, vocab)))
+    test_lists, trees = _bias_lists(args.test_biaslists, test_corpus, vocab)
 
     rows = []
     reports = trainer.sweep(examples, test_corpus, vocab, trees, test_lists, configs,
@@ -272,10 +262,12 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
         raise UsageError("--dims must be 'embed_dim,state_dim'") from None
     if not 1e-7 <= args.step <= 1e-3:
         raise UsageError("--step must lie in [1e-7, 1e-3]")
+    if not 0.0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be non-negative and finite, got {args.tol}")
+    _train_config(alpha=args.alpha, seed=args.seed)  # train's checks and messages
     modes = [args.mode] if args.mode != "both" else list(losses.MODES)
     _print_config(args, vars(args))
     try:
-        losses.check_alpha(args.alpha)
         params, batch, _ = make_check_setup(args.seed, embed_dim, state_dim, args.utterances)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -7,9 +7,10 @@ computed for the whole utterance before the first step
 from the tree's memo, gathers its columns for the softmax and the gate
 (``pointer.bias_step``), mixes them into the base row in the requested
 mode, emits the argmax token, and walks the trie with it.  The
-per-step gate trace is kept for acceptance-rate analysis.
-``decode_corpus`` decodes a corpus and ``score_corpus`` scores it; every
-command that decodes or scores goes through them, one utterance at a time.
+per-step gate trace is kept for acceptance-rate analysis.  ``decode_corpus``
+decodes a corpus, one utterance at a time, with the tries of one
+``biastrie.build_tries`` call, and ``score_corpus`` scores it; every command
+that decodes or scores goes through them.
 
 The simulator provides teacher-forced model rows, so free-running decoding
 consumes them by step index; hypotheses therefore stay position-aligned

@@ -8,10 +8,12 @@ scalar parameter stays cheap.
 from __future__ import annotations
 
 from .biaslist import build_lists
-from .losses import BiasExample, prepare_example
+from .biastrie import build_tries
+from .losses import BiasExample
 from .pointer import PgParams, init_params
 from .simulator import SimConfig, build_sim_vocab, gen_corpus, make_inventories, sub_rng
 from .tokenizer import Vocab
+from .trainer import prepare_batch
 
 
 def make_check_setup(
@@ -48,10 +50,7 @@ def make_check_setup(
     corpus = gen_corpus(config)
     # distractors come from every possible rare word, so their draws never run dry
     lists = build_lists(corpus, set(common), n_distractors, seed, pool=set(rare))
-    batch = [
-        prepare_example(vocab, u.utt_id, u.ref, u.h_dec_seq, u.p_mdl_seq, lists[u.utt_id])
-        for u in corpus
-    ]
+    batch = prepare_batch(vocab, corpus, lists, build_tries(vocab, lists))
     params = init_params(seed, vocab.size, embed_dim, state_dim)
     # probe a generic operating point: at the inert training init the gate-path
     # derivatives sit below finite-difference noise

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .biastrie import PrefixTree, build_trie
+from .biastrie import PrefixTree
 from .metrics import gate_counts
 from .pointer import PgParams, StepOutput, check_fit, flatten, sigmoid, state_terms, unflatten
 from .tokenizer import TokenizedUtterance, Vocab
@@ -98,15 +98,9 @@ def teacher_valid_sets(tree: PrefixTree, tokens: tuple[int, ...]) -> tuple[tuple
     return tuple(out)
 
 
-def prepare_example(
-    vocab: Vocab,
-    utt_id: str,
-    ref: TokenizedUtterance,
-    h_seq: np.ndarray,
-    p_mdl_seq: np.ndarray,
-    bias_words: list[str],
-) -> BiasExample:
-    """Bundle an utterance with its bias trie, mask, and teacher-forced sets."""
+def prepare_example(vocab: Vocab, utt_id: str, ref: TokenizedUtterance, h_seq: np.ndarray,
+                    p_mdl_seq: np.ndarray, bias_words: list[str], tree: PrefixTree) -> BiasExample:
+    """Bundle an utterance with its bias mask and its trie's teacher-forced sets."""
     h_seq = np.asarray(h_seq, dtype=np.float64)
     p_mdl_seq = np.asarray(p_mdl_seq, dtype=np.float64)
     if p_mdl_seq.shape != (ref.size, vocab.size) or h_seq.ndim != 2 or len(h_seq) != ref.size:
@@ -114,7 +108,6 @@ def prepare_example(
             f"utterance {utt_id}: base-model rows {p_mdl_seq.shape} and decoder states "
             f"{h_seq.shape} do not fit {ref.size} tokens over a vocabulary of {vocab.size}"
         )
-    tree = build_trie(vocab, list(bias_words))
     mask = bias_positions(ref, set(w.lower() for w in bias_words))
     sets = teacher_valid_sets(tree, ref.tokens)
     return BiasExample(utt_id, ref.tokens, h_seq, p_mdl_seq, sets, mask)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import decoder, losses, metrics
 from .biaslist import require_lists
-from .biastrie import PrefixTree
+from .biastrie import PrefixTree, build_tries
 from .losses import BiasExample, prepare_example
 from .pointer import PgParams, flatten, init_params, unflatten
 from .simulator import SimUtterance, sub_rng
@@ -46,8 +46,8 @@ class TrainConfig:
         if self.mode not in losses.MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
         losses.check_alpha(self.alpha)
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ValueError("lr_decay_factor must be in (0, 1]")
         if self.epochs < 1:
@@ -62,17 +62,12 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def prepare_batch(
-    vocab: Vocab,
-    corpus: list[SimUtterance],
-    bias_lists: dict[str, list[str]],
-) -> list[BiasExample]:
-    """Build teacher-forced examples; every utterance needs a bias list."""
-    require_lists([u.utt_id for u in corpus], bias_lists)
+def prepare_batch(vocab: Vocab, corpus: list[SimUtterance], bias_lists: dict[str, list[str]],
+                  trees: dict[str, PrefixTree]) -> list[BiasExample]:
+    """Build teacher-forced examples from each utterance's bias list and its trie."""
     return [
-        prepare_example(
-            vocab, utt.utt_id, utt.ref, utt.h_dec_seq, utt.p_mdl_seq, bias_lists[utt.utt_id]
-        )
+        prepare_example(vocab, utt.utt_id, utt.ref, utt.h_dec_seq, utt.p_mdl_seq,
+                        bias_lists[utt.utt_id], trees[utt.utt_id])
         for utt in corpus
     ]
 
@@ -97,7 +92,8 @@ def train(
     config: TrainConfig,
 ) -> tuple[PgParams, list[dict]]:
     """Train the copy module; returns the best-dev snapshot and the epoch log."""
-    return fit(prepare_batch(vocab, corpus, bias_lists), config)
+    lists = require_lists([u.utt_id for u in corpus], bias_lists)
+    return fit(prepare_batch(vocab, corpus, lists, build_tries(vocab, lists)), config)
 
 
 def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams, list[dict]]:

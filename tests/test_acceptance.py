@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from biaslab import losses
-from biaslab.biastrie import build_trie
+from biaslab.biastrie import build_trie, build_tries
 from biaslab.cli import main as cli_main
 from biaslab.decoder import decode_corpus, score_corpus
 from biaslab.harness import make_check_setup
@@ -152,7 +152,8 @@ def test_ac5_alpha_sweep_reproduces_acceptance_trend():
     configs = [TrainConfig(mode="two_loss", alpha=alpha, lr=0.3, epochs=8,
                            batch_size=10, seed=seed, embed_dim=16)
                for alpha in alphas for seed in seeds]
-    examples = losses.pack(prepare_batch(vocab, train_corpus, train_lists))
+    examples = losses.pack(prepare_batch(vocab, train_corpus, train_lists,
+                                         build_tries(vocab, train_lists)))
     trees = {u.utt_id: build_trie(vocab, test_lists[u.utt_id]) for u in test_corpus}
     reports = list(sweep(examples, test_corpus, vocab, trees, test_lists, configs, "unscaled"))
     cells = {alpha: reports[i * len(seeds):(i + 1) * len(seeds)]
@@ -206,7 +207,7 @@ def test_ac6_already_fit_regime_stalls_recognizer_loss():
     full_asr = TrainConfig(mode="asr", alpha=0.7, lr=0.3, epochs=5,
                            batch_size=10, seed=5, embed_dim=16)
     params_asr, _ = train(corpus, lists, vocab, full_asr)
-    batch = prepare_batch(vocab, corpus, lists)
+    batch = prepare_batch(vocab, corpus, lists, build_tries(vocab, lists))
     asr_rates = gate_rates(params_asr, batch)
 
     full_two = TrainConfig(mode="two_loss", alpha=0.7, lr=0.3, epochs=5,

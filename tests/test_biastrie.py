@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslab.biastrie import build_trie
+from biaslab import biastrie
+from biaslab.biastrie import build_trie, build_tries
 from biaslab.tokenizer import BOUNDARY, build_vocab, tokenize_word
+from conftest import toy_experiment
 
 
 def tid(vocab, name):
@@ -189,3 +191,43 @@ def test_memoized_cursor_matches_oracle_on_fresh_and_walked_trees(words, first, 
     walk_matches_oracle(tree, vocab, words, stream_of(vocab, words, second))
     walk_matches_oracle(tree, vocab, words, stream_of(vocab, words, first))
     walk_matches_oracle(build_trie(vocab, words), vocab, words, stream_of(vocab, words, second))
+
+
+def toy_lists():
+    vocab, train, _, lists, _ = toy_experiment(n_train=60, n_test=10)
+    return vocab, train, lists
+
+
+def test_build_tries_tokenizes_each_distinct_word_once(monkeypatch):
+    vocab, _, lists = toy_lists()
+    calls = []
+    tokenize = biastrie.tokenize_word
+    monkeypatch.setattr(biastrie, "tokenize_word",
+                        lambda vocab, word: calls.append(word) or tokenize(vocab, word))
+    trees = build_tries(vocab, lists)
+    assert list(trees) == list(lists)
+    distinct = {word for words in lists.values() for word in words}
+    assert sorted(calls) == sorted(distinct) and len(calls) < sum(map(len, lists.values()))
+
+
+def test_build_tries_walk_like_build_trie():
+    vocab, corpus, lists = toy_lists()
+    trees = build_tries(vocab, lists)
+    for utt in corpus:
+        words = lists[utt.utt_id]
+        one = build_trie(vocab, words)
+        stream = [*utt.ref.tokens, *(t for word in words for t in tokenize_word(vocab, word))]
+        node_a = node_b = 0
+        for tok in stream:
+            assert trees[utt.utt_id].valid(node_a)[0] == one.valid(node_b)[0]
+            node_a, node_b = trees[utt.utt_id].advance(node_a, tok), one.advance(node_b, tok)
+            assert node_a == node_b
+
+
+def test_build_tries_untokenizable_word_names_first_utterance():
+    vocab, corpus, lists = toy_lists()
+    second, fifth = corpus[1].utt_id, corpus[4].utt_id
+    bad = {**lists, second: [*lists[second], "x9"], fifth: ["x9", *lists[fifth]]}
+    with pytest.raises(ValueError,
+                       match=rf"^utterance {second}: bias word 'x9' is not tokenizable"):
+        build_tries(vocab, bad)

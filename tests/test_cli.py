@@ -296,7 +296,11 @@ def test_fd_check_fails_above_tolerance(capsys):
     (["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
     (["--utterances", "0"], "utterance counts must be positive"),
     (["--dims", "0,4"], "dimensions must be positive"),
-], ids=["alpha-above-1", "alpha-nan", "no-utterances", "zero-dim"])
+    (["--tol", "nan"], "--tol must be non-negative and finite, got nan"),
+    (["--tol", "-0.5"], "--tol must be non-negative and finite, got -0.5"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
+], ids=["alpha-above-1", "alpha-nan", "no-utterances", "zero-dim", "tol-nan", "tol-negative",
+        "negative-seed"])
 def test_fd_check_bad_config_exits_2(capsys, flags, message):
     assert run(["fd-check", "--seed", "11", *flags]) == 2
     captured = capsys.readouterr()
@@ -520,8 +524,9 @@ def test_sweep_rejects_test_corpus_with_reordered_tokens(workdir, capsys):
 
 @pytest.mark.parametrize("flags, problem", [(["--alphas", "0.3,1.5"], "alpha"),
                                             (["--lr", "0"], "learning rate"),
+                                            (["--lr", "nan"], "learning rate"),
                                             (["--seeds", "0,-1"], "seed")],
-                         ids=["alpha_out_of_range", "zero_lr", "negative_seed"])
+                         ids=["alpha_out_of_range", "zero_lr", "nan_lr", "negative_seed"])
 def test_sweep_validates_every_cell_before_training(workdir, capsys, flags, problem):
     tmp_path, sim, commons = workdir
     corpus, lists, ckpt, hyps, report = pipeline(tmp_path, sim, commons, epochs=1)

@@ -200,7 +200,8 @@ def example_for(vocab, words, bias_words, seed=0, state_dim=6):
     rng = np.random.default_rng(seed)
     h_seq = rng.standard_normal((ref.size, state_dim))
     p_mdl = rng.dirichlet(np.ones(vocab.size), size=ref.size)
-    return prepare_example(vocab, "u0", ref, h_seq, p_mdl, bias_words)
+    return prepare_example(vocab, "u0", ref, h_seq, p_mdl, bias_words,
+                           build_trie(vocab, bias_words))
 
 
 def test_prepare_example_guarantees_gold_membership():
@@ -223,7 +224,7 @@ def test_prepare_example_rejects_rows_and_states_that_do_not_fit(rows, states):
     h_seq = states(rng.standard_normal((ref.size, 6)))
     p_mdl = rows(rng.dirichlet(np.ones(vocab.size), size=ref.size))
     with pytest.raises(ValueError, match="utterance u0: base-model rows") as caught:
-        prepare_example(vocab, "u0", ref, h_seq, p_mdl, ["kerry"])
+        prepare_example(vocab, "u0", ref, h_seq, p_mdl, ["kerry"], build_trie(vocab, ["kerry"]))
     assert f"{p_mdl.shape}" in str(caught.value) and f"{h_seq.shape}" in str(caught.value)
 
 
@@ -256,7 +257,8 @@ def test_clamped_positions_are_counted_in_report():
     rows = np.zeros((ref.size, vocab.size))
     rows[:, 0] = 1.0  # all mass on EOS: word tokens get exactly zero
     rng = np.random.default_rng(0)
-    ex = prepare_example(vocab, "u0", ref, rng.standard_normal((ref.size, 6)), rows, [])
+    ex = prepare_example(vocab, "u0", ref, rng.standard_normal((ref.size, 6)), rows, [],
+                         build_trie(vocab, []))
     params = init_params(0, vocab.size, 4, 6)
     report = evaluate(params, [ex], "asr", 0.7)
     assert report.n_clamped == 2  # both non-EOS positions hit the log floor

@@ -17,7 +17,8 @@ def small_setup(seed=3, n=80):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("epochs", 0), ("lr", 0.0), ("lr", -0.1), ("batch_size", 0),
+    [("epochs", 0), ("lr", 0.0), ("lr", -0.1), ("lr", math.nan), ("lr", math.inf),
+     ("batch_size", 0),
      ("alpha", 1.5), ("alpha", 0.0), ("mode", "wer"), ("patience", 0)],
 )
 def test_config_validation(field, value):
