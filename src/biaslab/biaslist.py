@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 
-from .simulator import SimUtterance, read_records, sub_rng, write_records
+from .simulator import NON_NEGATIVE, SimUtterance, read_records, sub_rng, write_records
 
 log = logging.getLogger(__name__)
 
@@ -35,8 +35,7 @@ def build_utterance_list(
     reordering.  When fewer candidates than requested exist, all of them are
     taken and the shortfall is logged.
     """
-    if n_distractors < 0:
-        raise ValueError("distractor count must be non-negative")
+    NON_NEGATIVE.require(n_distractors, "n_distractors")
     own = sorted(set(utt_rarewords))
     candidates = sorted(set(all_rarewords) - set(own))
     if n_distractors >= len(candidates):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import typing
@@ -44,6 +43,14 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"invalid JSON in {path}: {exc}") from None
 
 
+def _usage(call, *args):
+    """``call(*args)``, a ValueError it raises turned into a usage error."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _require(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise UsageError(f"{what} not found: {path}")
@@ -67,9 +74,9 @@ INVENTORIES = {"n_common": int, "n_rare": int, "n_confused": int, "seed": int}
 
 def _sim_config(raw: dict, seed_override: int | None) -> simulator.SimConfig:
     """``SimConfig`` from the keys the file gives, each checked against its field's
-    type hint; ``inventories`` generates the word lists and ``confusion_map`` the file
-    leaves out, and any other key it leaves out takes the dataclass's default."""
-    where, types = "the config", typing.get_type_hints(simulator.SimConfig)
+    type hint and range; ``inventories`` generates the word lists and ``confusion_map``
+    the file leaves out, and any other key it leaves out takes the dataclass's default."""
+    where, types = "the config", typing.get_type_hints(simulator.SimConfig, include_extras=True)
     try:
         raw = check(raw, {}, where)
         generate = check(raw.pop("inventories", {}), {}, where, ("inventories",))
@@ -114,8 +121,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_make_biaslists(args: argparse.Namespace) -> int:
     _require(args.corpus, "corpus")
     _require(args.common_words, "common-word list")
-    if args.n_distractors < 0:
-        raise UsageError("--n-distractors must be non-negative")
+    _usage(simulator.NON_NEGATIVE.require, args.n_distractors, "--n-distractors")
     _print_config(args, vars(args))
     _, corpus, _ = simulator.read_corpus(args.corpus)
     common = set(read_word_list(args.common_words))
@@ -126,11 +132,8 @@ def cmd_make_biaslists(args: argparse.Namespace) -> int:
 
 
 def _train_config(**values) -> trainer.TrainConfig:
-    try:
-        config = trainer.TrainConfig(**values)
-        config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = trainer.TrainConfig(**values)
+    _usage(config.validate)
     return config
 
 
@@ -165,12 +168,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     vocab, corpus, _ = simulator.read_corpus(args.corpus)
     _, trees = _bias_lists(args.biaslists, corpus, vocab if args.mode != "none" else None)
     params = pointer.load_params(_require(args.ckpt, "checkpoint")) if args.ckpt else None
-    if args.mode != "none":
-        try:  # a copy module that does not fit the corpus is a usage error; read_corpus
-            for utt in corpus[:1]:  # gives every utterance the first one's widths
-                pointer.check_fit(params, utt.utt_id, utt.p_mdl_seq, utt.h_dec_seq)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    if args.mode != "none":  # a copy module that does not fit the corpus is a usage error;
+        for utt in corpus[:1]:  # read_corpus gives every utterance the first one's widths
+            _usage(pointer.check_fit, params, utt.utt_id, utt.p_mdl_seq, utt.h_dec_seq)
     decoded = decoder.decode_corpus(corpus, vocab, params, trees, args.mode)
     decoder.write_hypotheses(args.out, decoded)
     print(f"decoded {len(decoded)} utterances to {args.out}")
@@ -260,17 +260,12 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
         embed_dim, state_dim = (int(x) for x in args.dims.split(","))
     except ValueError:
         raise UsageError("--dims must be 'embed_dim,state_dim'") from None
-    if not 1e-7 <= args.step <= 1e-3:
-        raise UsageError("--step must lie in [1e-7, 1e-3]")
-    if not 0.0 <= args.tol < math.inf:
-        raise UsageError(f"--tol must be non-negative and finite, got {args.tol}")
+    _usage(losses.FD_STEP.require, args.step, "--step")
+    _usage(simulator.NON_NEGATIVE.require, args.tol, "--tol")
     _train_config(alpha=args.alpha, seed=args.seed)  # train's checks and messages
     modes = [args.mode] if args.mode != "both" else list(losses.MODES)
     _print_config(args, vars(args))
-    try:
-        params, batch, _ = make_check_setup(args.seed, embed_dim, state_dim, args.utterances)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    params, batch, _ = _usage(make_check_setup, args.seed, embed_dim, state_dim, args.utterances)
     worst = 0.0
     for mode in modes:
         err = losses.fd_check(params, batch, mode, args.alpha, args.step)

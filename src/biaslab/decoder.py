@@ -27,7 +27,7 @@ from . import metrics
 from .biastrie import PrefixTree
 from .losses import bias_positions
 from .pointer import PgParams, bias_step, check_fit, mix, state_terms
-from .simulator import SimUtterance, read_records, write_records
+from .simulator import Share, SimUtterance, read_records, write_records
 from .tokenizer import Vocab, detokenize
 
 DECODE_MODES = ("none", "scaled", "unscaled")
@@ -162,12 +162,8 @@ def check_traces(path: str, decoded: Decoded, corpus: list[SimUtterance], vocab:
 def read_hypotheses(path: str) -> Decoded:
     """Read a hypotheses file; a gate probability outside [0, 1] is rejected."""
     decoded = {}
-    schema = {"id": str, "hyp_words": list[str], "trace": list[tuple[int, float, bool, int]]}
+    schema = {"id": str, "hyp_words": list[str], "trace": list[tuple[int, Share, bool, int]]}
     for record in read_records(path, "hypothesis", schema):
         trace = [GateTraceEntry(*entry) for entry in record["trace"]]
-        for i, entry in enumerate(trace):
-            if not 0.0 <= entry.p_gen <= 1.0:
-                raise ValueError(f"{path}: hypothesis {record['id']}: 'trace.{i}.1' (p_gen) "
-                                 f"must lie in [0, 1], got {entry.p_gen}")
         decoded[record["id"]] = (record["hyp_words"], trace)
     return decoded

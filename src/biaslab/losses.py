@@ -23,6 +23,7 @@ import numpy as np
 from .biastrie import PrefixTree
 from .metrics import gate_counts
 from .pointer import PgParams, StepOutput, check_fit, flatten, sigmoid, state_terms, unflatten
+from .simulator import Range
 from .tokenizer import TokenizedUtterance, Vocab
 
 LOG_FLOOR = 1e-12
@@ -30,6 +31,7 @@ LOG_FLOOR = 1e-12
 TWO_LOSS = "two_loss"
 ASR = "asr"
 MODES = (TWO_LOSS, ASR)
+ALPHA = Range(0, 1, "()")  # the gate loss's weight on bias positions; TrainConfig.alpha's range
 
 
 class DivergenceError(ValueError):
@@ -133,7 +135,7 @@ def loss_gen(p_gen_seq: np.ndarray, mask: BiasMask, alpha: float) -> float:
     Positions on the mask are weighted by ``alpha`` and positions off it by
     ``1 - alpha``; an alpha above 0.5 favors the minority (bias) class.
     """
-    check_alpha(alpha)
+    ALPHA.require(alpha, "alpha")
     p_gen_seq = np.asarray(p_gen_seq, dtype=np.float64)
     if p_gen_seq.shape[0] != mask.size:
         raise ValueError("gate sequence does not match the mask length")
@@ -172,14 +174,9 @@ GROUP_SIZE = 16
 # vocabulary) logits of a group, so ``fd_check`` runs its probes in blocks of
 # this size rather than all 2 x (parameter count) at once.
 PROBE_BLOCK = 64
+FD_STEP = Range(1e-7, 1e-3, "[]")  # the central-difference steps ``fd_check`` takes
 
 LOSS_KEYS = ("l_gen", "l_ptr", "l_asr")
-
-
-def check_alpha(alpha: float) -> None:
-    """Reject a gate-loss weight outside (0, 1), NaN included."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +446,7 @@ def teacher_forced(
     computing anything) and on a non-finite gradient.
     """
     _mode_total(mode, 0.0, 0.0, 0.0)
-    check_alpha(alpha)
+    ALPHA.require(alpha, "alpha")
     base = flatten(params)
     if not np.isfinite(base).all():
         raise DivergenceError("non-finite copy-module parameters")
@@ -538,8 +535,7 @@ def fd_check(
     The batch is packed once, for the gradient pass and the ±step probes,
     which run ``PROBE_BLOCK`` at a time through one forward per group.
     """
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError(f"finite-difference step {step} outside [1e-7, 1e-3]")
+    FD_STEP.require(step, "step")
     batch = pack(batch)
     analytic = flatten(teacher_forced(params, batch, mode, alpha, want_grad=True).grads)
     groups = list(_groups(batch))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import check
+from .simulator import Size, check
 
 # Untrained biasing must be inert: at sigmoid(-9) ~ 1.2e-4 the gate passes
 # essentially nothing through, and every gradient path of the recognizer's
@@ -261,7 +261,7 @@ def load_params(path: str) -> PgParams:
             header = None
         header = check(header, {"version": typing.Literal[CHECKPOINT_VERSION], "seed": int,
                                 "order": list[str],
-                                "shapes": dict.fromkeys(PARAM_ORDER, list[int])},
+                                "shapes": dict.fromkeys(PARAM_ORDER, list[Size])},
                        f"checkpoint {path}: header")
         if header["order"] != list(PARAM_ORDER):
             raise ValueError(
@@ -271,11 +271,11 @@ def load_params(path: str) -> PgParams:
         shapes = {name: tuple(header["shapes"][name]) for name in PARAM_ORDER}
         embed, query, gate, bias = shapes.values()
         if not (len(embed) == len(query) == 2 and query[0] == embed[1]
-                and gate == (query[1] + embed[1],) and bias == (1,) and min(embed + query) >= 0):
+                and gate == (query[1] + embed[1],) and bias == (1,)):
             raise ValueError(
                 f"checkpoint {path} has shapes token_embed {embed}, w_query {query}, "
                 f"w_gate {gate}, b_gate {bias}; they must be (V, d), (d, d_h), "
-                "(d_h + d,) and (1,), no dimension negative"
+                "(d_h + d,) and (1,)"
             )
         size = 8 * sum(math.prod(shape) for shape in shapes.values())
         left = os.fstat(fh.fileno()).st_size - fh.tell()  # before a read of ``size`` bytes

@@ -12,6 +12,7 @@ word), which is the error the bias module is meant to fix.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -35,31 +36,55 @@ def sub_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:16], "little"))
 
 
+@dataclass(frozen=True)
+class Range:
+    """An interval, its ends written "[" or "]" when closed, "(" or ")" when open."""
+
+    lo: float
+    hi: float = float("inf")
+    ends: str = "[)"
+
+    def __contains__(self, value) -> bool:
+        return ((self.lo <= value if self.ends[0] == "[" else self.lo < value)
+                and (value <= self.hi if self.ends[1] == "]" else value < self.hi))
+
+    def require(self, value, where: str, path: tuple = ()):
+        """``value``, or ``check``'s ValueError naming ``where`` if it lies outside."""
+        return value if value in self else check(value, self, where, path)
+
+
+NON_NEGATIVE = Range(0)  # a count that may be 0, a seed, a noise scale or a tolerance
+Count = typing.Annotated[int, Range(1)]  # a positive count or width
+Size = typing.Annotated[int, NON_NEGATIVE]
+Share = typing.Annotated[float, Range(0, 1, "[]")]  # a probability or a mixing weight
+_type_hints = functools.cache(typing.get_type_hints)  # a dataclass's hints, read once
+
+
+def check_fields(config) -> None:
+    """Check each field of the dataclass ``config`` against its hint, range included."""
+    for name, kind in _type_hints(type(config), include_extras=True).items():
+        check(getattr(config, name), kind, name)
+
+
 @dataclass
 class SimConfig:
-    seed: int
-    n_utterances: int
-    words_per_utterance: tuple[int, int]
+    seed: Size
+    n_utterances: Count
+    words_per_utterance: tuple[Count, Count]
     common_words: list[str]
     rare_words: list[str]
-    rare_word_rate: float
-    base_accuracy_common: float = 0.95
-    base_accuracy_rare: float = 0.75
+    rare_word_rate: Share
+    base_accuracy_common: Share = 0.95
+    base_accuracy_rare: Share = 0.75
     confusion_map: dict[str, str] = field(default_factory=dict)
-    state_dim: int = 24
-    domain_shift: float = 0.0
-    utterance_noise: float = 0.1
+    state_dim: Count = 24
+    domain_shift: Share = 0.0
+    utterance_noise: typing.Annotated[float, NON_NEGATIVE] = 0.1
 
     def validate(self) -> None:
+        check_fields(self)
         lo, hi = self.words_per_utterance
-        if self.n_utterances <= 0 or lo <= 0 or hi < lo:
-            raise ValueError("utterance counts must be positive and ordered, got n_utterances "
-                             f"{self.n_utterances} and words_per_utterance {[lo, hi]}")
-        for name in ("rare_word_rate", "base_accuracy_common", "base_accuracy_rare",
-                     "domain_shift"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        Range(lo).require(hi, "words_per_utterance[1]")  # at least the lower count
         if self.rare_word_rate > 0.0 and not self.rare_words:
             raise ValueError("rare_word_rate > 0 with an empty rare inventory")
         if self.rare_word_rate < 1.0 and not self.common_words:
@@ -75,10 +100,6 @@ class SimConfig:
                 raise ValueError(f"confusable {conf!r} must match the length of {word!r}")
             if conf in taken:
                 raise ValueError(f"confusable {conf!r} collides with an inventory word")
-        if self.state_dim <= 0:
-            raise ValueError("state_dim must be positive")
-        if self.utterance_noise < 0.0:
-            raise ValueError(f"utterance_noise must be non-negative, got {self.utterance_noise}")
 
     def all_words(self) -> list[str]:
         return sorted(set(self.common_words) | set(self.rare_words)
@@ -228,9 +249,15 @@ def check(value, kind, where: str, path: tuple = ()):
     """``value``, parsed from JSON, as the type hint ``kind`` declares it, or ValueError
     naming ``where`` and the path to the part that does not fit.  ``int`` takes no
     float and ``float`` only finite numbers, neither a boolean; ``tuple[X, Y]`` takes a
-    list of that length; a schema (a dict of key -> kind) takes an object that has
-    every key it names, and passes the object's other keys unchecked."""
+    list (or a tuple) of that length; a ``Range`` takes a number in it, and
+    ``Annotated[X, Range(...)]`` an X in it; a schema (a dict of key -> kind) takes an
+    object that has every key it names, and passes the object's other keys unchecked."""
     origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
+    value = value.item() if isinstance(value, np.generic) else value  # numpy's as Python's
+    if origin is typing.Annotated:  # Annotated[X, Range(...)]: an X, then in the range
+        return args[1].require(check(value, args[0], where, path), where, path)
+    if isinstance(kind, Range) and value in kind:
+        return value
     if isinstance(kind, dict) and type(value) is dict:
         value = dict(value)
         for key, inner in kind.items():
@@ -250,13 +277,15 @@ def check(value, kind, where: str, path: tuple = ()):
         return [check(item, args[0], where, (*path, i)) for i, item in enumerate(value)]
     if origin is dict and type(value) is dict:
         return {key: check(item, args[1], where, (*path, key)) for key, item in value.items()}
-    if origin is tuple and type(value) is list and len(value) == len(args):
+    if origin is tuple and type(value) in (list, tuple) and len(value) == len(args):
         return tuple(check(item, arg, where, (*path, i)) for i, (item, arg)
                      in enumerate(zip(value, args)))
     if isinstance(kind, dict):
         what = "a JSON object"
     elif origin is typing.Literal:
         what = " or ".join(map(repr, args))
+    elif isinstance(kind, Range):
+        what = f"in {kind.ends[0]}{kind.lo:g}, {kind.hi:g}{kind.ends[1]}"
     else:  # a tuple is a list of its length
         what = _KINDS.get(origin, f"a list of {len(args)}")
     subject = f"{where}: {'.'.join(map(str, path))!r}" if path else where
@@ -387,9 +416,8 @@ def make_inventories(
     rare initials must stay out of the common alphabet, or common words could
     use up rare ones).
     """
-    if min(n_common, n_rare, n_confused) < 0:
-        raise ValueError("n_common, n_rare and n_confused must be non-negative, got "
-                         f"{n_common}, {n_rare} and {n_confused}")
+    for key, size in (("n_common", n_common), ("n_rare", n_rare), ("n_confused", n_confused)):
+        NON_NEGATIVE.require(size, key)
     if n_confused > n_rare:
         raise ValueError(f"n_confused must be at most n_rare ({n_rare}): cannot confuse more "
                          f"words than the rare inventory holds, got {n_confused}")

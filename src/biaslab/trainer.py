@@ -17,6 +17,7 @@ import csv
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -25,41 +26,25 @@ from .biaslist import require_lists
 from .biastrie import PrefixTree, build_tries
 from .losses import BiasExample, prepare_example
 from .pointer import PgParams, flatten, init_params, unflatten
-from .simulator import SimUtterance, sub_rng
+from .simulator import Count, Range, SimUtterance, Size, check_fields, sub_rng
 from .tokenizer import Vocab
 
 
 @dataclass
 class TrainConfig:
-    mode: str = losses.TWO_LOSS
-    alpha: float = 0.7
-    lr: float = 0.3
-    lr_decay_factor: float = 0.5
-    patience: int = 2
-    epochs: int = 10
-    batch_size: int = 10
-    seed: int = 0
-    embed_dim: int = 16
+    mode: Literal[losses.TWO_LOSS, losses.ASR] = losses.TWO_LOSS
+    alpha: Annotated[float, losses.ALPHA] = 0.7
+    lr: Annotated[float, Range(0, ends="()")] = 0.3
+    lr_decay_factor: Annotated[float, Range(0, 1, "(]")] = 0.5
+    patience: Count = 2
+    epochs: Count = 10
+    batch_size: Count = 10
+    seed: Size = 0
+    embed_dim: Count = 16
     jobs: int = 1  # has no effect; kept so that callers passing it keep working
 
     def validate(self) -> None:
-        if self.mode not in losses.MODES:
-            raise ValueError(f"unknown training mode {self.mode!r}")
-        losses.check_alpha(self.alpha)
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise ValueError("lr_decay_factor must be in (0, 1]")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_fields(self)
 
 
 def prepare_batch(vocab: Vocab, corpus: list[SimUtterance], bias_lists: dict[str, list[str]],
@@ -98,8 +83,8 @@ def train(
 
 def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams, list[dict]]:
     """``train`` on prepared examples: a ``losses.Pack``, or a list that is
-    packed once, at the start of training.  The splits and minibatches take
-    the pack's rows."""
+    packed once, at the start of training, where a bad input raises.  The
+    splits and minibatches take the pack's rows."""
     config.validate()
     if len(examples) < 2:
         raise ValueError("training needs at least two utterances for a dev split")
@@ -115,11 +100,11 @@ def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams,
     best_dev = float("inf")
     epochs_since_improve = 0
     log: list[dict] = []
+    packed = losses.pack(examples)
+    train_set = packed.take(shuffle[:-dev_count])
+    dev_set = packed.take(shuffle[-dev_count:])
 
     try:
-        packed = losses.pack(examples)  # a bad input stops training like a divergence
-        train_set = packed.take(shuffle[:-dev_count])
-        dev_set = packed.take(shuffle[-dev_count:])
         # gradient signal available to the first epoch, before any update
         signal, _ = losses.grad(params, train_set, config.mode, config.alpha)
         for epoch in range(1, config.epochs + 1):

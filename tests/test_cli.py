@@ -125,8 +125,18 @@ def test_train_rejects_negative_seed(workdir, capsys):
     code = run(["train", "--corpus", corpus, "--biaslists", lists, "--seed", "-1",
                 "--epochs", "1", "--out", str(ckpt)])
     assert code == 2
-    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert "seed must be in [0, inf), got -1" in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+def test_make_biaslists_rejects_a_negative_distractor_count(workdir, capsys):
+    tmp_path, sim, commons = workdir
+    corpus, lists = str(tmp_path / "corpus.jsonl"), tmp_path / "lists.jsonl"
+    run(["simulate", "--config", sim, "--out", corpus])
+    assert run(["make-biaslists", "--corpus", corpus, "--common-words", commons,
+                "--n-distractors", "-1", "--out", str(lists)]) == 2
+    assert "--n-distractors must be in [0, inf), got -1" in capsys.readouterr().err
+    assert not lists.exists()
 
 
 def test_training_flags_default_to_train_config(workdir, capsys):
@@ -293,14 +303,15 @@ def test_fd_check_fails_above_tolerance(capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
-    (["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
-    (["--utterances", "0"], "utterance counts must be positive"),
+    (["--alpha", "nan"], "alpha must be a finite number, got nan"),
+    (["--utterances", "0"], "n_utterances must be in [1, inf), got 0"),
     (["--dims", "0,4"], "dimensions must be positive"),
-    (["--tol", "nan"], "--tol must be non-negative and finite, got nan"),
-    (["--tol", "-0.5"], "--tol must be non-negative and finite, got -0.5"),
-    (["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--tol", "nan"], "--tol must be in [0, inf), got nan"),
+    (["--tol", "-0.5"], "--tol must be in [0, inf), got -0.5"),
+    (["--seed", "-1"], "seed must be in [0, inf), got -1"),
+    (["--step", "0.01"], "--step must be in [1e-07, 0.001], got 0.01"),
 ], ids=["alpha-above-1", "alpha-nan", "no-utterances", "zero-dim", "tol-nan", "tol-negative",
-        "negative-seed"])
+        "negative-seed", "step-above-1e-3"])
 def test_fd_check_bad_config_exits_2(capsys, flags, message):
     assert run(["fd-check", "--seed", "11", *flags]) == 2
     captured = capsys.readouterr()
@@ -384,8 +395,10 @@ def test_print_config_echoes_json(workdir):
     (lambda config: config.update(common_words="adeinor"), "'common_words' must be a list"),
     (lambda config: config.update(confusion_map=5), "'confusion_map' must be an object"),
     (lambda config: config.update(state_dim=True), "'state_dim' must be a number"),
+    (lambda config: config.update(words_per_utterance=[0, 4]),
+     "'words_per_utterance.0' must be in [1, inf), got 0"),
 ], ids=["top_level", "inventories", "string_for_a_list", "number_for_an_object",
-        "boolean_for_a_number"])
+        "boolean_for_a_number", "out_of_range"])
 def test_simulate_rejects_unknown_config_keys(workdir, capsys, change, named):
     tmp_path, sim, commons = workdir
     config = json.loads(Path(sim).read_text())
@@ -523,8 +536,8 @@ def test_sweep_rejects_test_corpus_with_reordered_tokens(workdir, capsys):
 
 
 @pytest.mark.parametrize("flags, problem", [(["--alphas", "0.3,1.5"], "alpha"),
-                                            (["--lr", "0"], "learning rate"),
-                                            (["--lr", "nan"], "learning rate"),
+                                            (["--lr", "0"], "lr must be"),
+                                            (["--lr", "nan"], "lr must be"),
                                             (["--seeds", "0,-1"], "seed")],
                          ids=["alpha_out_of_range", "zero_lr", "nan_lr", "negative_seed"])
 def test_sweep_validates_every_cell_before_training(workdir, capsys, flags, problem):

@@ -5,20 +5,27 @@ list, corpus, bias lists, checkpoint, hypotheses), applies one structured
 mutation that makes it invalid, and runs a subcommand that reads it through
 ``cli.main``.  The run must exit 1 or 2 with a message that names the file (or
 the simulator config) and the key or line, and holds no bare Python error text.
+A second test reads every ``Range`` declared on a config field and tries values
+just past its ends, NaN and the infinities, through ``validate`` and ``train``'s
+flags.
 """
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
+import math
 import struct
+import typing
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biaslab.cli import main
-from biaslab.simulator import make_inventories
+from biaslab.simulator import Range, SimConfig, make_inventories
+from biaslab.trainer import TrainConfig
 
 # phrases of Python's own errors: a message holding one does not explain the input
 BARE = ("too many values", "not enough values", "not supported between", "object of type",
@@ -267,3 +274,75 @@ def test_mutated_input_fails_naming_file_and_place(workspace, mutation, data):
     assert config or str(target) in err, (command, err)
     assert any(place in err for place in names), (command, names, err)
     assert not [phrase for phrase in BARE if phrase in err], (command, err)
+
+
+def ranged_positions(cls):
+    """(field, tuple index or None, base type, Range) for every range ``cls`` declares
+    on a field, or on an item of a tuple field."""
+    found = []
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        items = typing.get_args(hint) if typing.get_origin(hint) is tuple else (hint,)
+        for i, item in enumerate(items):
+            for bound in getattr(item, "__metadata__", ()):
+                found.append((name, i if item is not hint else None, item.__origin__, bound))
+    return found
+
+
+def past_ends(base, bound: Range):
+    """The values just outside ``bound``'s finite ends, then NaN and the infinities."""
+    values = []
+    for end, side, bracket in ((bound.lo, -1, bound.ends[0]), (bound.hi, 1, bound.ends[1])):
+        if math.isfinite(end):
+            closed = bracket in "[]"
+            values.append(end + side if closed and base is int else
+                          math.nextafter(end, side * math.inf) if closed else end)
+    return values + [math.nan, math.inf, -math.inf]
+
+
+def base_config(cls):
+    if cls is TrainConfig:
+        return TrainConfig()
+    common, rare, confusion = make_inventories(8, 4, 2, seed=1)
+    return SimConfig(seed=1, n_utterances=4, words_per_utterance=(2, 4), common_words=common,
+                     rare_words=rare, rare_word_rate=0.3, confusion_map=confusion)
+
+
+RANGED = [(cls, *position) for cls in (SimConfig, TrainConfig)
+          for position in ranged_positions(cls)]
+
+
+@pytest.mark.parametrize("cls, name, index, base, bound", RANGED,
+                         ids=[f"{cls.__name__}.{name}{'' if index is None else f'.{index}'}"
+                              for cls, name, index, _, _ in RANGED])
+def test_every_declared_range_rejects_values_past_its_ends(tmp_path, cls, name, index, base,
+                                                           bound):
+    config = base_config(cls)
+    config.validate()
+    flag = "lr-decay" if name == "lr_decay_factor" else name.replace("_", "-")
+    files = [tmp_path / "corpus.jsonl", tmp_path / "lists.jsonl"]
+    for path in files:
+        path.touch()  # train checks its config before it reads a file
+    for value in past_ends(base, bound):
+        if index is not None:
+            value = tuple(value if i == index else item
+                          for i, item in enumerate(getattr(config, name)))
+        with pytest.raises(ValueError, match=f"^{name}"):
+            dataclasses.replace(config, **{name: value}).validate()
+        if cls is TrainConfig:  # every ranged field of it has a train flag
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(["train", "--corpus", str(files[0]), "--biaslists",
+                                 str(files[1]), "--out", str(tmp_path / "ckpt.bin"),
+                                 f"--{flag}={value!r}"])
+                except SystemExit as exc:  # argparse: a value its type does not parse
+                    code = exc.code
+            assert code == 2 and (name in err.getvalue() or f"--{flag}" in err.getvalue()), \
+                (name, value, err.getvalue())
+
+
+def test_every_declared_range_is_tried():
+    assert {name for _, name, *_ in RANGED} == {
+        "seed", "n_utterances", "words_per_utterance", "rare_word_rate", "base_accuracy_common",
+        "base_accuracy_rare", "state_dim", "domain_shift", "utterance_noise", "alpha", "lr",
+        "lr_decay_factor", "patience", "epochs", "batch_size", "embed_dim"}

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import types
+import typing
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from biaslab.losses import (
 )
 from biaslab.pointer import flatten, forward_step, init_params, interpolate, unflatten
 from biaslab.tokenizer import build_vocab, tokenize
+from biaslab.trainer import TrainConfig
 
 
 def small_world():
@@ -365,7 +367,7 @@ def test_fd_check_detects_coarse_steps():
     fine = fd_check(params, batch, "two_loss", 0.7, 1e-5)
     coarse = fd_check(params, batch, "two_loss", 0.7, 1e-3)
     assert coarse > fine
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"step must be in \[1e-07, 0.001\], got 0.01"):
         fd_check(params, batch, "two_loss", 0.7, 1e-2)
 
 
@@ -588,6 +590,11 @@ def test_fd_check_raises_on_bad_parameters_and_inputs(corrupt):
     if corrupt is not _nan_parameter:  # a bad input is rejected when the batch is packed
         with pytest.raises(ValueError, match=message):
             losses.pack(batch)
+
+
+def test_kernel_checks_alpha_against_the_range_on_train_config_alpha():
+    hint = typing.get_type_hints(TrainConfig, include_extras=True)["alpha"]
+    assert hint.__metadata__ == (losses.ALPHA,) and hint.__metadata__[0] is losses.ALPHA
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])

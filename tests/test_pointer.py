@@ -237,7 +237,7 @@ def test_checkpoint_in_another_order_rejected(tmp_path):
 @pytest.mark.parametrize("name, dims, problem", [
     ("token_embed", [6.0, 3], "'shapes.token_embed.0' must be a number written as an integer"),
     ("b_gate", [True], "'shapes.b_gate.0' must be a number written as an integer"),
-    ("token_embed", [-6, 3], r"token_embed \(-6, 3\).*no dimension negative"),
+    ("token_embed", [-6, 3], r"'shapes.token_embed.0' must be in \[0, inf\), got -6"),
     ("token_embed", [10**12, 3], "truncated checkpoint"),  # found before reading 24 TB
 ], ids=["non-integer", "boolean", "negative", "larger_than_the_file"])
 def test_checkpoint_header_with_a_bad_dimension_names_file_and_parameter(tmp_path, name, dims,

@@ -7,7 +7,11 @@ import pytest
 
 from biaslab import simulator
 from biaslab.simulator import (
+    Count,
+    Range,
+    Share,
     SimConfig,
+    Size,
     build_sim_vocab,
     check,
     gen_corpus,
@@ -146,13 +150,13 @@ def test_confusable_length_mismatch_rejected():
 
 
 def test_negative_utterance_noise_rejected():
-    with pytest.raises(ValueError, match="utterance_noise must be non-negative, got -0.1"):
+    with pytest.raises(ValueError, match=r"utterance_noise must be in \[0, inf\), got -0.1"):
         toy_config(utterance_noise=-0.1).validate()
 
 
 @pytest.mark.parametrize("sizes", [(-1, 8, 4), (12, -8, 0)], ids=["common", "rare"])
 def test_negative_inventory_size_rejected(sizes):
-    with pytest.raises(ValueError, match="n_common, n_rare and n_confused must be non-negative"):
+    with pytest.raises(ValueError, match=r"n_(common|rare) must be in \[0, inf\), got -\d"):
         make_inventories(*sizes, seed=50)
 
 
@@ -262,7 +266,10 @@ def test_utterance_line_that_is_not_json_is_named(tmp_path):
     (3, int, 3), (3, float, 3.0), (0.5, float, 0.5), ([2, 4], tuple[int, int], (2, 4)),
     ({"a": "b"}, dict[str, str], {"a": "b"}), ("meta", typing.Literal["meta"], "meta"),
     ([[0, 1.0, True, 3]], list[tuple[int, float, bool, int]], [(0, 1.0, True, 3)]),
-], ids=["int", "int_as_float", "float", "tuple", "dict", "literal", "trace"])
+    ((2, 4), tuple[Count, Count], (2, 4)), (np.float64(0.25), Share, 0.25),
+    (np.int64(7), Size, 7),
+], ids=["int", "int_as_float", "float", "tuple", "dict", "literal", "trace", "tuple_of_counts",
+        "numpy_float", "numpy_int"])
 def test_check_reads_each_declared_kind(value, kind, read):
     got = check(value, kind, "f")
     assert got == read and type(got) is type(read)
@@ -280,8 +287,13 @@ def test_check_reads_each_declared_kind(value, kind, read):
     (["x", 7], list[str], "'k.1' must be a string, got 7"),
     (2, typing.Literal[1], "'k' must be 1, got 2"),
     ({"b": {}}, {"b": {"c": int}}, "f lacks key 'k.b.c'"),
+    ([2, 0], tuple[Count, Count], "'k.1' must be in [1, inf), got 0"),
+    (1.5, Share, "'k' must be in [0, 1], got 1.5"),
+    (2.5, Count, "'k' must be a number written as an integer, got 2.5"),
+    (float("nan"), Range(0, 1, "()"), "'k' must be in (0, 1), got nan"),
 ], ids=["bool_for_int", "float_for_int", "integral_float_for_int", "bool_for_float", "nan",
-        "past_the_float_range", "long_tuple", "dict_value", "list_item", "literal", "nested_key"])
+        "past_the_float_range", "long_tuple", "dict_value", "list_item", "literal", "nested_key",
+        "count_below_1", "share_above_1", "float_for_a_count", "nan_outside_a_range"])
 def test_check_names_the_part_that_does_not_fit(value, kind, problem):
     with pytest.raises(ValueError) as caught:
         check(value, kind, "f", ("k",))

@@ -19,7 +19,7 @@ def small_setup(seed=3, n=80):
     "field,value",
     [("epochs", 0), ("lr", 0.0), ("lr", -0.1), ("lr", math.nan), ("lr", math.inf),
      ("batch_size", 0),
-     ("alpha", 1.5), ("alpha", 0.0), ("mode", "wer"), ("patience", 0)],
+     ("alpha", 1.5), ("alpha", 0.0), ("mode", "wer"), ("patience", 0), ("epochs", 2.5)],
 )
 def test_config_validation(field, value):
     config = TrainConfig(**{field: value})
@@ -104,15 +104,12 @@ def test_plateau_decays_learning_rate():
         assert min(rates) <= 30.0
 
 
-@pytest.mark.filterwarnings("error")
-def test_divergence_aborts_with_finite_snapshot():
-    vocab, corpus, lists = small_setup(n=40)
-    corpus[0].h_dec_seq[0, 0] = np.inf  # poisons the gradients mid-epoch
-    config = TrainConfig(epochs=4, seed=2)
-    params, log = train(corpus, lists, vocab, config)
-    assert math.isfinite(params.b_gate)
-    assert np.all(np.isfinite(params.token_embed))
-    assert log == []
+def test_non_finite_input_raises_naming_the_utterance():
+    vocab, corpus, lists = small_setup(n=60)
+    corpus[7].h_dec_seq[2, 0] = np.nan
+    with pytest.raises(losses.DivergenceError,
+                       match=f"^non-finite input on utterance {corpus[7].utt_id}$"):
+        train(corpus, lists, vocab, TrainConfig(epochs=4, seed=2))
 
 
 def _diverge_on_call(monkeypatch, name, call, how):
