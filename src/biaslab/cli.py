@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a corpus file (JSON-lines, meta line first)")
     p.add_argument("--config", required=True, help="simulator config JSON")
     p.add_argument("--out", required=True)
-    p.add_argument("--condition", choices=("train", "test"), default="train")
+    p.add_argument("--condition", choices=simulator.CONDITIONS, default="train")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--write-common", default=None,
                    help="also write the resolved common-word list (one word per line)")
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.1,0.3,0.5,0.7")
     p.add_argument("--seeds", default="0")
     _add_train_flags(p, "epochs", "lr", "batch-size", "embed-dim")
-    p.add_argument("--decode-mode", choices=("scaled", "unscaled"), default="unscaled")
+    p.add_argument("--decode-mode", choices=pointer.INTERPOLATION_MODES, default="unscaled")
     p.add_argument("--out", required=True, help="sweep CSV path")
     _add_jobs(p)
     p.set_defaults(handler=cmd_sweep_alpha)

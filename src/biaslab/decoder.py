@@ -19,18 +19,18 @@ with the reference (a documented desk-scale simplification).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
-from . import metrics
+from . import biaslist, metrics
 from .biastrie import PrefixTree
 from .losses import bias_positions
-from .pointer import PgParams, bias_step, check_fit, mix, state_terms
-from .simulator import Share, SimUtterance, read_records, write_records
+from .pointer import INTERPOLATION_MODES, PgParams, bias_step, check_fit, mix, state_terms
+from .simulator import Share, SimUtterance, check, off_simplex, read_records, write_records
 from .tokenizer import Vocab, detokenize
 
-DECODE_MODES = ("none", "scaled", "unscaled")
+DECODE_MODES = ("none", *INTERPOLATION_MODES)
 
 
 class GateTraceEntry(NamedTuple):
@@ -54,11 +54,12 @@ def greedy_decode(
     the step that reads it is reached.
     """
     if mode not in DECODE_MODES:
-        raise ValueError(f"unknown decode mode {mode!r}")
+        check(mode, Literal[DECODE_MODES], "mode")
     if mode != "none" and (params is None or tree is None):
         raise ValueError("biased decoding needs module parameters and a bias trie")
     steps = utt.ref.size
     rows = np.asarray(utt.p_mdl_seq, dtype=np.float64)[:steps]
+    off = off_simplex(rows).tolist()
     if mode != "none":
         check_fit(params, utt.utt_id, utt.p_mdl_seq, utt.h_dec_seq)
         h = np.asarray(utt.h_dec_seq, dtype=np.float64)[:steps]
@@ -66,20 +67,19 @@ def greedy_decode(
         # a non-finite row raises when its step is reached; until then it is zeroed
         terms = state_terms(params, np.where(finite[:, None], h, 0.0))
         finite = finite.tolist()
-        off_simplex = (np.abs(rows.sum(axis=1) - 1.0) > 1e-9).tolist()
     emitted_ids: list[int] = []
     trace: list[GateTraceEntry] = []
     node = 0  # the trie root: no partial bias word
     for i in range(steps):
         row = rows[i]
+        if off[i]:
+            off_simplex(row, "base-model row")
         if mode == "none":
             emitted = int(np.argmax(row))
             trace.append(GateTraceEntry(i, 0.0, False, emitted))
         else:
             if not finite[i]:
                 raise ValueError("non-finite decoder state")
-            if off_simplex[i]:
-                raise ValueError("base-model row does not sum to 1")
             valid, members = tree.valid(node)
             p_gen = 0.0
             if valid:
@@ -120,14 +120,16 @@ def score_corpus(
 ) -> tuple[metrics.ScoreReport, list[dict]]:
     """Align each utterance's decoded words with its reference and pool the
     counts and gate traces with ``metrics.score``; returns the report and
-    the per-utterance breakdown.  Every utterance needs a hypothesis."""
+    the per-utterance breakdown.  Every utterance needs a bias list and a
+    hypothesis; bias words match whatever their case, as in training."""
+    lists = biaslist.require_lists([u.utt_id for u in corpus], lists)
     missing = [u.utt_id for u in corpus if u.utt_id not in decoded]
     if missing:
         raise ValueError(f"hypotheses missing for utterances: {missing[:5]}")
     alignments, wordsets, traces, masks = [], [], [], []
     for utt in corpus:
         hyp_words, trace = decoded[utt.utt_id]
-        words = set(lists[utt.utt_id])
+        words = {word.lower() for word in lists[utt.utt_id]}
         alignments.append(metrics.align(utt.ref_words, hyp_words))
         wordsets.append(words)
         traces.append(trace)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 
 from .biastrie import PrefixTree
 from .metrics import gate_counts
 from .pointer import PgParams, StepOutput, check_fit, flatten, sigmoid, state_terms, unflatten
-from .simulator import Range
+from .simulator import Range, check, off_simplex
 from .tokenizer import TokenizedUtterance, Vocab
 
 LOG_FLOOR = 1e-12
@@ -124,8 +125,7 @@ def loss_asr(p_seq: np.ndarray, ref: TokenizedUtterance) -> float:
     p_seq = np.asarray(p_seq, dtype=np.float64)
     if p_seq.shape[0] != ref.size:
         raise ValueError("probability rows do not match the reference length")
-    if np.any(np.abs(p_seq.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("probability rows must sum to 1")
+    off_simplex(p_seq, "probability rows")
     return float(-np.sum(_floored_log(p_seq[np.arange(ref.size), list(ref.tokens)])))
 
 
@@ -157,11 +157,7 @@ def loss_ptr(step_outputs: list[StepOutput], ref: TokenizedUtterance, mask: Bias
 
 
 def _mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
-    if mode == TWO_LOSS:
-        return l_gen + l_ptr
-    if mode == ASR:
-        return l_asr
-    raise ValueError(f"unknown loss mode {mode!r}")
+    return l_gen + l_ptr if mode == TWO_LOSS else l_asr
 
 
 # Utterances per kernel group.  A pass holds (utterances, positions,
@@ -445,7 +441,8 @@ def teacher_forced(
     ``DivergenceError`` on non-finite parameters or inputs (before
     computing anything) and on a non-finite gradient.
     """
-    _mode_total(mode, 0.0, 0.0, 0.0)
+    if mode not in MODES:
+        check(mode, Literal[MODES], "mode")
     ALPHA.require(alpha, "alpha")
     base = flatten(params)
     if not np.isfinite(base).all():

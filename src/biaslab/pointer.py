@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import Size, check
+from .simulator import Count, Size, check, off_simplex
 
 # Untrained biasing must be inert: at sigmoid(-9) ~ 1.2e-4 the gate passes
 # essentially nothing through, and every gradient path of the recognizer's
 # own cross-entropy (which scales with the gate) starts correspondingly dead.
 GATE_BIAS_INIT = -9.0
+INTERPOLATION_MODES = ("scaled", "unscaled")  # see ``interpolate``
 
 
 def sigmoid(x: float | np.ndarray) -> float | np.ndarray:
@@ -133,8 +134,8 @@ class StepOutput:
 
 def init_params(seed: int, vocab_size: int, embed_dim: int, state_dim: int) -> PgParams:
     """Seeded uniform init on [-s, s] with s = 1/sqrt(fan-in); gate bias GATE_BIAS_INIT (-9)."""
-    if min(vocab_size, embed_dim, state_dim) <= 0:
-        raise ValueError("dimensions must be positive")
+    for name, size in dict(vocab_size=vocab_size, embed_dim=embed_dim, state_dim=state_dim).items():
+        check(size, Count, name)
     rng = np.random.default_rng(seed)
     s_embed = 1.0 / np.sqrt(embed_dim)
     s_query = 1.0 / np.sqrt(state_dim)
@@ -210,8 +211,6 @@ def mix(
 ) -> np.ndarray:
     """Scores of ``interpolate`` from the bias weights over ``members`` alone;
     the two modes differ only outside the valid set."""
-    if mode not in ("scaled", "unscaled"):
-        raise ValueError(f"unknown interpolation mode {mode!r}")
     scores = p_mdl * (1.0 - p_gen) if mode == "scaled" else p_mdl.copy()
     scores[members] = p_mdl[members] * (1.0 - p_gen) + weights * p_gen
     return scores
@@ -225,13 +224,14 @@ def interpolate(p_mdl: np.ndarray, step: StepOutput, mode: str) -> np.ndarray:
     it at their base-model probability; the result is an unnormalized score
     vector meant for argmax decoding only.
     """
+    if mode not in INTERPOLATION_MODES:
+        check(mode, typing.Literal[INTERPOLATION_MODES], "mode")
     p_mdl = np.asarray(p_mdl, dtype=np.float64)
     if p_mdl.shape != step.p_ptr.shape:
         raise ValueError(
             f"length mismatch: base model {p_mdl.shape[0]} vs module {step.p_ptr.shape[0]}"
         )
-    if abs(p_mdl.sum() - 1.0) > 1e-9:
-        raise ValueError("base-model row does not sum to 1")
+    off_simplex(p_mdl, "base-model row")
     members = np.asarray(step.valid, dtype=np.intp)
     return mix(p_mdl, members, step.p_ptr[members], step.p_gen, mode)
 

@@ -28,6 +28,7 @@ from .tokenizer import TokenizedUtterance, Vocab, build_vocab, tokenize, tokeniz
 
 CORPUS_FORMAT_VERSION = 1
 SIZE_WARNING_THRESHOLD = 10_000
+CONDITIONS = ("train", "test")  # the decoder-state noise a corpus is rendered under
 
 
 def sub_rng(*parts) -> np.random.Generator:
@@ -202,8 +203,7 @@ def _render_utterance(
 def gen_corpus(config: SimConfig, condition: str = "train") -> list[SimUtterance]:
     """Generate the full corpus; deterministic given the config seed."""
     config.validate()
-    if condition not in ("train", "test"):
-        raise ValueError(f"unknown condition {condition!r}")
+    check(condition, typing.Literal[CONDITIONS], "condition")
     vocab = build_sim_vocab(config)
     patterns = _token_patterns(config, vocab)
     return [
@@ -216,8 +216,7 @@ def render_condition(
     corpus: list[SimUtterance], condition: str, config: SimConfig
 ) -> list[SimUtterance]:
     """Re-render decoder states for a condition; references stay identical."""
-    if condition not in ("train", "test"):
-        raise ValueError(f"unknown condition {condition!r}")
+    check(condition, typing.Literal[CONDITIONS], "condition")
     vocab = build_sim_vocab(config)
     patterns = _token_patterns(config, vocab)
     return [
@@ -340,6 +339,14 @@ def write_corpus(
     write_records(path, itertools.chain([meta], utterances))
 
 
+def off_simplex(rows: np.ndarray, where: str | None = None) -> np.ndarray:
+    """Flags rows (last axis) whose sum misses 1 by over 1e-9; given ``where``, raises on any."""
+    off = ~(np.abs(np.sum(rows, axis=-1) - 1.0) <= 1e-9)  # a NaN sum is off too
+    if where is not None and off.any():
+        raise ValueError(f"{where} must sum to 1, got {float(rows[off][0].sum())!r}")
+    return off
+
+
 def _rows(values, shape: tuple[int, int], what: str) -> np.ndarray:
     """A float64 array of exactly ``shape`` with finite entries, or a
     ValueError that names ``what``."""
@@ -377,8 +384,7 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
             p_mdl = _rows(record["p_mdl_seq"], (ref.size, vocab.size), "model rows 'p_mdl_seq'")
             h_dec = _rows(record["h_dec_seq"], (ref.size, meta["state_dim"]),
                           "decoder states 'h_dec_seq'")
-            if np.any(np.abs(p_mdl.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("model rows 'p_mdl_seq' do not sum to 1")
+            off_simplex(p_mdl, "model rows 'p_mdl_seq'")
         except ValueError as exc:
             raise ValueError(f"{path}: utterance {record['id']}: {exc}") from None
         corpus.append(

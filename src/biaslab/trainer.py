@@ -32,7 +32,7 @@ from .tokenizer import Vocab
 
 @dataclass
 class TrainConfig:
-    mode: Literal[losses.TWO_LOSS, losses.ASR] = losses.TWO_LOSS
+    mode: Literal[losses.MODES] = losses.TWO_LOSS
     alpha: Annotated[float, losses.ALPHA] = 0.7
     lr: Annotated[float, Range(0, ends="()")] = 0.3
     lr_decay_factor: Annotated[float, Range(0, 1, "(]")] = 0.5

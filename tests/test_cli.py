@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -7,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from biaslab import simulator, trainer
+from biaslab import decoder, losses, pointer, simulator, trainer
 from biaslab.biaslist import read_bias_lists
-from biaslab.cli import main
+from biaslab.cli import build_parser, main
 from biaslab.pointer import init_params, load_params, save_params
 from biaslab.simulator import SimConfig, make_inventories, read_corpus
 from biaslab.trainer import TrainConfig
@@ -305,7 +306,7 @@ def test_fd_check_fails_above_tolerance(capsys):
     (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
     (["--alpha", "nan"], "alpha must be a finite number, got nan"),
     (["--utterances", "0"], "n_utterances must be in [1, inf), got 0"),
-    (["--dims", "0,4"], "dimensions must be positive"),
+    (["--dims", "0,4"], "embed_dim must be in [1, inf), got 0"),
     (["--tol", "nan"], "--tol must be in [0, inf), got nan"),
     (["--tol", "-0.5"], "--tol must be in [0, inf), got -0.5"),
     (["--seed", "-1"], "seed must be in [0, inf), got -1"),
@@ -567,6 +568,22 @@ FLAGS = {
                    "--seeds --epochs --lr --batch-size --embed-dim --decode-mode --out",
     "fd-check": "--seed --dims --utterances --alpha --mode --step --tol",
 }
+
+
+def test_every_choices_flag_offers_its_declared_tuple():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    offered = {(command, action.dest): tuple(action.choices)
+               for command, sub in commands.items() for action in sub._actions
+               if action.choices is not None}
+    assert offered == {
+        ("simulate", "condition"): simulator.CONDITIONS,
+        ("train", "mode"): losses.MODES,
+        ("decode", "mode"): decoder.DECODE_MODES,
+        ("sweep-alpha", "decode_mode"): pointer.INTERPOLATION_MODES,
+        ("fd-check", "mode"): (*losses.MODES, "both"),
+    }
+    assert decoder.DECODE_MODES == ("none", *pointer.INTERPOLATION_MODES)
 
 
 def test_help_of_every_subcommand_lists_its_pinned_flags(capsys):

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biaslab.biastrie import build_trie
-from biaslab.decoder import decode_corpus, greedy_decode, read_hypotheses, write_hypotheses
+from biaslab.biaslist import build_lists
+from biaslab.biastrie import build_trie, build_tries
+from biaslab.decoder import (
+    decode_corpus,
+    greedy_decode,
+    read_hypotheses,
+    score_corpus,
+    write_hypotheses,
+)
 from biaslab.pointer import forward_step, init_params, interpolate
 from biaslab.simulator import SimConfig, build_sim_vocab, gen_corpus, make_inventories
 from biaslab.tokenizer import detokenize
@@ -130,7 +137,7 @@ def test_unknown_mode_rejected():
     config = perfect_config()
     vocab = build_sim_vocab(config)
     utt = gen_corpus(config)[0]
-    with pytest.raises(ValueError, match="unknown decode mode"):
+    with pytest.raises(ValueError, match="mode must be 'none' or 'scaled' or 'unscaled', got 'beam'"):
         greedy_decode(utt, vocab, mode="beam")
     with pytest.raises(ValueError, match="needs module parameters"):
         greedy_decode(utt, vocab, mode="scaled")
@@ -290,7 +297,7 @@ def test_bad_rows_after_eos_never_read():
     h[stop + 1:] = np.nan
     rows[stop + 1:] = 0.5  # off the simplex
     broken = dataclasses.replace(early, h_dec_seq=h, p_mdl_seq=rows)
-    for mode in ("scaled", "unscaled"):
+    for mode in ("none", "scaled", "unscaled"):
         hyp, trace = greedy_decode(broken, vocab, params, tree, mode)
         assert (hyp, trace) == greedy_decode(early, vocab, params, tree, mode)
         assert len(trace) == stop + 1 and trace[-1].emitted == vocab.eos_id
@@ -305,10 +312,38 @@ def test_bad_row_raises_when_its_step_is_reached():
     h[1, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite decoder state"):
         greedy_decode(dataclasses.replace(utt, h_dec_seq=h), vocab, params, tree, "scaled")
-    rows = utt.p_mdl_seq.copy()
-    rows[1] *= 0.5
-    with pytest.raises(ValueError, match="does not sum to 1"):
-        greedy_decode(dataclasses.replace(utt, p_mdl_seq=rows), vocab, params, tree, "unscaled")
+    for bad, shown in [(0.5, r"0\.5"), (np.nan, "nan")]:  # the row's entries scaled by ``bad``
+        rows = utt.p_mdl_seq.copy()
+        rows[1] *= bad
+        for mode in ("none", "unscaled"):  # unbiased decoding reads the row too
+            with pytest.raises(ValueError, match=rf"base-model row must sum to 1, got {shown}"):
+                greedy_decode(dataclasses.replace(utt, p_mdl_seq=rows), vocab, params, tree, mode)
+
+
+def scored_setup():
+    """A confused corpus decoded with the gate wide open, so that bias words are
+    both scored and gated, and its lowercase bias lists."""
+    config, vocab, corpus = confused_setup(5, n_utterances=8)
+    lists = build_lists(corpus, set(config.common_words), 2, 0)
+    params = init_params(5, vocab.size, 4, config.state_dim)
+    params.b_gate = 40.0
+    return corpus, lists, decode_corpus(corpus, vocab, params, build_tries(vocab, lists), "scaled")
+
+
+def test_score_matches_bias_words_in_any_case():
+    corpus, lists, decoded = scored_setup()
+    report, breakdown = score_corpus(corpus, lists, decoded)
+    assert report.counts["ref_bias_words"] > 0 and report.tar > 0.0
+    capitalized = {utt_id: [word.capitalize() for word in words] for utt_id, words in lists.items()}
+    assert score_corpus(corpus, capitalized, decoded) == (report, breakdown)
+
+
+def test_score_names_an_utterance_without_a_bias_list():
+    corpus, lists, decoded = scored_setup()
+    del lists[corpus[0].utt_id]
+    with pytest.raises(ValueError) as caught:
+        score_corpus(corpus, lists, decoded)
+    assert str(caught.value) == f"no bias list for utterances: [{corpus[0].utt_id!r}]"
 
 
 @pytest.mark.parametrize("vocab_delta, state_delta", [(-3, 0), (0, 2)])

@@ -230,6 +230,19 @@ def test_prepare_example_rejects_rows_and_states_that_do_not_fit(rows, states):
     assert f"{p_mdl.shape}" in str(caught.value) and f"{h_seq.shape}" in str(caught.value)
 
 
+@pytest.mark.parametrize("call", [
+    lambda params, batch: evaluate(params, batch, "cross_entropy", 0.7),
+    lambda params, batch: grad(params, batch, "cross_entropy", 0.7),
+    lambda params, batch: fd_check(params, batch, "cross_entropy", 0.7),
+    lambda params, batch: TrainConfig(mode="cross_entropy").validate(),
+], ids=["evaluate", "grad", "fd_check", "train_config"])
+def test_unknown_loss_mode_rejected_by_the_choice_rule(call):
+    params, batch, _ = make_check_setup(3)
+    with pytest.raises(ValueError) as caught:
+        call(params, batch)
+    assert str(caught.value) == "mode must be 'two_loss' or 'asr', got 'cross_entropy'"
+
+
 @pytest.mark.parametrize("alone", [True, False], ids=["alone", "in_a_group"])
 def test_kernel_rejects_states_that_do_not_fit_the_module(alone):
     params, batch, _ = make_check_setup(3, n_utterances=3)

@@ -51,8 +51,16 @@ def test_init_bounds_follow_fan_in():
 
 
 def test_init_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        init_params(0, 0, 4, 6)
+    """Each dimension is a ``simulator.Count``, checked with the range rule's message."""
+    for dims, message in [
+        ((0, 4, 6), "vocab_size must be in [1, inf), got 0"),
+        ((8, 0, 6), "embed_dim must be in [1, inf), got 0"),
+        ((8, 4, -1), "state_dim must be in [1, inf), got -1"),
+        ((8, 2.5, 6), "embed_dim must be a number written as an integer, got 2.5"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            init_params(0, *dims)
+        assert str(caught.value) == message
 
 
 def test_forward_empty_valid_set():
@@ -156,6 +164,13 @@ def test_interpolate_length_mismatch():
     step = make_step([0.0, 1.0, 0.0], 0.5, [1])
     with pytest.raises(ValueError, match="length mismatch"):
         interpolate(np.array([0.5, 0.5]), step, "scaled")
+
+
+def test_interpolate_rejects_an_unknown_mode():
+    step = make_step([0.0, 1.0, 0.0], 0.5, [1])
+    with pytest.raises(ValueError) as caught:
+        interpolate(np.array([0.5, 0.3, 0.2]), step, "none")
+    assert str(caught.value) == "mode must be 'scaled' or 'unscaled', got 'none'"
 
 
 def test_interpolate_rejects_unnormalized_base():

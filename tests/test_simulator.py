@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import typing
 from pathlib import Path
@@ -6,6 +7,10 @@ import numpy as np
 import pytest
 
 from biaslab import simulator
+from biaslab.biastrie import build_trie
+from biaslab.decoder import greedy_decode
+from biaslab.losses import loss_asr
+from biaslab.pointer import forward_step, init_params, interpolate
 from biaslab.simulator import (
     Count,
     Range,
@@ -212,6 +217,51 @@ def test_malformed_rows_rejected_naming_file_and_utterance(tmp_path, change, pro
     with pytest.raises(ValueError, match=problem) as caught:
         read_corpus(path)
     assert path in str(caught.value) and record["id"] in str(caught.value)
+
+
+def _write_and_read(tmp_path, config, vocab, utt):
+    path = str(tmp_path / "corpus.jsonl")
+    write_corpus(path, [utt], vocab, config.seed, "train")
+    read_corpus(path)
+
+
+def _decode(tmp_path, config, vocab, utt):
+    params = init_params(0, vocab.size, 4, config.state_dim)
+    greedy_decode(utt, vocab, params, build_trie(vocab, config.rare_words), "scaled")
+
+
+def _interpolate(tmp_path, config, vocab, utt):
+    params = init_params(0, vocab.size, 4, config.state_dim)
+    interpolate(utt.p_mdl_seq[0], forward_step(params, utt.h_dec_seq[0], []), "unscaled")
+
+
+def _loss_asr(tmp_path, config, vocab, utt):
+    loss_asr(utt.p_mdl_seq, utt.ref)
+
+
+@pytest.mark.parametrize("reader", [_write_and_read, _decode, _interpolate, _loss_asr],
+                         ids=["read_corpus", "greedy_decode", "interpolate", "loss_asr"])
+def test_an_off_simplex_row_is_rejected_in_one_wording(tmp_path, reader):
+    """The same base-model row, summing to 0.5, fails every reader with the one
+    message of ``simulator.off_simplex``."""
+    config = toy_config()
+    vocab = build_sim_vocab(config)
+    utt = gen_corpus(config)[0]
+    rows = utt.p_mdl_seq.copy()
+    rows[0] = 0.0
+    rows[0, 1] = 0.5
+    with pytest.raises(ValueError, match=r"must sum to 1, got 0\.5$"):
+        reader(tmp_path, config, vocab, dataclasses.replace(utt, p_mdl_seq=rows))
+
+
+@pytest.mark.parametrize("render", [
+    lambda config: gen_corpus(config, "dev"),
+    lambda config: render_condition(gen_corpus(config), "dev", config),
+], ids=["gen_corpus", "render_condition"])
+def test_unknown_condition_rejected_by_the_choice_rule(render):
+    with pytest.raises(ValueError) as caught:
+        render(toy_config())
+    assert str(caught.value) == "condition must be 'train' or 'test', got 'dev'"
 
 
 def test_meta_line_without_state_dim_rejected(tmp_path):
