@@ -9,9 +9,11 @@ root can step; after a plain token only the active node can.  So at most one
 partial word is ever under way, and the tokens that may continue a bias word
 next are the root's children plus the active node's children.
 
-Each node's valid set is memoized inside the tree on first use; the memo
-lives and dies with the tree.  A corpus's tries are built in one
-``build_tries`` call, which tokenizes each distinct word once.
+Each node's valid set is memoized in the tree on first use, as a sorted tuple
+(``members``) and with it as a bool row over the vocabulary (``valid``, the
+mask of ``pointer.masked_forward``); the memos live and die with the tree.
+Bias words' token ids are memoized on the vocabulary, so each distinct word
+is tokenized once per vocabulary.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .tokenizer import Vocab, tokenize_word
 
 
 class PrefixTree:
-    """Token trie of the given token sequences (bias words); immutable once built."""
+    """Token trie of bias words' token sequences over ``vocab_size`` tokens; immutable."""
 
-    def __init__(self, sequences):
+    def __init__(self, sequences, vocab_size: int):
         self._children = children = [{}]
         for ids in sequences:
             node = 0
@@ -32,16 +34,24 @@ class PrefixTree:
                 node = children[node].setdefault(tid, len(children))
                 if node == len(children):  # a new node
                     children.append({})
+        self._vocab_size = vocab_size
+        self._members: dict[int, tuple[int, ...]] = {}
         self._valid: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
 
+    def members(self, node: int) -> tuple[int, ...]:
+        """Tokens that may extend some bias word at ``node``, sorted."""
+        if node not in self._members:
+            self._members[node] = tuple(sorted({*self._children[0], *self._children[node]}))
+        return self._members[node]
+
     def valid(self, node: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Tokens that may extend some bias word at ``node``, sorted, as a
-        tuple and as an index array."""
-        found = self._valid.get(node)
-        if found is None:
-            members = tuple(sorted({*self._children[0], *self._children[node]}))
-            found = self._valid[node] = (members, np.array(members, dtype=np.intp))
-        return found
+        """``members(node)``, and the same set as a bool row over the vocabulary;
+        a memo of its own, so that a teacher-forced walk builds no row."""
+        if node not in self._valid:
+            row = np.zeros(self._vocab_size, dtype=bool)
+            row.put(self.members(node), True)
+            self._valid[node] = (self.members(node), row)
+        return self._valid[node]
 
     def advance(self, node: int, emitted: int) -> int:
         """The node after ``emitted``.  A reached node is kept only if it has
@@ -53,28 +63,30 @@ class PrefixTree:
         return reached if reached and children[reached] else 0
 
 
-def _word_ids(vocab: Vocab, word: str) -> list[int]:
-    try:
-        return tokenize_word(vocab, word.lower())
-    except ValueError as exc:
-        raise ValueError(f"bias word {word!r} is not tokenizable: {exc}") from None
+def _word_ids(vocab: Vocab, word: str) -> tuple[int, ...]:
+    """``word``'s token ids, lowercased; memoized on ``vocab`` unless untokenizable."""
+    memo = vars(vocab).setdefault("_bias_word_ids", {})
+    ids = memo.get(word)
+    if ids is None:
+        try:
+            ids = memo[word] = tuple(tokenize_word(vocab, word.lower()))
+        except ValueError as exc:
+            raise ValueError(f"bias word {word!r} is not tokenizable: {exc}") from None
+    return ids
 
 
 def build_trie(vocab: Vocab, bias_words: list[str]) -> PrefixTree:
     """Compile a bias word list into a prefix tree; duplicates collapse."""
-    return PrefixTree(_word_ids(vocab, word) for word in bias_words)
+    return PrefixTree((_word_ids(vocab, word) for word in bias_words), vocab.size)
 
 
 def build_tries(vocab: Vocab, lists: dict[str, list[str]]) -> dict[str, PrefixTree]:
-    """``build_trie`` of every list, keyed like ``lists``; each distinct word is
-    tokenized once, and an untokenizable one names the first utterance (key) whose
-    list holds it."""
-    ids: dict[str, list[int]] = {}
+    """``build_trie`` of every list, keyed like ``lists``; an untokenizable
+    word names the first utterance (key) whose list holds it."""
+    trees = {}
     for utt_id, words in lists.items():
         try:
-            for word in words:
-                if word not in ids:
-                    ids[word] = _word_ids(vocab, word)
+            trees[utt_id] = build_trie(vocab, words)
         except ValueError as exc:
             raise ValueError(f"utterance {utt_id}: {exc}") from None
-    return {utt_id: PrefixTree(map(ids.__getitem__, words)) for utt_id, words in lists.items()}
+    return trees

@@ -1,16 +1,18 @@
 """Greedy token-level decoding with optional trie-constrained biasing.
 
 With biasing off the hypothesis is the base model's per-step argmax.  With
-biasing on, the copy module's terms that do not depend on the trie are
-computed for the whole utterance before the first step
-(``pointer.state_terms``).  Each step takes the active trie node's valid set
-from the tree's memo, gathers its columns for the softmax and the gate
-(``pointer.bias_step``), mixes them into the base row in the requested
-mode, emits the argmax token, and walks the trie with it.  The
-per-step gate trace is kept for acceptance-rate analysis.  ``decode_corpus``
-decodes a corpus, one utterance at a time, with the tries of one
-``biastrie.build_tries`` call, and ``score_corpus`` scores it; every command
-that decodes or scores goes through them.
+biasing on, an utterance is decoded in rounds (Jacobi-style fixed-point
+decoding, Santilli et al. 2023).  A round walks the trie along a guess of the
+token path (at first the unbiased argmax path), runs the training kernel's
+masked forward (``pointer.masked_forward``) on every position not yet decoded
+at once, mixes in the base rows and takes each argmax.  Positions up to and
+including the first one where it differs from the guess are decoded, as their
+trie nodes were walked along decoded tokens; the rest is the next guess.  A
+replay in step order builds the gate trace, stops at the first EOS and raises
+on a bad row only when its step is reached.  ``decode_corpus`` decodes a
+corpus with the tries of one ``biastrie.build_tries`` call, and
+``score_corpus`` scores it; every command that decodes or scores goes through
+them.
 
 The simulator provides teacher-forced model rows, so free-running decoding
 consumes them by step index; hypotheses therefore stay position-aligned
@@ -19,6 +21,7 @@ with the reference (a documented desk-scale simplification).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -26,7 +29,7 @@ import numpy as np
 from . import biaslist, metrics
 from .biastrie import PrefixTree
 from .losses import bias_positions
-from .pointer import INTERPOLATION_MODES, PgParams, bias_step, check_fit, mix, state_terms
+from .pointer import INTERPOLATION_MODES, PgParams, check_fit, masked_forward, state_terms
 from .simulator import Share, SimUtterance, check, off_simplex, read_records, write_records
 from .tokenizer import Vocab, detokenize
 
@@ -59,39 +62,43 @@ def greedy_decode(
         raise ValueError("biased decoding needs module parameters and a bias trie")
     steps = utt.ref.size
     rows = np.asarray(utt.p_mdl_seq, dtype=np.float64)[:steps]
-    off = off_simplex(rows).tolist()
+    off, finite = off_simplex(rows), np.ones(steps, dtype=bool)
+    safe = np.where(off[:, None], 0.0, rows)  # the rounds read flagged rows as zeros
+    emitted = safe.argmax(axis=1)  # the guess, until a round decodes its position
+    p_gen, nonempty = np.zeros(steps), np.zeros(steps, dtype=bool)
     if mode != "none":
         check_fit(params, utt.utt_id, utt.p_mdl_seq, utt.h_dec_seq)
         h = np.asarray(utt.h_dec_seq, dtype=np.float64)[:steps]
         finite = np.isfinite(h).all(axis=1)
-        # a non-finite row raises when its step is reached; until then it is zeroed
         terms = state_terms(params, np.where(finite[:, None], h, 0.0))
-        finite = finite.tolist()
-    emitted_ids: list[int] = []
-    trace: list[GateTraceEntry] = []
-    node = 0  # the trie root: no partial bias word
-    for i in range(steps):
-        row = rows[i]
-        if off[i]:
-            off_simplex(row, "base-model row")
-        if mode == "none":
-            emitted = int(np.argmax(row))
-            trace.append(GateTraceEntry(i, 0.0, False, emitted))
-        else:
-            if not finite[i]:
-                raise ValueError("non-finite decoder state")
-            valid, members = tree.valid(node)
-            p_gen = 0.0
-            if valid:
-                weights, p_gen = bias_step(terms, i, members)
-                row = mix(row, members, weights, p_gen, mode)
-            emitted = int(np.argmax(row))
-            trace.append(GateTraceEntry(i, p_gen, bool(valid), emitted))
-            node = tree.advance(node, emitted)
-        if emitted == vocab.eos_id:
-            break
-        emitted_ids.append(emitted)
-    return detokenize(vocab, emitted_ids), trace
+        start = node = 0  # positions before ``start`` are decoded; ``node`` is the trie's there
+        while start < steps:
+            eos = np.flatnonzero(emitted[start:] == vocab.eos_id)  # past it is not reached
+            span = slice(start, start + 1 + eos[0] if eos.size else steps)
+            nodes = list(accumulate(emitted[span][:-1].tolist(), tree.advance, initial=node))
+            allowed = np.array([tree.valid(n)[1] for n in nodes])
+            p, _, gate = masked_forward(terms.query_logits[None, span],
+                                        terms.gate_state[None, span], terms.gate_token,
+                                        allowed[None])
+            gate = gate[0, :, None]
+            scores = safe[span] * (1.0 - gate) + p[0] * gate
+            if mode == "unscaled":
+                scores = np.where(allowed, scores, safe[span])
+            out = scores.argmax(axis=1)
+            wrong = np.flatnonzero(out != emitted[span])  # decoded: up to the first of these
+            done = 1 + wrong[0] if wrong.size else len(out)
+            emitted[span], p_gen[span], nonempty[span] = out, gate[:, 0], allowed.any(axis=1)
+            node = tree.advance(nodes[done - 1], int(out[done - 1]))
+            start = steps if out[done - 1] == vocab.eos_id else start + done  # EOS ends it
+    eos = np.flatnonzero(emitted == vocab.eos_id)  # the decoded path's first EOS, if any
+    reached = eos[0] + 1 if eos.size else steps
+    bad = np.flatnonzero(off[:reached] | ~finite[:reached])
+    if bad.size:  # the first bad step reached raises
+        off_simplex(rows[bad[0]], "base-model row")
+        raise ValueError("non-finite decoder state")
+    trace = list(map(GateTraceEntry, range(reached), p_gen[:reached].tolist(),
+                     nonempty[:reached].tolist(), emitted[:reached].tolist()))
+    return detokenize(vocab, emitted[:eos[0] if eos.size else steps].tolist()), trace
 
 
 Decoded = dict[str, tuple[list[str], list[GateTraceEntry]]]
@@ -107,12 +114,10 @@ def decode_corpus(
     """Greedy-decode every utterance in corpus order: utterance id ->
     (hypothesis words, gate trace).  ``trees`` maps each id to its bias trie
     and is None when decoding unbiased."""
-    return {
-        utt.utt_id: greedy_decode(
-            utt, vocab, params, None if trees is None else trees[utt.utt_id], mode
-        )
-        for utt in corpus
-    }
+    if trees is not None:
+        trees = biaslist.require_lists([utt.utt_id for utt in corpus], trees)
+    return {utt.utt_id: greedy_decode(utt, vocab, params, trees and trees[utt.utt_id], mode)
+            for utt in corpus}
 
 
 def score_corpus(

@@ -23,7 +23,9 @@ import numpy as np
 
 from .biastrie import PrefixTree
 from .metrics import gate_counts
-from .pointer import PgParams, StepOutput, check_fit, flatten, sigmoid, state_terms, unflatten
+from .pointer import (
+    PgParams, StepOutput, check_fit, flatten, masked_forward, state_terms, unflatten,
+)
 from .simulator import Range, check, off_simplex
 from .tokenizer import TokenizedUtterance, Vocab
 
@@ -96,7 +98,7 @@ def teacher_valid_sets(tree: PrefixTree, tokens: tuple[int, ...]) -> tuple[tuple
     the tuples are the tree's memoized ones."""
     node, out = 0, []
     for tok in tokens:
-        out.append(tree.valid(node)[0])
+        out.append(tree.members(node))
         node = tree.advance(node, tok)
     return tuple(out)
 
@@ -330,16 +332,9 @@ def _group_pass(
     # forward: softmax over each position's allowed columns, gate
     terms = state_terms(params, h.reshape(n * seq, -1))
     lead = terms.gate_token.shape[:-1]
-    logits = terms.query_logits.reshape(*lead, n, seq, vocab)
-    top = np.where(allowed, logits, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
-    top[..., ~has_valid, :] = 0.0
-    # exp never sees -inf, an argument that takes a path several times slower
-    p = np.where(allowed, np.exp(np.where(allowed, logits - top, 0.0)), 0.0)
-    norm = p.sum(axis=-1, keepdims=True)
-    norm[..., ~has_valid, :] = 1.0
-    p /= norm
-    gate_ctx = (p @ terms.gate_token[..., None, :, None])[..., 0]
-    gate = np.where(has_valid, sigmoid(terms.gate_state.reshape(*lead, n, seq) + gate_ctx), 0.0)
+    p, gate_ctx, gate = masked_forward(terms.query_logits.reshape(*lead, n, seq, vocab),
+                                       terms.gate_state.reshape(*lead, n, seq),
+                                       terms.gate_token, allowed)
 
     # floored losses; positions off the mask with a valid set train the gate
     # shut; the gold token's bias probability is 0 where it is not allowed

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from biaslab import biastrie
 from biaslab.biastrie import build_trie, build_tries
-from biaslab.tokenizer import BOUNDARY, build_vocab, tokenize_word
+from biaslab.tokenizer import BOUNDARY, Vocab, build_vocab, tokenize_word
 from conftest import toy_experiment
 
 
@@ -138,9 +138,10 @@ def walk_matches_oracle(tree, vocab, words, stream):
     """Walk ``stream`` through ``tree``, checking every step's valid set."""
     node = 0
     for n, tok in enumerate(stream):
-        members, index = tree.valid(node)
+        members, row = tree.valid(node)
         assert list(members) == sorted(oracle_valid(vocab, words, stream[:n]))
-        assert index.dtype == np.intp and index.tolist() == list(members)
+        assert row.dtype == bool and row.shape == (vocab.size,)
+        assert np.flatnonzero(row).tolist() == list(members)
         node = tree.advance(node, tok)
     assert list(tree.valid(node)[0]) == sorted(oracle_valid(vocab, words, stream))
 
@@ -198,16 +199,30 @@ def toy_lists():
     return vocab, train, lists
 
 
-def test_build_tries_tokenizes_each_distinct_word_once(monkeypatch):
-    vocab, _, lists = toy_lists()
+def count_tokenize(monkeypatch):
+    """The words ``biastrie`` tokenizes from now on, in call order."""
     calls = []
     tokenize = biastrie.tokenize_word
     monkeypatch.setattr(biastrie, "tokenize_word",
                         lambda vocab, word: calls.append(word) or tokenize(vocab, word))
+    return calls
+
+
+def test_build_tries_tokenizes_each_distinct_word_once(monkeypatch):
+    vocab, _, lists = toy_lists()
+    calls = count_tokenize(monkeypatch)
     trees = build_tries(vocab, lists)
     assert list(trees) == list(lists)
     distinct = {word for words in lists.values() for word in words}
     assert sorted(calls) == sorted(distinct) and len(calls) < sum(map(len, lists.values()))
+    # the memo is the vocabulary's: per-list build_trie calls tokenize nothing new,
+    # and an equal vocabulary object of its own starts afresh
+    for words in lists.values():
+        build_trie(vocab, words)
+    assert sorted(calls) == sorted(distinct)
+    first = next(iter(lists.values()))
+    build_trie(Vocab(vocab.tokens), first)
+    assert sorted(calls[len(distinct):]) == sorted(set(first))
 
 
 def test_build_tries_walk_like_build_trie():
@@ -224,10 +239,15 @@ def test_build_tries_walk_like_build_trie():
             assert node_a == node_b
 
 
-def test_build_tries_untokenizable_word_names_first_utterance():
+def test_build_tries_untokenizable_word_names_first_utterance(monkeypatch):
     vocab, corpus, lists = toy_lists()
     second, fifth = corpus[1].utt_id, corpus[4].utt_id
     bad = {**lists, second: [*lists[second], "x9"], fifth: ["x9", *lists[fifth]]}
+    calls = count_tokenize(monkeypatch)
     with pytest.raises(ValueError,
                        match=rf"^utterance {second}: bias word 'x9' is not tokenizable"):
         build_tries(vocab, bad)
+    # never memoized: a later compile tokenizes it again and names its own first utterance
+    with pytest.raises(ValueError, match=rf"^utterance {fifth}: bias word 'x9'"):
+        build_tries(vocab, {fifth: bad[fifth], second: bad[second]})
+    assert calls.count("x9") == 2

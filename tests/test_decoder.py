@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biaslab import decoder
 from biaslab.biaslist import build_lists
 from biaslab.biastrie import build_trie, build_tries
 from biaslab.decoder import (
+    DECODE_MODES,
     decode_corpus,
     greedy_decode,
     read_hypotheses,
@@ -17,7 +19,9 @@ from biaslab.decoder import (
 )
 from biaslab.pointer import forward_step, init_params, interpolate
 from biaslab.simulator import SimConfig, build_sim_vocab, gen_corpus, make_inventories
-from biaslab.tokenizer import detokenize
+from biaslab.tokenizer import BOUNDARY, detokenize
+from biaslab.trainer import TrainConfig, train
+from conftest import toy_experiment
 
 
 def perfect_config(**overrides):
@@ -232,12 +236,12 @@ def reference_decode(utt, vocab, params, tree, mode):
     return detokenize(vocab, emitted_ids), trace
 
 
-def confused_setup(seed, n_utterances=2):
+def confused_setup(seed, n_utterances=2, **overrides):
     common, rare, confusion = make_inventories(6, 4, 3, seed=2)
     config = perfect_config(
         seed=seed, n_utterances=n_utterances, common_words=common, rare_words=rare,
         confusion_map=confusion, base_accuracy_common=0.9, base_accuracy_rare=0.6,
-        rare_word_rate=0.6,
+        rare_word_rate=0.6, **overrides,
     )
     vocab = build_sim_vocab(config)
     return config, vocab, gen_corpus(config)
@@ -250,12 +254,17 @@ def confused_setup(seed, n_utterances=2):
     sharpness=st.floats(0.0, 8.0),
     n_bias=st.integers(0, 5),
     mode=st.sampled_from(["scaled", "unscaled"]),
+    n_utterances=st.integers(1, 6),
 )
-@example(seed=1, b_gate=40.0, sharpness=3.0, n_bias=3, mode="unscaled")
-@example(seed=2, b_gate=-40.0, sharpness=3.0, n_bias=3, mode="scaled")
-@example(seed=3, b_gate=0.0, sharpness=1.0, n_bias=0, mode="unscaled")  # empty valid sets
-def test_decode_matches_stepwise_reference(seed, b_gate, sharpness, n_bias, mode):
-    config, vocab, corpus = confused_setup(seed)
+@example(seed=1, b_gate=40.0, sharpness=3.0, n_bias=3, mode="unscaled", n_utterances=2)
+@example(seed=2, b_gate=-40.0, sharpness=3.0, n_bias=3, mode="scaled", n_utterances=2)
+@example(seed=3, b_gate=0.0, sharpness=1.0, n_bias=0, mode="unscaled",  # empty valid sets
+         n_utterances=2)
+@example(seed=4, b_gate=40.0, sharpness=8.0, n_bias=5, mode="unscaled", n_utterances=6)
+def test_decode_matches_stepwise_reference(seed, b_gate, sharpness, n_bias, mode, n_utterances):
+    """Every utterance of a corpus of mixed lengths, decoded in rounds with one
+    shared tree, matches the one-step-at-a-time reference."""
+    config, vocab, corpus = confused_setup(seed, n_utterances, words_per_utterance=(1, 6))
     rng = np.random.default_rng(seed)
     words = config.common_words + config.rare_words
     bias = [words[int(i)] for i in rng.choice(len(words), size=n_bias, replace=False)]
@@ -263,8 +272,9 @@ def test_decode_matches_stepwise_reference(seed, b_gate, sharpness, n_bias, mode
     params = init_params(seed, vocab.size, 4, config.state_dim)
     params.w_query *= sharpness
     params.b_gate = b_gate
+    decoded = decode_corpus(corpus, vocab, params, {u.utt_id: tree for u in corpus}, mode)
     for utt in corpus:
-        hyp, trace = greedy_decode(utt, vocab, params, tree, mode)
+        hyp, trace = decoded[utt.utt_id]
         # a fresh tree: the reference must not read the decoder's memo
         ref_hyp, ref_trace = reference_decode(utt, vocab, params, build_trie(vocab, bias), mode)
         assert hyp == ref_hyp
@@ -274,6 +284,84 @@ def test_decode_matches_stepwise_reference(seed, b_gate, sharpness, n_bias, mode
         for entry, (_, p_gen, _, _) in zip(trace, ref_trace):
             assert entry.p_gen == pytest.approx(p_gen, rel=1e-12, abs=0.0)
         assert all(e.valid_nonempty == bool(bias) for e in trace)
+
+
+def count_rounds(monkeypatch):
+    """A list that gets one entry, the positions computed, per decoding round."""
+    rounds = []
+    forward = decoder.masked_forward
+
+    def counted(logits, *rest):
+        rounds.append(logits.shape[1])
+        return forward(logits, *rest)
+
+    monkeypatch.setattr(decoder, "masked_forward", counted)
+    return rounds
+
+
+def rows_with(vocab, steps, peaks):
+    """Base-model rows: step i gives each token of ``peaks[i]`` ({token: probability})
+    its probability and spreads the rest evenly over the other tokens."""
+    rows = np.empty((steps, vocab.size))
+    for row, peak in zip(rows, peaks):
+        row[:] = (1.0 - sum(peak.values())) / (vocab.size - len(peak))
+        row[list(peak)] = list(peak.values())
+    return rows
+
+
+def flat_pointer(vocab, config, b_gate):
+    """Parameters whose bias weights are uniform over the valid set and whose
+    gate is ``sigmoid(b_gate)`` at every position."""
+    params = init_params(0, vocab.size, 4, config.state_dim)
+    params.w_query[:] = 0.0
+    params.w_gate[:] = 0.0
+    params.b_gate = b_gate
+    return params
+
+
+def test_guess_wrong_at_every_step_still_matches_reference(monkeypatch):
+    """One two-token bias word, a uniform pointer and a gate at exactly 1,
+    unscaled, over rows whose argmax is no bias token: the decode spells the
+    word over and over, and every round's guess for the next position is wrong,
+    so each round decodes exactly one position."""
+    config, vocab, corpus = confused_setup(4, n_utterances=4)
+    utt = max(corpus, key=lambda u: u.ref.size)
+    first = next(t for t in vocab.tokens if t.startswith(BOUNDARY))
+    second = next(t for t in vocab.tokens[1:] if not t.startswith(BOUNDARY))
+    other = next(t for t in vocab.tokens[1:] if t not in (first, second))
+    peaks = [{vocab.id_of(other): 0.3}] * utt.ref.size
+    utt = dataclasses.replace(utt, p_mdl_seq=rows_with(vocab, utt.ref.size, peaks))
+    params = flat_pointer(vocab, config, 40.0)
+    word = first[1:] + second
+    rounds = count_rounds(monkeypatch)
+    hyp, trace = greedy_decode(utt, vocab, params, build_trie(vocab, [word]), "unscaled")
+    assert (hyp, [tuple(e) for e in trace]) == reference_decode(
+        utt, vocab, params, build_trie(vocab, [word]), "unscaled")
+    assert len(trace) == utt.ref.size and len(rounds) == len(trace)
+    assert [vocab.token_of(e.emitted) for e in trace[:4]] == [first, second] * 2
+
+
+def test_rounds_are_one_plus_the_corrections_on_the_toy_experiment(monkeypatch):
+    """Trained parameters on the toy experiment: a decode takes no more rounds
+    than one plus the positions whose token differs from the unbiased argmax,
+    and unbiased decoding takes none."""
+    vocab, train_corpus, test_corpus, train_lists, test_lists = toy_experiment(
+        n_train=100, n_test=60)
+    config = TrainConfig(mode="two_loss", alpha=0.7, lr=0.3, epochs=4, batch_size=10,
+                         seed=3, embed_dim=16)
+    params, _ = train(train_corpus, train_lists, vocab, config)
+    trees = build_tries(vocab, test_lists)
+    rounds = count_rounds(monkeypatch)
+    corrected = 0
+    for mode in DECODE_MODES:
+        for utt in test_corpus:
+            rounds.clear()
+            _, trace = greedy_decode(utt, vocab, params, trees[utt.utt_id], mode)
+            unbiased = utt.p_mdl_seq.argmax(axis=1)
+            changed = sum(e.emitted != unbiased[e.step] for e in trace)
+            corrected += changed
+            assert len(rounds) <= (0 if mode == "none" else 1 + changed), utt.utt_id
+    assert corrected > 0  # biasing changed some tokens
 
 
 def eos_at(utt, vocab, step):
@@ -320,6 +408,61 @@ def test_bad_row_raises_when_its_step_is_reached():
                 greedy_decode(dataclasses.replace(utt, p_mdl_seq=rows), vocab, params, tree, mode)
 
 
+def test_bad_rows_only_a_wrong_guess_reads_never_raise(monkeypatch):
+    """Biasing turns the base model's argmax at step 2, a bias token, into EOS
+    (unscaled: three single-letter bias words share the gate's mass), so the
+    unbiased first guess reads the bad rows past it.  They are never reached:
+    no error, and no warning from their NaN and infinite values either."""
+    config, vocab, corpus = confused_setup(4, n_utterances=4)
+    utt = max(corpus, key=lambda u: u.ref.size)
+    starts = [t for t in vocab.tokens if t.startswith(BOUNDARY)][:3]
+    other = next(t for t in vocab.tokens[1:] if not t.startswith(BOUNDARY))
+    stop, steps = 2, utt.ref.size
+    peaks = [{vocab.id_of(other): 0.5}] * stop + [{vocab.id_of(starts[0]): 0.6, vocab.eos_id: 0.4}]
+    rows = rows_with(vocab, steps, peaks + [{}] * (steps - stop - 1))
+    clean = dataclasses.replace(utt, p_mdl_seq=rows)
+    h, rows = utt.h_dec_seq.copy(), rows.copy()
+    h[stop + 1:] = np.nan
+    h[stop + 1, 0] = np.inf
+    rows[stop + 1:] = 0.5  # off the simplex
+    rows[stop + 1, vocab.id_of(starts[1])] = np.inf  # times the closed share 1 - gate = 0
+    broken = dataclasses.replace(utt, h_dec_seq=h, p_mdl_seq=rows)
+    params = flat_pointer(vocab, config, 40.0)
+    tree = build_trie(vocab, [t[1:] for t in starts])
+    assert len(greedy_decode(clean, vocab)[1]) > stop + 1  # unbiased, the path goes on
+    rounds = count_rounds(monkeypatch)
+    hyp, trace = greedy_decode(broken, vocab, params, tree, "unscaled")
+    assert rounds[0] > stop + 1  # the first round read a bad row
+    assert (hyp, trace) == greedy_decode(clean, vocab, params, tree, "unscaled")
+    assert len(trace) == stop + 1 and trace[-1].emitted == vocab.eos_id
+
+
+def test_bad_row_after_an_overridden_eos_raises_at_its_step():
+    """The base model is sure of EOS at step 2, but biasing (scaled, gate 1/2)
+    overrides it, so step 3 is reached and its bad row raises."""
+    config, vocab, corpus = confused_setup(4, n_utterances=4)
+    utt = max(corpus, key=lambda u: u.ref.size)
+    starts = [t for t in vocab.tokens if t.startswith(BOUNDARY)][:3]
+    other = next(t for t in vocab.tokens[1:] if not t.startswith(BOUNDARY))
+    stop, steps = 2, utt.ref.size
+    peaks = [{vocab.id_of(other): 0.5}] * stop + [{vocab.eos_id: 0.3}]
+    rows = rows_with(vocab, steps, peaks + [{}] * (steps - stop - 1))
+    params = flat_pointer(vocab, config, 0.0)
+    tree = build_trie(vocab, [t[1:] for t in starts])
+    clean = dataclasses.replace(utt, p_mdl_seq=rows)
+    assert len(greedy_decode(clean, vocab)[1]) == stop + 1  # unbiased, EOS ends step 2
+    assert len(greedy_decode(clean, vocab, params, tree, "scaled")[1]) > stop + 1
+    h = utt.h_dec_seq.copy()
+    h[stop + 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite decoder state"):
+        greedy_decode(dataclasses.replace(clean, h_dec_seq=h), vocab, params, tree, "scaled")
+    bad_rows = rows.copy()
+    bad_rows[stop + 1] *= 0.5
+    with pytest.raises(ValueError, match=r"base-model row must sum to 1, got 0\.5"):
+        greedy_decode(dataclasses.replace(clean, p_mdl_seq=bad_rows), vocab, params, tree,
+                      "scaled")
+
+
 def scored_setup():
     """A confused corpus decoded with the gate wide open, so that bias words are
     both scored and gated, and its lowercase bias lists."""
@@ -336,6 +479,17 @@ def test_score_matches_bias_words_in_any_case():
     assert report.counts["ref_bias_words"] > 0 and report.tar > 0.0
     capitalized = {utt_id: [word.capitalize() for word in words] for utt_id, words in lists.items()}
     assert score_corpus(corpus, capitalized, decoded) == (report, breakdown)
+
+
+def test_decode_corpus_names_an_utterance_without_a_trie():
+    vocab, _, test_corpus, _, test_lists = toy_experiment(n_train=20, n_test=30)
+    trees = build_tries(vocab, test_lists)
+    dropped = test_corpus[20].utt_id
+    del trees[dropped]
+    params = init_params(0, vocab.size, 4, test_corpus[0].h_dec_seq.shape[1])
+    with pytest.raises(ValueError) as caught:
+        decode_corpus(test_corpus, vocab, params, trees, "scaled")
+    assert str(caught.value) == f"no bias list for utterances: [{dropped!r}]"
 
 
 def test_score_names_an_utterance_without_a_bias_list():

@@ -77,3 +77,21 @@ def test_each_choice_set_and_the_simplex_tolerance_are_declared_once():
                 tolerances.append(f"{path.name}:{node.lineno}")
     assert spelled == {name: [name] for name in CHOICE_SETS}
     assert len(tolerances) == 1 and tolerances[0].startswith("simulator.py:"), tolerances
+
+
+# the sigmoid, the masked softmax the kernel and the decoder share, and its test oracle
+EXP_USERS = {"pointer.sigmoid", "pointer.masked_forward", "pointer.forward_step"}
+
+
+def test_only_the_sigmoid_and_the_masked_softmax_and_its_oracle_exponentiate():
+    """A second softmax or gate would need ``np.exp``: any use outside ``EXP_USERS``
+    fails here, named by file and line."""
+    strays = []
+    for path in sorted(Path(biaslab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            user = f"{path.stem}.{getattr(top, 'name', '')}"
+            strays += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                       if isinstance(node, ast.Attribute) and node.attr == "exp"
+                       and isinstance(node.value, ast.Name) and node.value.id == "np"
+                       and user not in EXP_USERS]
+    assert strays == []
