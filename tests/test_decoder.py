@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biaslab import decoder
+from biaslab import decoder, losses
 from biaslab.biaslist import build_lists
 from biaslab.biastrie import build_trie, build_tries
 from biaslab.decoder import (
@@ -17,10 +17,17 @@ from biaslab.decoder import (
     score_corpus,
     write_hypotheses,
 )
-from biaslab.pointer import forward_step, init_params, interpolate
-from biaslab.simulator import SimConfig, build_sim_vocab, gen_corpus, make_inventories
+from biaslab.pointer import INTERPOLATION_MODES, forward_step, init_params, interpolate
+from biaslab.simulator import (
+    COMMON_ALPHABET,
+    RARE_INITIALS,
+    SimConfig,
+    build_sim_vocab,
+    gen_corpus,
+    make_inventories,
+)
 from biaslab.tokenizer import BOUNDARY, detokenize
-from biaslab.trainer import TrainConfig, train
+from biaslab.trainer import TrainConfig, prepare_batch, train
 from conftest import toy_experiment
 
 
@@ -236,8 +243,8 @@ def reference_decode(utt, vocab, params, tree, mode):
     return detokenize(vocab, emitted_ids), trace
 
 
-def confused_setup(seed, n_utterances=2, **overrides):
-    common, rare, confusion = make_inventories(6, 4, 3, seed=2)
+def confused_setup(seed, n_utterances=2, rare_initials=RARE_INITIALS, **overrides):
+    common, rare, confusion = make_inventories(6, 4, 3, seed=2, rare_initials=rare_initials)
     config = perfect_config(
         seed=seed, n_utterances=n_utterances, common_words=common, rare_words=rare,
         confusion_map=confusion, base_accuracy_common=0.9, base_accuracy_rare=0.6,
@@ -255,16 +262,26 @@ def confused_setup(seed, n_utterances=2, **overrides):
     n_bias=st.integers(0, 5),
     mode=st.sampled_from(["scaled", "unscaled"]),
     n_utterances=st.integers(1, 6),
+    shared=st.booleans(),
 )
-@example(seed=1, b_gate=40.0, sharpness=3.0, n_bias=3, mode="unscaled", n_utterances=2)
-@example(seed=2, b_gate=-40.0, sharpness=3.0, n_bias=3, mode="scaled", n_utterances=2)
+@example(seed=1, b_gate=40.0, sharpness=3.0, n_bias=3, mode="unscaled", n_utterances=2,
+         shared=False)
+@example(seed=2, b_gate=-40.0, sharpness=3.0, n_bias=3, mode="scaled", n_utterances=2,
+         shared=False)
 @example(seed=3, b_gate=0.0, sharpness=1.0, n_bias=0, mode="unscaled",  # empty valid sets
-         n_utterances=2)
-@example(seed=4, b_gate=40.0, sharpness=8.0, n_bias=5, mode="unscaled", n_utterances=6)
-def test_decode_matches_stepwise_reference(seed, b_gate, sharpness, n_bias, mode, n_utterances):
+         n_utterances=2, shared=False)
+@example(seed=4, b_gate=40.0, sharpness=8.0, n_bias=5, mode="unscaled", n_utterances=6,
+         shared=False)
+@example(seed=5, b_gate=2.0, sharpness=3.0, n_bias=4, mode="scaled", n_utterances=6,
+         shared=True)
+def test_decode_matches_stepwise_reference(seed, b_gate, sharpness, n_bias, mode, n_utterances,
+                                           shared):
     """Every utterance of a corpus of mixed lengths, decoded in rounds with one
-    shared tree, matches the one-step-at-a-time reference."""
-    config, vocab, corpus = confused_setup(seed, n_utterances, words_per_utterance=(1, 6))
+    shared tree, matches the one-step-at-a-time reference.  With ``shared``,
+    rare words start with the letters common words start with."""
+    config, vocab, corpus = confused_setup(seed, n_utterances, words_per_utterance=(1, 6),
+                                           rare_initials=COMMON_ALPHABET if shared else
+                                           RARE_INITIALS)
     rng = np.random.default_rng(seed)
     words = config.common_words + config.rare_words
     bias = [words[int(i)] for i in rng.choice(len(words), size=n_bias, replace=False)]
@@ -362,6 +379,30 @@ def test_rounds_are_one_plus_the_corrections_on_the_toy_experiment(monkeypatch):
             corrected += changed
             assert len(rounds) <= (0 if mode == "none" else 1 + changed), utt.utt_id
     assert corrected > 0  # biasing changed some tokens
+
+
+def test_decoded_gate_is_the_kernels_wherever_the_prefix_is_the_reference():
+    """Trained parameters on the toy experiment: at every position whose
+    decoded prefix equals the reference, the decoder's gate is the
+    teacher-forced kernel's, as both run ``masked_forward`` on the same rows."""
+    vocab, train_corpus, test_corpus, train_lists, test_lists = toy_experiment(
+        n_train=100, n_test=60)
+    config = TrainConfig(mode="two_loss", alpha=0.7, lr=0.3, epochs=4, batch_size=10, seed=3)
+    params, _ = train(train_corpus, train_lists, vocab, config)
+    trees = build_tries(vocab, test_lists)
+    batch = prepare_batch(vocab, test_corpus, test_lists, trees)
+    kernel = losses.teacher_forced(params, batch, "two_loss", 0.7).terms()["p_gen"]
+    starts = np.cumsum([0] + [len(ex.tokens) for ex in batch])
+    compared = 0
+    for mode in INTERPOLATION_MODES:
+        decoded = decode_corpus(test_corpus, vocab, params, trees, mode)
+        for utt, start in zip(test_corpus, starts):
+            for entry in decoded[utt.utt_id][1]:
+                assert entry.p_gen == pytest.approx(kernel[start + entry.step], rel=1e-12, abs=0.0)
+                compared += 1
+                if entry.emitted != utt.ref.tokens[entry.step]:
+                    break  # later positions walk the trie along another prefix
+    assert compared > len(kernel)  # over the two modes
 
 
 def eos_at(utt, vocab, step):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from biaslab import losses
 from biaslab.biastrie import build_trie
 from biaslab.harness import make_check_setup
+from biaslab.metrics import GATE_THRESHOLD
 from biaslab.losses import (
     BiasMask,
     bias_positions,
@@ -27,6 +28,7 @@ from biaslab.losses import (
 from biaslab.pointer import flatten, forward_step, init_params, interpolate, unflatten
 from biaslab.tokenizer import build_vocab, tokenize
 from biaslab.trainer import TrainConfig
+from conftest import shared_start_setup, shared_starts
 
 
 def small_world():
@@ -279,6 +281,38 @@ def test_clamped_positions_are_counted_in_report():
     assert report.n_clamped == 2  # both non-EOS positions hit the log floor
 
 
+@pytest.mark.parametrize("b_gate, clamped", [(-40.0, 5), (40.0, 6)])
+def test_clamped_positions_off_the_mask_are_counted_once(b_gate, clamped):
+    """"my kerry" with "kerry" on the list: positions 2-6 are on the mask, and
+    the valid set holds kerry's first token everywhere, so 0, 1 and 7 (EOS)
+    are off it with a valid set.  A shut gate floors the gate's log at the 5
+    masked positions only.  An open gate floors the log of its complement at
+    the 3 off-mask positions, and there the gold token has neither bias nor
+    base-model probability left, so the final log is floored too."""
+    vocab = small_world()
+    ref = tokenize(vocab, ["my", "kerry"])
+    rows = np.full((ref.size, vocab.size), 1.0 / vocab.size)
+    ex = prepare_example(vocab, "u0", ref, np.ones((ref.size, 6)), rows, ["kerry"],
+                         build_trie(vocab, ["kerry"]))
+    assert sorted(ex.mask.positions) == [2, 3, 4, 5, 6] and ref.size == 8
+    params = init_params(0, vocab.size, 4, 6)
+    params.w_query[:] = 0.0  # uniform bias weights: no pointer log is floored
+    params.w_gate[:] = 0.0
+    params.b_gate = b_gate
+    for mode in losses.MODES:
+        assert evaluate(params, [ex], mode, 0.7).n_clamped == clamped
+
+
+def test_gate_at_the_threshold_counts_as_fired():
+    """A gate of exactly ``GATE_THRESHOLD`` fires, on and off the mask."""
+    params, batch, _ = make_check_setup(3, n_utterances=3)
+    params.w_gate[:] = 0.0
+    params.b_gate = 0.0  # sigmoid(0) == 0.5 exactly
+    rates = losses.gate_rates(params, batch)
+    assert GATE_THRESHOLD == 0.5 and rates["tp"] > 0 and rates["fp"] > 0
+    assert rates["fn"] == rates["tn"] == 0 and rates["tar"] == rates["far"] == 1.0
+
+
 def test_report_totals_by_mode():
     params, batch, _ = make_check_setup(3)
     two = evaluate(params, batch, "two_loss", 0.7)
@@ -370,8 +404,10 @@ def test_unused_embedding_row_gets_zero_gradient():
 
 
 @pytest.mark.parametrize("mode", ["two_loss", "asr"])
-def test_fd_check_seed11(mode):
-    params, batch, _ = make_check_setup(11, 4, 6)
+@pytest.mark.parametrize("setup", [make_check_setup, shared_start_setup])
+def test_fd_check_seed11(mode, setup):
+    params, batch, _ = setup(11, 4, 6)
+    assert setup is make_check_setup or shared_starts(batch) > 0
     assert fd_check(params, batch, mode, 0.7, 1e-5) < 1e-4
 
 
@@ -468,6 +504,31 @@ def test_groups_of_a_take_match_a_fresh_pack_of_its_rows():
             assert np.array_equal(getattr(group, key), want), key
 
 
+@pytest.mark.parametrize("mode", losses.MODES)
+def test_a_pass_in_length_order_matches_batch_order(mode):
+    """The trainer's full-split passes take a split's rows by length: the
+    losses and gradient equal batch order's up to the order of the sums, and
+    the terms follow the order of the rows passed."""
+    params, batch, _ = make_check_setup(7, n_utterances=2 * losses.GROUP_SIZE + 5)
+    packed = losses.pack(batch)
+    order = np.argsort(packed.lengths, kind="stable")
+    assert not np.array_equal(order, np.arange(len(batch)))
+    by_length = losses.teacher_forced(params, packed.take(order), mode, 0.7, want_grad=True)
+    listed = losses.teacher_forced(params, batch, mode, 0.7, want_grad=True)
+    for key in ("l_gen", "l_ptr", "l_asr", "total"):
+        assert math.isclose(getattr(by_length.report, key), getattr(listed.report, key),
+                            rel_tol=1e-12), key
+    assert by_length.report.n_clamped == listed.report.n_clamped
+    assert np.allclose(flatten(by_length.grads), flatten(listed.grads), rtol=1e-12, atol=0.0)
+    starts = np.cumsum([0, *packed.lengths])
+    for key, values in listed.terms().items():
+        want = np.concatenate([values[starts[r]:starts[r + 1]] for r in order])
+        assert np.allclose(by_length.terms()[key], want, rtol=1e-12, atol=0.0), key
+    records = losses.step_trace(params, packed.take(order), mode, 0.7)
+    assert [(r["utt"], r["step"]) for r in records] == [
+        (batch[r].utt_id, i) for r in order for i in range(packed.lengths[r])]
+
+
 def test_non_finite_parameters_rejected_before_the_pass():
     params, batch, _ = make_check_setup(3)
     params.w_query[0, 0] = np.nan
@@ -494,12 +555,16 @@ def _close(a, b):
     b_gate=st.one_of(st.floats(-6.0, 6.0), st.sampled_from([-40.0, 40.0])),
     alpha=st.floats(0.05, 0.95),
     emptied=st.lists(st.integers(0, 40), max_size=6),
+    shared=st.booleans(),
 )
-@example(seed=3, b_gate=40.0, alpha=0.7, emptied=[0, 1, 2, 3, 4, 5])
-@example(seed=5, b_gate=-40.0, alpha=0.3, emptied=[6])
-def test_kernel_matches_reference_losses_and_forward_step(seed, b_gate, alpha, emptied):
-    """The training kernel and the decode-time forward_step compute one model."""
-    params, batch, _ = make_check_setup(seed, 4, 5, n_utterances=3)
+@example(seed=3, b_gate=40.0, alpha=0.7, emptied=[0, 1, 2, 3, 4, 5], shared=False)
+@example(seed=5, b_gate=-40.0, alpha=0.3, emptied=[6], shared=False)
+@example(seed=4, b_gate=1.0, alpha=0.7, emptied=[], shared=True)
+def test_kernel_matches_reference_losses_and_forward_step(seed, b_gate, alpha, emptied, shared):
+    """The training kernel and the decode-time forward_step compute one model,
+    also where a non-bias word starts like a bias word (``shared``)."""
+    setup = shared_start_setup if shared else make_check_setup
+    params, batch, _ = setup(seed, 4, 5, n_utterances=3)
     params.b_gate = b_gate
     # clear some off-mask valid sets: the kernel must mix empty and full rows
     ex = batch[0]

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from biaslab.losses import BiasMask
 from biaslab.metrics import (
     DELETION,
+    GATE_THRESHOLD,
     INSERTION,
     MATCH,
     SUBSTITUTION,
     align,
+    gate_counts,
     score,
 )
 from conftest import scorer_fixture
@@ -129,6 +131,13 @@ def test_gate_rates_hand_trace():
     assert report.tar == 50.0
     assert report.far == 50.0
     assert report.counts["n_gate_positions"] == 4
+
+
+def test_gate_at_the_threshold_counts_as_fired():
+    on = [True, False, False]
+    assert gate_counts([GATE_THRESHOLD] * 3, on) == {"tp": 1, "fn": 0, "fp": 2, "tn": 0}
+    below = np.nextafter(GATE_THRESHOLD, 0.0)
+    assert gate_counts([below] * 3, on) == {"tp": 0, "fn": 1, "fp": 0, "tn": 2}
 
 
 def test_gate_positions_with_empty_valid_set_excluded():

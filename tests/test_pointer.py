@@ -15,6 +15,7 @@ from biaslab.pointer import (
     init_params,
     interpolate,
     load_params,
+    masked_forward,
     save_params,
     state_terms,
     unflatten,
@@ -98,6 +99,27 @@ def test_forward_deterministic():
     b = forward_step(params, h, [0, 2, 5])
     assert np.array_equal(a.p_ptr, b.p_ptr)
     assert a.p_gen == b.p_gen
+
+
+def test_masked_softmax_shifts_logits_near_1e3():
+    """Logits near 1e3 overflow ``exp`` unless the masked softmax shifts them
+    by their maximum; shifted, its weights and gate are ``forward_step``'s."""
+    params = init_params(4, 8, 4, 6)
+    params.token_embed = 1.0 + 0.01 * np.random.default_rng(0).standard_normal((8, 4))
+    params.w_query[:] = 1000.0 * np.sqrt(4) / (6 * 4)  # every logit near 1000
+    h = np.ones(6)
+    logits = state_terms(params, h[None]).query_logits[0]
+    assert 980.0 < logits.min() and logits.max() < 1020.0
+    allowed = np.zeros((1, 2, 8), dtype=bool)
+    allowed[0, 0, [1, 4, 6]] = allowed[0, 1, [0, 7]] = True
+    terms = state_terms(params, np.stack([h, h]))
+    p, _, gate = masked_forward(terms.query_logits[None], terms.gate_state[None],
+                                terms.gate_token, allowed)
+    for t, valid in enumerate(([1, 4, 6], [0, 7])):
+        step = forward_step(params, h, valid)
+        assert np.isfinite(p[0, t]).all() and 0.0 < p[0, t, valid].min()
+        assert np.allclose(p[0, t], step.p_ptr, rtol=1e-12, atol=0.0)
+        assert gate[0, t] == pytest.approx(step.p_gen, rel=1e-12, abs=0.0)
 
 
 def make_step(p_ptr, p_gen, valid):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from biaslab import losses
+from biaslab.biastrie import build_tries
 from biaslab.pointer import flatten, init_params
-from biaslab.trainer import LOG_COLUMNS, TrainConfig, train, write_train_log
+from biaslab.simulator import sub_rng
+from biaslab.trainer import LOG_COLUMNS, TrainConfig, prepare_batch, train, write_train_log
 from conftest import toy_experiment
 
 
@@ -31,6 +33,8 @@ def test_training_needs_a_dev_split():
     vocab, corpus, lists = small_setup()
     with pytest.raises(ValueError, match="dev split"):
         train(corpus[:1], lists, vocab, TrainConfig(epochs=1))
+    _, log = train(corpus[:2], lists, vocab, TrainConfig(epochs=1))  # one row each
+    assert len(log) == 1
 
 
 def test_missing_bias_list_rejected():
@@ -102,6 +106,43 @@ def test_plateau_decays_learning_rate():
         rates = [row["lr"] for row in log]
         assert rates[0] == 30.0
         assert min(rates) <= 30.0
+
+
+def test_a_flat_dev_loss_keeps_the_first_epoch_and_decays_each_patience():
+    """A rate too small to move any parameter leaves the dev loss flat: each
+    later epoch ties with the first, which is kept, and after every
+    ``patience`` epochs without improvement the rate is multiplied by the
+    decay factor."""
+    vocab, corpus, lists = small_setup(n=40)
+    lr = 1e-300
+    config = TrainConfig(epochs=6, seed=2, lr=lr, patience=2, lr_decay_factor=0.5)
+    params, log = train(corpus, lists, vocab, config)
+    assert len({row["dev_total"] for row in log}) == 1
+    assert [row["lr"] for row in log] == [lr, lr, lr, lr / 2, lr / 2, lr / 4]
+    start = init_params(2, vocab.size, 16, corpus[0].h_dec_seq.shape[1])
+    assert np.array_equal(flatten(params), flatten(start))
+
+
+def test_log_row_holds_the_splits_means_and_the_dev_rates():
+    """An epoch's row: the train split's mean losses at its end, the dev
+    split's (the shuffle's last tenth) mean total and gate rates in percent,
+    and the norm of the mean train gradient before its updates."""
+    vocab, corpus, lists = small_setup(n=40)
+    config = TrainConfig(epochs=1, seed=2)
+    params, (row,) = train(corpus, lists, vocab, config)
+    examples = prepare_batch(vocab, corpus, lists, build_tries(vocab, lists))
+    shuffle = sub_rng(2, "shuffle").permutation(len(examples))
+    train_split, dev_split = [examples[i] for i in shuffle[:-4]], [examples[i] for i in shuffle[-4:]]
+    start = init_params(2, vocab.size, 16, corpus[0].h_dec_seq.shape[1])
+    signal, _ = losses.grad(start, train_split, config.mode, config.alpha)
+    trained = losses.evaluate(params, train_split, config.mode, config.alpha)
+    dev = losses.evaluate(params, dev_split, config.mode, config.alpha)
+    want = {"grad_norm": np.linalg.norm(flatten(signal)) / 36, "dev_total": dev.total / 4,
+            **{key: getattr(trained, key) / 36 for key in ("l_gen", "l_ptr", "l_asr")}}
+    for key, value in want.items():
+        assert math.isclose(row[key], value, rel_tol=1e-12), key
+    assert (row["dev_far"], row["dev_tar"]) == (100.0 * dev.gate_rates["far"],
+                                                100.0 * dev.gate_rates["tar"])
 
 
 def test_non_finite_input_raises_naming_the_utterance():
