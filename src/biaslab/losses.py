@@ -158,14 +158,15 @@ def loss_ptr(step_outputs: list[StepOutput], ref: TokenizedUtterance, mask: Bias
     return total
 
 
-def _mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
+def mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
     return l_gen + l_ptr if mode == TWO_LOSS else l_asr
 
 
 # Utterances per kernel group.  A pass holds (utterances, positions,
 # vocabulary) logits for one group at a time, so a pass over a whole split
-# stays near the memory of one minibatch.
-GROUP_SIZE = 16
+# stays near the memory of 32 utterances: AC-4 training ran as fast at 64,
+# at 1.4 MB more peak memory, and 16 was 5 % slower.
+GROUP_SIZE = 32
 
 # Parameter vectors per finite-difference forward: 32 parameters, each
 # stepped up and down.  Every probe carries its own (utterances, positions,
@@ -183,8 +184,9 @@ class Pack(Sequence):
     its rows; ``pack`` builds one.
 
     The arrays cover every example of ``examples``: ``allowed`` flags each
-    position's valid set over the vocabulary, ``in_mask`` the bias mask,
-    ``gold`` holds the tokens, ``p_mdl_gold`` the base model's probability
+    position's valid set over the vocabulary and ``valid_count`` counts it,
+    ``onehot`` flags each position's gold token over the vocabulary,
+    ``in_mask`` the bias mask, ``p_mdl_gold`` the base model's probability
     of each gold token, ``h`` the decoder states and ``lengths`` each
     utterance's length.  A padded position has no valid set, gold token 0
     at probability 1 and zero states, so every padded term is 0.  ``rows``
@@ -194,8 +196,9 @@ class Pack(Sequence):
 
     examples: tuple[BiasExample, ...]
     allowed: np.ndarray
+    valid_count: np.ndarray
+    onehot: np.ndarray
     in_mask: np.ndarray
-    gold: np.ndarray
     p_mdl_gold: np.ndarray
     h: np.ndarray
     lengths: np.ndarray
@@ -217,7 +220,7 @@ class Pack(Sequence):
     @property
     def real(self) -> np.ndarray:
         """Flags the positions of the arrays that exist."""
-        return np.arange(self.gold.shape[1]) < self.lengths[:, None]
+        return np.arange(self.in_mask.shape[1]) < self.lengths[:, None]
 
 
 def _culprit(examples: Sequence[BiasExample], ok: np.ndarray) -> BiasExample:
@@ -265,13 +268,14 @@ def pack(examples: Sequence[BiasExample]) -> Pack:
     finite = np.isfinite(h).all(axis=2) & np.isfinite(p_mdl_gold)
     if not finite.all():
         raise DivergenceError(f"non-finite input on utterance {_culprit(examples, finite).utt_id}")
-    inconsistent = in_mask & ~np.take_along_axis(allowed, gold[..., None], axis=2)[..., 0]
+    onehot = np.arange(allowed.shape[2]) == gold[..., None]
+    inconsistent = in_mask & ~allowed[onehot].reshape(shape)
     if inconsistent.any():
         b, i = np.argwhere(inconsistent)[0]
         raise ValueError(
             f"mask/trie inconsistency at position {i} of utterance {examples[b].utt_id}")
-    return Pack(examples, allowed, in_mask, gold, p_mdl_gold, h, lengths,
-                np.arange(len(examples)))
+    return Pack(examples, allowed, allowed.sum(axis=2), onehot, in_mask, p_mdl_gold, h,
+                lengths, np.arange(len(examples)))
 
 
 def _groups(batch: Sequence[BiasExample]) -> Iterator[Pack]:
@@ -282,7 +286,8 @@ def _groups(batch: Sequence[BiasExample]) -> Iterator[Pack]:
         rows = packed.rows[start:start + GROUP_SIZE]
         seq = int(packed.lengths[rows].max())
         yield Pack(tuple(packed.examples[r] for r in rows),
-                   *(array[rows, :seq] for array in (packed.allowed, packed.in_mask, packed.gold,
+                   *(array[rows, :seq] for array in (packed.allowed, packed.valid_count,
+                                                     packed.onehot, packed.in_mask,
                                                      packed.p_mdl_gold, packed.h)),
                    packed.lengths[rows], np.arange(len(rows)))
 
@@ -314,20 +319,20 @@ def _group_pass(
     group: Pack,
     mode: str,
     alpha: float,
-    grads: PgParams | None,
+    grad_out: np.ndarray | None,
 ) -> tuple[dict[str, np.ndarray], int]:
     """Every position of a group (from ``_groups``) at once; adds the
-    gradient into ``grads``.
+    gradient into ``grad_out``, a vector in ``flatten``'s layout.
 
     The parameters may carry leading probe axes (``unflatten`` of a stack of
     vectors); every per-position term then carries them in front.  Only
     unstacked parameters take a gradient.
     """
-    allowed, in_mask, gold, p_mdl_gold, h = (
-        group.allowed, group.in_mask, group.gold, group.p_mdl_gold, group.h,
+    allowed, onehot, in_mask, p_mdl_gold, h = (
+        group.allowed, group.onehot, group.in_mask, group.p_mdl_gold, group.h,
     )
     n, seq, vocab = allowed.shape
-    has_valid = allowed.any(axis=2)
+    has_valid = group.valid_count > 0
 
     # forward: softmax over each position's allowed columns, gate
     terms = state_terms(params, h.reshape(n * seq, -1))
@@ -338,7 +343,6 @@ def _group_pass(
 
     # floored losses; positions off the mask with a valid set train the gate
     # shut; the gold token's bias probability is 0 where it is not allowed
-    onehot = np.arange(vocab) == gold[..., None]
     ptr_gold = p[..., onehot].reshape(p.shape[:-1])
     off = has_valid & ~in_mask
     p_final = p_mdl_gold * (1.0 - gate) + ptr_gold * gate
@@ -356,13 +360,13 @@ def _group_pass(
         ),
         "l_ptr": np.where(in_mask, -_floored_log(ptr_gold), 0.0),
         "l_asr": -_floored_log(p_final),
-        "valid_count": allowed.sum(axis=2),
+        "valid_count": group.valid_count,
         "in_mask": in_mask,
     }
     floored = (in_mask & gate_floor, in_mask & ptr_floor, off & shut_floor, final_floor)
     n_clamped = sum(int(np.count_nonzero(f)) for f in floored)
 
-    if grads is None:
+    if grad_out is None:
         return found, n_clamped
 
     # gradient seeds match the floored losses: a floored log contributes 0;
@@ -402,11 +406,9 @@ def _group_pass(
     if not finite.all():
         culprit = _culprit(group.examples, finite)
         raise DivergenceError(f"non-finite gradient on utterance {culprit.utt_id}")
-    grads.token_embed += per_utt[0].sum(axis=0)
-    grads.w_query += per_utt[1].sum(axis=0)
-    grads.w_gate[:state_dim] += per_utt[2].sum(axis=0)
-    grads.w_gate[state_dim:] += per_utt[3].sum(axis=0)
-    grads.b_gate += float(per_utt[4].sum())
+    grad_out += flatten(PgParams(
+        per_utt[0].sum(axis=0), per_utt[1].sum(axis=0),
+        np.concatenate([per_utt[2].sum(axis=0), per_utt[3].sum(axis=0)]), per_utt[4].sum()))
     return found, n_clamped
 
 
@@ -415,6 +417,23 @@ def _loss_sums(found: dict[str, np.ndarray]) -> np.ndarray:
     positions: shape (3, *probe axes)."""
     lead = found["p_gen"].shape[:-2]
     return np.array([found[key].reshape(*lead, -1).sum(axis=-1) for key in LOSS_KEYS])
+
+
+def run_groups(params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: float,
+               grad_out: np.ndarray | None) -> tuple[np.ndarray, int, list]:
+    """The kernel over each group of a batch, unchecked (``teacher_forced`` checks
+    first): the ``LOSS_KEYS`` sums, the count of floored logs and each group's
+    terms with its ``real`` flags; adds the gradient into ``grad_out`` unless it
+    is None."""
+    sums = np.zeros(len(LOSS_KEYS))
+    n_clamped = 0
+    per_group = []
+    for group in _groups(batch):
+        found, clamped = _group_pass(params, group, mode, alpha, grad_out)
+        sums += _loss_sums(found)
+        n_clamped += clamped
+        per_group.append((found, group.real))
+    return sums, n_clamped, per_group
 
 
 def teacher_forced(
@@ -444,17 +463,11 @@ def teacher_forced(
         raise DivergenceError("non-finite copy-module parameters")
     if len(batch):  # the pack holds every other example to the first one's widths
         check_fit(params, batch[0].utt_id, batch[0].p_mdl_seq, batch[0].h_seq)
-    grads = unflatten(np.zeros_like(base), params.shapes) if want_grad else None
-    sums = np.zeros(len(LOSS_KEYS))
-    n_clamped = 0
-    per_group = []
-    for group in _groups(batch):
-        found, clamped = _group_pass(params, group, mode, alpha, grads)
-        sums += _loss_sums(found)
-        n_clamped += clamped
-        per_group.append((found, group.real))
+    grad_out = np.zeros_like(base) if want_grad else None
+    sums, n_clamped, per_group = run_groups(params, batch, mode, alpha, grad_out)
     l_gen, l_ptr, l_asr = map(float, sums)
-    report = LossReport(l_asr, l_gen, l_ptr, _mode_total(mode, l_gen, l_ptr, l_asr), n_clamped)
+    report = LossReport(l_asr, l_gen, l_ptr, mode_total(mode, l_gen, l_ptr, l_asr), n_clamped)
+    grads = None if grad_out is None else unflatten(grad_out, params.shapes)
     return TeacherForced(report, grads, per_group)
 
 
@@ -512,7 +525,7 @@ def probe_totals(
     sums = np.zeros((len(LOSS_KEYS), *probes.shape[:-1]))
     for group in groups:
         sums += _loss_sums(_group_pass(stacked, group, mode, alpha, None)[0])
-    return _mode_total(mode, *sums)
+    return mode_total(mode, *sums)
 
 
 def fd_check(

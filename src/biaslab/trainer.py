@@ -8,7 +8,9 @@ log row carries the epoch's end-of-epoch mean train losses and dev gate
 rates (percent, at ``metrics.GATE_THRESHOLD``), plus ``grad_norm``: the
 norm of the mean full-train-split gradient measured before the epoch's
 updates, i.e. the signal the objective offered that epoch.  A divergence
-anywhere stops training, with the best snapshot and the log so far.
+anywhere stops training, with the best snapshot and the log so far.  The
+full-split passes take the split's rows in length order, so a kernel group
+pads little; minibatches take the seeded shuffle's order.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def train(
 def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams, list[dict]]:
     """``train`` on prepared examples: a ``losses.Pack``, or a list that is
     packed once, at the start of training, where a bad input raises.  The
-    splits and minibatches take the pack's rows."""
+    splits and minibatches take the pack's rows; minibatches run the group
+    loop unchecked, as the first full-split pass checks the fit."""
     config.validate()
     if len(examples) < 2:
         raise ValueError("training needs at least two utterances for a dev split")
@@ -95,29 +98,32 @@ def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams,
     first = examples[0]
     params = init_params(config.seed, first.p_mdl_seq.shape[1], config.embed_dim,
                          first.h_seq.shape[1])
+    theta = flatten(params)
     lr = config.lr
     best_params = params  # an update builds new arrays, so a snapshot needs no copy
     best_dev = float("inf")
     epochs_since_improve = 0
     log: list[dict] = []
     packed = losses.pack(examples)
-    train_set = packed.take(shuffle[:-dev_count])
-    dev_set = packed.take(shuffle[-dev_count:])
+    train_rows = shuffle[:-dev_count]
+    train_set, dev_set = (packed.take(rows[np.argsort(packed.lengths[rows], kind="stable")])
+                          for rows in (train_rows, shuffle[-dev_count:]))
 
     try:
         # gradient signal available to the first epoch, before any update
         signal, _ = losses.grad(params, train_set, config.mode, config.alpha)
         for epoch in range(1, config.epochs + 1):
             grad_norm = float(np.sqrt(np.sum((flatten(signal) * (1.0 / n_train)) ** 2)))
-            order = sub_rng(config.seed, "epoch", epoch).permutation(len(train_set))
+            order = sub_rng(config.seed, "epoch", epoch).permutation(n_train)
             for start in range(0, len(order), config.batch_size):
-                batch = train_set.take(order[start:start + config.batch_size])
-                grads, report = losses.grad(params, batch, config.mode, config.alpha)
-                if not math.isfinite(report.total):
-                    raise losses.DivergenceError(f"non-finite loss in epoch {epoch}")
-                params = unflatten(
-                    flatten(params) - lr / len(batch) * flatten(grads), params.shapes, params.seed
-                )
+                batch = packed.take(train_rows[order[start:start + config.batch_size]])
+                grads = np.zeros_like(theta)
+                sums = losses.run_groups(params, batch, config.mode, config.alpha, grads)[0]
+                theta = theta - lr / len(batch) * grads
+                if not (math.isfinite(losses.mode_total(config.mode, *sums))
+                        and np.isfinite(theta).all()):
+                    raise losses.DivergenceError(f"non-finite loss or parameters in epoch {epoch}")
+                params = unflatten(theta, params.shapes, params.seed)
 
             signal, train_report = _train_pass(params, train_set, config, epoch < config.epochs)
             dev_report = losses.evaluate(params, dev_set, config.mode, config.alpha)

@@ -467,19 +467,22 @@ def test_kernel_groups_match_per_utterance_sums():
 
 def _padded_by_position(examples):
     """A group's kernel inputs built one position at a time: allowed flags,
-    mask flags, gold tokens, the base model's gold probability and states,
-    padded to the longest utterance."""
+    their count, gold flags, mask flags, the base model's gold probability
+    and states, padded to the longest utterance, where the gold token is 0."""
     n, seq = len(examples), max(len(ex.tokens) for ex in examples)
     vocab, state = examples[0].p_mdl_seq.shape[1], examples[0].h_seq.shape[1]
-    allowed, in_mask = np.zeros((n, seq, vocab), dtype=bool), np.zeros((n, seq), dtype=bool)
-    gold, p_mdl_gold = np.zeros((n, seq), dtype=np.intp), np.ones((n, seq))
-    h = np.zeros((n, seq, state))
+    allowed, onehot = np.zeros((n, seq, vocab), dtype=bool), np.zeros((n, seq, vocab), dtype=bool)
+    valid_count, in_mask = np.zeros((n, seq), dtype=np.intp), np.zeros((n, seq), dtype=bool)
+    p_mdl_gold, h = np.ones((n, seq)), np.zeros((n, seq, state))
+    onehot[:, :, 0] = True
     for b, ex in enumerate(examples):
         for t, tok in enumerate(ex.tokens):
             allowed[b, t, list(ex.valid_sets[t])] = True
+            valid_count[b, t] = len(ex.valid_sets[t])
+            onehot[b, t] = np.arange(vocab) == tok
             in_mask[b, t] = t in ex.mask.positions
-            gold[b, t], p_mdl_gold[b, t], h[b, t] = tok, ex.p_mdl_seq[t, tok], ex.h_seq[t]
-    return allowed, in_mask, gold, p_mdl_gold, h
+            p_mdl_gold[b, t], h[b, t] = ex.p_mdl_seq[t, tok], ex.h_seq[t]
+    return allowed, valid_count, onehot, in_mask, p_mdl_gold, h
 
 
 def test_groups_of_a_take_match_a_fresh_pack_of_its_rows():
@@ -493,7 +496,7 @@ def test_groups_of_a_take_match_a_fresh_pack_of_its_rows():
     chosen = [batch[r] for r in rows]
     groups, fresh = list(losses._groups(taken)), list(losses._groups(losses.pack(chosen)))
     assert len(groups) == len(fresh) == 2
-    keys = ("allowed", "in_mask", "gold", "p_mdl_gold", "h", "lengths", "real")
+    keys = ("allowed", "valid_count", "onehot", "in_mask", "p_mdl_gold", "h", "lengths", "real")
     for start, group, other in zip((0, losses.GROUP_SIZE), groups, fresh):
         members = chosen[start:start + losses.GROUP_SIZE]
         assert list(group) == list(other) == members

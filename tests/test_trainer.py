@@ -154,8 +154,9 @@ def test_non_finite_input_raises_naming_the_utterance():
 
 
 def _diverge_on_call(monkeypatch, name, call, how):
-    """Make ``losses.<name>`` raise DivergenceError (how="raise") or return a
-    NaN total (how="nan") on its ``call``-th call; every other call is real."""
+    """Make ``losses.<name>`` raise DivergenceError (how="raise") or, as
+    ``run_groups``, return NaN loss sums (how="nan") on its ``call``-th call;
+    every other call is real."""
     real = getattr(losses, name)
     calls = []
 
@@ -165,21 +166,23 @@ def _diverge_on_call(monkeypatch, name, call, how):
             raise losses.DivergenceError("injected")
         out = real(*args, **kwargs)
         if len(calls) == call:
-            out[1].total = float("nan")
+            out[0][:] = float("nan")
         return out
 
     monkeypatch.setattr(losses, name, patched)
 
 
-# At n=40 the train split has 36 utterances, 4 minibatches of 10: grad call 1
-# is the initial full-split gradient, 2-5 are epoch 1's minibatches, 6 its
-# end-of-epoch gradient, 7 epoch 2's first minibatch and 11 epoch 2's
-# end-of-epoch gradient.  Evaluate call 2 is epoch 2's dev pass.
+# At n=40 the train split has 36 utterances, 4 minibatches of 10.  Grad call
+# 1 is the initial full-split gradient, 2 epoch 1's end-of-epoch gradient and
+# 3 epoch 2's.  Every pass runs the group loop: run_groups call 1 is the
+# initial gradient, 2-5 epoch 1's minibatches, 6 its end-of-epoch gradient, 7
+# its dev pass and 8 epoch 2's first minibatch.  Evaluate call 2 is epoch 2's
+# dev pass.
 @pytest.mark.parametrize("name, call, how, rows", [
     ("grad", 1, "raise", 0),
-    ("grad", 7, "raise", 1),
-    ("grad", 7, "nan", 1),
-    ("grad", 11, "raise", 2),  # the row is logged from evaluate, then training stops
+    ("run_groups", 8, "raise", 1),
+    ("run_groups", 8, "nan", 1),
+    ("grad", 3, "raise", 2),  # the row is logged from evaluate, then training stops
     ("evaluate", 2, "raise", 1),
 ], ids=["initial_gradient", "minibatch", "nan_minibatch_total", "end_of_epoch_gradient",
         "dev_pass"])
