@@ -164,8 +164,8 @@ def mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
 
 # Utterances per kernel group.  A pass holds (utterances, positions,
 # vocabulary) logits for one group at a time, so a pass over a whole split
-# stays near the memory of 32 utterances: AC-4 training ran as fast at 64,
-# at 1.4 MB more peak memory, and 16 was 5 % slower.
+# stays near the memory of 32 utterances.  On a 2-vCPU Xeon, AC-4 training
+# ran no faster at 64, with 1.4 MB more peak memory, and 5 % slower at 16.
 GROUP_SIZE = 32
 
 # Parameter vectors per finite-difference forward: 32 parameters, each

@@ -398,7 +398,8 @@ def test_decoded_gate_is_the_kernels_wherever_the_prefix_is_the_reference():
         decoded = decode_corpus(test_corpus, vocab, params, trees, mode)
         for utt, start in zip(test_corpus, starts):
             for entry in decoded[utt.utt_id][1]:
-                assert entry.p_gen == pytest.approx(kernel[start + entry.step], rel=1e-12, abs=0.0)
+                want = kernel[start + entry.step]
+                assert entry.p_gen == pytest.approx(want, rel=1e-12, abs=0.0)
                 compared += 1
                 if entry.emitted != utt.ref.tokens[entry.step]:
                     break  # later positions walk the trie along another prefix

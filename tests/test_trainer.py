@@ -132,7 +132,8 @@ def test_log_row_holds_the_splits_means_and_the_dev_rates():
     params, (row,) = train(corpus, lists, vocab, config)
     examples = prepare_batch(vocab, corpus, lists, build_tries(vocab, lists))
     shuffle = sub_rng(2, "shuffle").permutation(len(examples))
-    train_split, dev_split = [examples[i] for i in shuffle[:-4]], [examples[i] for i in shuffle[-4:]]
+    train_split = [examples[i] for i in shuffle[:-4]]
+    dev_split = [examples[i] for i in shuffle[-4:]]
     start = init_params(2, vocab.size, 16, corpus[0].h_dec_seq.shape[1])
     signal, _ = losses.grad(start, train_split, config.mode, config.alpha)
     trained = losses.evaluate(params, train_split, config.mode, config.alpha)
