@@ -106,7 +106,8 @@ def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams,
     log: list[dict] = []
     packed = losses.pack(examples)
     train_rows = shuffle[:-dev_count]
-    train_set, dev_set = (packed.take(rows[np.argsort(packed.lengths[rows], kind="stable")])
+    lengths = packed.lengths[packed.rows]  # by position in the pack, as ``take`` reads
+    train_set, dev_set = (packed.take(rows[np.argsort(lengths[rows], kind="stable")])
                           for rows in (train_rows, shuffle[-dev_count:]))
 
     try:

@@ -1,17 +1,16 @@
 """Shared fixtures: hand-scored corpora and toy-experiment builders."""
 
+from unittest import mock
+
+from biaslab import harness
 from biaslab.biaslist import build_lists
-from biaslab.biastrie import build_tries
-from biaslab.pointer import init_params
 from biaslab.simulator import (
     SimConfig,
     build_sim_vocab,
     gen_corpus,
     make_inventories,
     render_condition,
-    sub_rng,
 )
-from biaslab.trainer import prepare_batch
 
 
 def make_lists(corpus, common_words, n_distractors, seed):
@@ -51,25 +50,15 @@ def toy_experiment(seed=3, n_train=500, n_test=200, domain_shift=0.3,
 
 def shared_start_setup(seed, embed_dim=6, state_dim=6, n_utterances=2):
     """``harness.make_check_setup``'s instance, except that rare words start
-    with letters common words start with too.  So a non-bias word can begin
-    with a bias word's first token: an off-mask position whose gold token is
-    in its valid set, which ``make_check_setup`` never makes."""
-    common, rare, confusion = make_inventories(
-        4, 3, 1, seed, common_alphabet="abc", rare_initials="ab", rare_internal="abcu",
-        confusable_initials="g", min_len=3, max_len=4)
-    config = SimConfig(
-        seed=seed, n_utterances=n_utterances, words_per_utterance=(1, 2),
-        common_words=common, rare_words=rare, rare_word_rate=0.5,
-        base_accuracy_common=0.9, base_accuracy_rare=0.7, confusion_map=confusion,
-        state_dim=state_dim, domain_shift=0.2,
-    )
-    vocab = build_sim_vocab(config)
-    corpus = gen_corpus(config)
-    lists = build_lists(corpus, set(common), 2, seed, pool=set(rare))
-    batch = prepare_batch(vocab, corpus, lists, build_tries(vocab, lists))
-    params = init_params(seed, vocab.size, embed_dim, state_dim)
-    params.b_gate = float(sub_rng(seed, "fdgate").uniform(-3.0, 0.0))
-    return params, batch, vocab
+    with letters common words start with too (``rare_initials="ab"``).  So a
+    non-bias word can begin with a bias word's first token: an off-mask
+    position whose gold token is in its valid set, which ``make_check_setup``
+    never makes."""
+    def inventories(*args, **kwargs):
+        return make_inventories(*args, **{**kwargs, "rare_initials": "ab"})
+
+    with mock.patch.object(harness, "make_inventories", inventories):
+        return harness.make_check_setup(seed, embed_dim, state_dim, n_utterances)
 
 
 def shared_starts(batch):

@@ -8,7 +8,8 @@ from biaslab import losses
 from biaslab.biastrie import build_tries
 from biaslab.pointer import flatten, init_params
 from biaslab.simulator import sub_rng
-from biaslab.trainer import LOG_COLUMNS, TrainConfig, prepare_batch, train, write_train_log
+from biaslab.trainer import (LOG_COLUMNS, TrainConfig, fit, prepare_batch, train,
+                             write_train_log)
 from conftest import toy_experiment
 
 
@@ -144,6 +145,29 @@ def test_log_row_holds_the_splits_means_and_the_dev_rates():
         assert math.isclose(row[key], value, rel_tol=1e-12), key
     assert (row["dev_far"], row["dev_tar"]) == (100.0 * dev.gate_rates["far"],
                                                 100.0 * dev.gate_rates["tar"])
+
+
+def test_fit_on_a_taken_pack_sorts_its_splits_by_their_own_lengths(monkeypatch):
+    """A ``take`` of a pack, whose rows are not 0..n-1, trains as the list of
+    its examples does, and every full-split pass sees its rows in length order."""
+    vocab, corpus, lists = small_setup(n=40)
+    packed = losses.pack(prepare_batch(vocab, corpus, lists, build_tries(vocab, lists)))
+    part = packed.take(np.arange(len(packed))[::-1][:30])
+    config = TrainConfig(epochs=2, seed=1, batch_size=6)
+    want_params, want_log = fit(list(part), config)
+    real = losses.teacher_forced
+    seen = []
+
+    def spy(params, batch, *args, **kwargs):
+        seen.append(batch.lengths[batch.rows])
+        return real(params, batch, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "teacher_forced", spy)
+    params, log = fit(part, config)
+    assert len(seen) == 5  # the initial gradient, then each epoch's train and dev passes
+    assert all((np.diff(lengths) >= 0).all() for lengths in seen)
+    assert np.array_equal(flatten(params), flatten(want_params))
+    assert log == want_log
 
 
 def test_non_finite_input_raises_naming_the_utterance():

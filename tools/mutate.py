@@ -41,6 +41,7 @@ FLIPS = {
     ast.In: ast.NotIn, ast.NotIn: ast.In, ast.USub: ast.UAdd,
 }
 DROPPED = (ast.Invert, ast.Not)
+TIMEOUT = 300.0  # seconds a mutant's test run may take before it counts as killed
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
@@ -109,14 +110,16 @@ def _describe(tree: ast.Module, name: str, k: int) -> str:
     return f"{type(op).__name__} -> {flip}"
 
 
-def _killed(src_copy: Path, module: str, source: str, timeout: float) -> bool:
+def _killed(src_copy: Path, module: str, source: str) -> bool:
     (src_copy / "biaslab" / f"{module}.py").write_text(source, encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(src_copy)}
+    # no bytecode cache: a same-size mutant written within the same second
+    # would otherwise load the previous mutant's .pyc
+    env = {**os.environ, "PYTHONPATH": str(src_copy), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            str(ROOT / "tests" / f"test_{module}.py")]
     try:
         run = subprocess.run(cmd, cwd=src_copy.parent, env=env, capture_output=True,
-                             timeout=timeout)
+                             timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return True
     return run.returncode != 0
@@ -126,8 +129,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("targets", nargs="*", default=list(DEFAULT_TARGETS),
                         help="MODULE.FUNCTION names under src/biaslab")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds a mutant's test run may take before it counts as killed")
     args = parser.parse_args(argv)
     survivors, totals = [], []
     with tempfile.TemporaryDirectory() as tmp:
@@ -138,13 +139,13 @@ def main(argv: list[str] | None = None) -> int:
             path = ROOT / "src" / "biaslab" / f"{module}.py"
             text = path.read_text(encoding="utf-8")
             tree = ast.parse(text)
-            if _killed(src_copy, module, ast.unparse(tree), args.timeout):
+            if _killed(src_copy, module, ast.unparse(tree)):
                 raise SystemExit(f"tests/test_{module}.py fails on the unmutated {module}.py")
             count = len(_sites(_function(tree, name)))
             killed = 0
             for k in range(count):
                 source, node = _mutant(tree, name, k)
-                if _killed(src_copy, module, source, args.timeout):
+                if _killed(src_copy, module, source):
                     killed += 1
                 else:
                     survivors.append(f"{module}.py:{node.lineno} {target}: "
