@@ -7,7 +7,7 @@ decoding and biased/unbiased word error scoring.
 """
 
 from .biastrie import PrefixTree, build_trie
-from .losses import BiasMask, LossReport, bias_positions, fd_check, grad
+from .losses import LossReport, bias_positions, fd_check, grad
 from .metrics import Alignment, ScoreReport, align, score
 from .pointer import PgParams, StepOutput, forward_step, init_params, interpolate
 from .simulator import SimConfig, SimUtterance, gen_corpus, render_condition
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alignment",
-    "BiasMask",
     "LossReport",
     "PgParams",
     "PrefixTree",

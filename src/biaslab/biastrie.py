@@ -9,14 +9,17 @@ root can step; after a plain token only the active node can.  So at most one
 partial word is ever under way, and the tokens that may continue a bias word
 next are the root's children plus the active node's children.
 
-Each node's valid set is memoized in the tree on first use, as a sorted tuple
-(``members``) and with it as a bool row over the vocabulary (``valid``, the
-mask of ``pointer.masked_forward``); the memos live and die with the tree.
+Each node's valid set is memoized in the tree on first use, as a bool row
+over the vocabulary (the mask of ``pointer.masked_forward``); the memo lives
+and dies with the tree.  ``walk`` stacks the rows along a token path, for
+``losses.prepare_example`` and each round of ``decoder.greedy_decode``.
 Bias words' token ids are memoized on the vocabulary, so each distinct word
 is tokenized once per vocabulary.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,23 +38,27 @@ class PrefixTree:
                 if node == len(children):  # a new node
                     children.append({})
         self._vocab_size = vocab_size
-        self._members: dict[int, tuple[int, ...]] = {}
-        self._valid: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+        self._rows: dict[int, np.ndarray] = {}
 
-    def members(self, node: int) -> tuple[int, ...]:
-        """Tokens that may extend some bias word at ``node``, sorted."""
-        if node not in self._members:
-            self._members[node] = tuple(sorted({*self._children[0], *self._children[node]}))
-        return self._members[node]
+    def _row(self, node: int) -> np.ndarray:
+        """Flags the tokens that may extend some bias word at ``node``."""
+        row = self._rows.get(node)
+        if row is None:
+            row = self._rows[node] = np.zeros(self._vocab_size, dtype=bool)
+            row.put([*self._children[0], *self._children[node]], True)
+        return row
 
     def valid(self, node: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """``members(node)``, and the same set as a bool row over the vocabulary;
-        a memo of its own, so that a teacher-forced walk builds no row."""
-        if node not in self._valid:
-            row = np.zeros(self._vocab_size, dtype=bool)
-            row.put(self.members(node), True)
-            self._valid[node] = (self.members(node), row)
-        return self._valid[node]
+        """The tokens that may extend some bias word at ``node``, sorted, and
+        the same set as the node's bool row over the vocabulary."""
+        row = self._row(node)
+        return tuple(np.flatnonzero(row).tolist()), row
+
+    def walk(self, tokens, node: int = 0) -> tuple[list[int], np.ndarray]:
+        """Walk ``tokens`` from ``node``: the node before each token, and those
+        nodes' bool rows stacked, shape (len(tokens), vocabulary)."""
+        nodes = list(accumulate(tokens, self.advance, initial=node))[:-1]
+        return nodes, np.array([self._row(n) for n in nodes], bool).reshape(-1, self._vocab_size)
 
     def advance(self, node: int, emitted: int) -> int:
         """The node after ``emitted``.  A reached node is kept only if it has

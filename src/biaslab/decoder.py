@@ -21,7 +21,6 @@ with the reference (a documented desk-scale simplification).
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -75,8 +74,7 @@ def greedy_decode(
         while start < steps:
             eos = np.flatnonzero(emitted[start:] == vocab.eos_id)  # past it is not reached
             span = slice(start, start + 1 + eos[0] if eos.size else steps)
-            nodes = list(accumulate(emitted[span][:-1].tolist(), tree.advance, initial=node))
-            allowed = np.array([tree.valid(n)[1] for n in nodes])
+            nodes, allowed = tree.walk(emitted[span].tolist(), node)
             p, _, gate = masked_forward(terms.query_logits[None, span],
                                         terms.gate_state[None, span], terms.gate_token,
                                         allowed[None])

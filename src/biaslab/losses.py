@@ -41,20 +41,6 @@ class DivergenceError(ValueError):
     """A gradient or loss stopped being finite during optimization."""
 
 
-@dataclass(frozen=True)
-class BiasMask:
-    """Token positions lying inside reference words that are on the bias list."""
-
-    positions: frozenset[int]
-    size: int
-
-    def flags(self) -> np.ndarray:
-        """Whether each position is on the mask, as a boolean array."""
-        out = np.zeros(self.size, dtype=bool)
-        out[sorted(self.positions)] = True
-        return out
-
-
 @dataclass
 class LossReport:
     """Loss values summed over a batch; ``total`` follows the training mode."""
@@ -71,41 +57,31 @@ class LossReport:
 class BiasExample:
     """One utterance prepared for teacher-forced training.
 
-    ``valid_sets[i]`` is the bias-continuation set at position i when the
-    reference prefix has been consumed; at every masked position the gold
-    token is guaranteed to be a member.
+    ``allowed[i]`` flags over the vocabulary the bias-continuation set after
+    the reference's first i tokens, and ``mask[i]`` whether position i is on
+    the bias mask; at every masked position the gold token is allowed.
     """
 
     utt_id: str
     tokens: tuple[int, ...]
     h_seq: np.ndarray
     p_mdl_seq: np.ndarray
-    valid_sets: tuple[tuple[int, ...], ...]
-    mask: BiasMask
+    allowed: np.ndarray
+    mask: np.ndarray
 
 
-def bias_positions(ref: TokenizedUtterance, bias_words: set[str]) -> BiasMask:
-    """All token positions of reference words that are on the bias list."""
-    positions: set[int] = set()
+def bias_positions(ref: TokenizedUtterance, bias_words: set[str]) -> np.ndarray:
+    """Flags the token positions of reference words that are on the bias list."""
+    mask = np.zeros(ref.size, dtype=bool)
     for word_idx, start, end in ref.word_spans:
         if ref.words[word_idx] in bias_words:
-            positions.update(range(start, end))
-    return BiasMask(frozenset(positions), ref.size)
-
-
-def teacher_valid_sets(tree: PrefixTree, tokens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Valid bias sets along the reference, walking the trie with gold tokens;
-    the tuples are the tree's memoized ones."""
-    node, out = 0, []
-    for tok in tokens:
-        out.append(tree.members(node))
-        node = tree.advance(node, tok)
-    return tuple(out)
+            mask[start:end] = True
+    return mask
 
 
 def prepare_example(vocab: Vocab, utt_id: str, ref: TokenizedUtterance, h_seq: np.ndarray,
                     p_mdl_seq: np.ndarray, bias_words: list[str], tree: PrefixTree) -> BiasExample:
-    """Bundle an utterance with its bias mask and its trie's teacher-forced sets."""
+    """Bundle an utterance with its bias mask and its trie's teacher-forced valid sets."""
     h_seq = np.asarray(h_seq, dtype=np.float64)
     p_mdl_seq = np.asarray(p_mdl_seq, dtype=np.float64)
     if p_mdl_seq.shape != (ref.size, vocab.size) or h_seq.ndim != 2 or len(h_seq) != ref.size:
@@ -114,8 +90,7 @@ def prepare_example(vocab: Vocab, utt_id: str, ref: TokenizedUtterance, h_seq: n
             f"{h_seq.shape} do not fit {ref.size} tokens over a vocabulary of {vocab.size}"
         )
     mask = bias_positions(ref, set(w.lower() for w in bias_words))
-    sets = teacher_valid_sets(tree, ref.tokens)
-    return BiasExample(utt_id, ref.tokens, h_seq, p_mdl_seq, sets, mask)
+    return BiasExample(utt_id, ref.tokens, h_seq, p_mdl_seq, tree.walk(ref.tokens)[1], mask)
 
 
 def _floored_log(x: np.ndarray) -> np.ndarray:
@@ -131,7 +106,7 @@ def loss_asr(p_seq: np.ndarray, ref: TokenizedUtterance) -> float:
     return float(-np.sum(_floored_log(p_seq[np.arange(ref.size), list(ref.tokens)])))
 
 
-def loss_gen(p_gen_seq: np.ndarray, mask: BiasMask, alpha: float) -> float:
+def loss_gen(p_gen_seq: np.ndarray, mask: np.ndarray, alpha: float) -> float:
     """Weighted binary cross-entropy of the gate against the bias mask.
 
     Positions on the mask are weighted by ``alpha`` and positions off it by
@@ -139,18 +114,17 @@ def loss_gen(p_gen_seq: np.ndarray, mask: BiasMask, alpha: float) -> float:
     """
     ALPHA.require(alpha, "alpha")
     p_gen_seq = np.asarray(p_gen_seq, dtype=np.float64)
-    if p_gen_seq.shape[0] != mask.size:
+    if p_gen_seq.shape[0] != len(mask):
         raise ValueError("gate sequence does not match the mask length")
-    on = mask.flags()
     return float(-np.sum(np.where(
-        on, alpha * _floored_log(p_gen_seq), (1.0 - alpha) * _floored_log(1.0 - p_gen_seq)
+        mask, alpha * _floored_log(p_gen_seq), (1.0 - alpha) * _floored_log(1.0 - p_gen_seq)
     )))
 
 
-def loss_ptr(step_outputs: list[StepOutput], ref: TokenizedUtterance, mask: BiasMask) -> float:
-    """Cross-entropy of the bias distribution at masked positions only."""
+def loss_ptr(step_outputs: list[StepOutput], ref: TokenizedUtterance, mask: np.ndarray) -> float:
+    """Cross-entropy of the bias distribution at the positions ``mask`` flags only."""
     total = 0.0
-    for i in sorted(mask.positions):
+    for i in np.flatnonzero(mask).tolist():
         gold = ref.tokens[i]
         if gold not in step_outputs[i].valid:
             raise ValueError(f"mask/trie inconsistency at position {i}")
@@ -183,15 +157,16 @@ class Pack(Sequence):
     """A batch of examples padded once to its longest utterance, or some of
     its rows; ``pack`` builds one.
 
-    The arrays cover every example of ``examples``: ``allowed`` flags each
-    position's valid set over the vocabulary and ``valid_count`` counts it,
-    ``onehot`` flags each position's gold token over the vocabulary,
-    ``in_mask`` the bias mask, ``p_mdl_gold`` the base model's probability
-    of each gold token, ``h`` the decoder states and ``lengths`` each
-    utterance's length.  A padded position has no valid set, gold token 0
-    at probability 1 and zero states, so every padded term is 0.  ``rows``
-    are the examples this pack holds, in order: ``take`` selects among them
-    without copying, and ``_groups`` copies them out a group at a time.
+    The arrays cover every example of ``examples``, a row each, copied from
+    the example's own arrays: ``allowed`` its valid-set rows over the
+    vocabulary and ``valid_count`` their counts, ``onehot`` flags each gold
+    token over the vocabulary, ``in_mask`` the bias mask, ``p_mdl_gold`` the
+    base model's probability of each gold token, ``h`` the decoder states
+    and ``lengths`` each utterance's length.  A padded position has no valid
+    set, gold token 0 at probability 1 and zero states, so every padded term
+    is 0.  ``rows`` are the examples this pack holds, in order: ``take``
+    selects among them without copying, and ``_groups`` copies them out a
+    group at a time.
     """
 
     examples: tuple[BiasExample, ...]
@@ -259,9 +234,8 @@ def pack(examples: Sequence[BiasExample]) -> Pack:
     h = np.zeros((*shape, *state))
     for b, ex in enumerate(examples):
         size = len(ex.tokens)
-        for row, valid in zip(allowed[b], ex.valid_sets):
-            row[list(valid)] = True
-        in_mask[b, :size] = ex.mask.flags()
+        allowed[b, :size] = ex.allowed
+        in_mask[b, :size] = ex.mask
         gold[b, :size] = ex.tokens
         p_mdl_gold[b, :size] = ex.p_mdl_seq[np.arange(size), gold[b, :size]]
         h[b, :size] = ex.h_seq

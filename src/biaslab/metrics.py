@@ -149,9 +149,9 @@ def score(
     """Pool per-utterance alignments (and optional gate traces) into one report.
 
     Returns the corpus report and a per-utterance breakdown. ``gate_traces``
-    entries need ``step``/``p_gen``/``valid_nonempty`` attributes and
-    ``bias_masks`` entries a ``positions`` set, both aligned by step index
-    with the reference.
+    entries need ``step``/``p_gen``/``valid_nonempty`` attributes, and
+    ``bias_masks`` entries are ``losses.bias_positions``' bool flags over the
+    reference's tokens; a step outside its mask raises ValueError.
     """
     if len(alignments) != len(bias_lists):
         raise ValueError("alignments and bias lists must pair up one to one")
@@ -196,13 +196,19 @@ def score(
         breakdown.append(utt)
 
     if gate_traces is not None:
-        if bias_masks is None or len(gate_traces) != len(alignments):
+        if bias_masks is None or not len(gate_traces) == len(bias_masks) == len(alignments):
             raise ValueError("gate traces require matching bias masks per utterance")
-        gated = [(entry, mask) for trace, mask in zip(gate_traces, bias_masks)
-                 for entry in trace if entry.valid_nonempty]
-        counts = gate_counts([entry.p_gen for entry, _ in gated],
-                             [entry.step in mask.positions for entry, mask in gated])
-        totals.update({f"gate_{key}": n for key, n in counts.items()}, n_gate_positions=len(gated))
+        p_gen, on_mask = [], []
+        for utt, trace, mask in zip(breakdown, gate_traces, bias_masks):
+            for entry in trace:
+                if not 0 <= entry.step < len(mask):
+                    raise ValueError(f"utterance {utt['id']}: gate trace step {entry.step} "
+                                     f"lies outside its bias mask's {len(mask)} positions")
+                if entry.valid_nonempty:
+                    p_gen.append(entry.p_gen)
+                    on_mask.append(mask[entry.step])
+        counts = gate_counts(p_gen, on_mask)
+        totals.update({f"gate_{key}": n for key, n in counts.items()}, n_gate_positions=len(p_gen))
 
     errors = totals["substitutions"] + totals["deletions"] + totals["insertions"]
     totals["errors_total"] = errors

@@ -63,8 +63,8 @@ def shared_start_setup(seed, embed_dim=6, state_dim=6, n_utterances=2):
 
 def shared_starts(batch):
     """How many off-mask positions of ``batch`` have their gold token in the valid set."""
-    return sum(tok in ex.valid_sets[i] for ex in batch for i, tok in enumerate(ex.tokens)
-               if i not in ex.mask.positions)
+    return sum(bool(ex.allowed[i, tok]) for ex in batch for i, tok in enumerate(ex.tokens)
+               if not ex.mask[i])
 
 
 def scorer_fixture():

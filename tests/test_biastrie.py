@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslab import biastrie
+from biaslab import biastrie, harness
 from biaslab.biastrie import build_trie, build_tries
 from biaslab.tokenizer import BOUNDARY, Vocab, build_vocab, tokenize_word
-from conftest import toy_experiment
+from biaslab.trainer import prepare_batch
+from conftest import shared_start_setup, shared_starts, toy_experiment
 
 
 def tid(vocab, name):
@@ -32,6 +33,8 @@ def test_empty_trie():
     tree = build_trie(vocab, [])
     assert tree.valid(0)[0] == ()
     assert tree.advance(0, tid(vocab, BOUNDARY + "t")) == 0
+    nodes, rows = tree.walk([])
+    assert nodes == [] and rows.shape == (0, vocab.size) and rows.dtype == bool
 
 
 def walk(tree, tokens):
@@ -251,3 +254,43 @@ def test_build_tries_untokenizable_word_names_first_utterance(monkeypatch):
     with pytest.raises(ValueError, match=rf"^utterance {fifth}: bias word 'x9'"):
         build_tries(vocab, {fifth: bad[fifth], second: bad[second]})
     assert calls.count("x9") == 2
+
+
+def toy_examples(monkeypatch):
+    """The AC-4-style toy corpus's training examples, with their corpus and lists."""
+    vocab, corpus, lists = toy_lists()
+    return vocab, corpus, lists, prepare_batch(vocab, corpus, lists, build_tries(vocab, lists))
+
+
+def shared_start_examples(monkeypatch):
+    """``shared_start_setup``'s examples, with the corpus and lists the harness
+    built them from."""
+    seen = {}
+
+    def keep(vocab, corpus, lists, trees):
+        seen.update(vocab=vocab, corpus=corpus, lists=lists)
+        return prepare_batch(vocab, corpus, lists, trees)
+
+    monkeypatch.setattr(harness, "prepare_batch", keep)
+    _, batch, _ = shared_start_setup(11, n_utterances=6)
+    assert shared_starts(batch) > 0
+    return seen["vocab"], seen["corpus"], seen["lists"], batch
+
+
+@pytest.mark.parametrize("source", [toy_examples, shared_start_examples],
+                         ids=["toy", "shared_starts"])
+def test_prepared_labels_match_the_brute_force(monkeypatch, source):
+    """At every position of every prepared example, the ``allowed`` row is the
+    brute-force scan's set after the reference prefix, and ``mask`` flags the
+    positions inside reference words on the list, and no others."""
+    vocab, corpus, lists, batch = source(monkeypatch)
+    assert any(ex.mask.any() for ex in batch)
+    for utt, ex in zip(corpus, batch, strict=True):
+        ref, words = utt.ref, sorted({word.lower() for word in lists[utt.utt_id]})
+        assert ex.allowed.dtype == bool and ex.allowed.shape == (ref.size, vocab.size)
+        for i in range(ref.size):
+            want = sorted(oracle_valid(vocab, words, ref.tokens[:i]))
+            assert np.flatnonzero(ex.allowed[i]).tolist() == want, (utt.utt_id, i)
+        inside = [any(start <= i < end and ref.words[w] in words
+                      for w, start, end in ref.word_spans) for i in range(ref.size)]
+        assert ex.mask.dtype == bool and ex.mask.tolist() == inside, utt.utt_id

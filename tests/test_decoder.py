@@ -152,6 +152,10 @@ def test_unknown_mode_rejected():
         greedy_decode(utt, vocab, mode="beam")
     with pytest.raises(ValueError, match="needs module parameters"):
         greedy_decode(utt, vocab, mode="scaled")
+    params = init_params(0, vocab.size, 4, np.shape(utt.h_dec_seq)[1])
+    for half in ({"params": params}, {"tree": build_trie(vocab, [])}):  # either one alone
+        with pytest.raises(ValueError, match="needs module parameters"):
+            greedy_decode(utt, vocab, mode="scaled", **half)
 
 
 def test_hypotheses_file_roundtrip(tmp_path):

@@ -14,7 +14,6 @@ from biaslab.biastrie import build_trie
 from biaslab.harness import make_check_setup
 from biaslab.metrics import GATE_THRESHOLD
 from biaslab.losses import (
-    BiasMask,
     bias_positions,
     evaluate,
     fd_check,
@@ -23,12 +22,16 @@ from biaslab.losses import (
     loss_gen,
     loss_ptr,
     prepare_example,
-    teacher_valid_sets,
 )
 from biaslab.pointer import flatten, forward_step, init_params, interpolate, unflatten
 from biaslab.tokenizer import build_vocab, tokenize
 from biaslab.trainer import TrainConfig
 from conftest import shared_start_setup, shared_starts
+
+
+def members(row):
+    """The token ids a bool row over the vocabulary flags, sorted."""
+    return np.flatnonzero(row).tolist()
 
 
 def small_world():
@@ -41,21 +44,21 @@ def test_bias_positions_fig_example():
     ref = tokenize(vocab, ["my", "name", "is", "kerry"])
     mask = bias_positions(ref, {"kerry"})
     _, start, end = ref.word_spans[3]
-    assert mask.positions == frozenset(range(start, end))
-    assert mask.size == ref.size
+    assert members(mask) == list(range(start, end))
+    assert mask.dtype == bool and mask.shape == (ref.size,)
 
 
 def test_bias_positions_empty_list():
     vocab = small_world()
     ref = tokenize(vocab, ["my", "name"])
-    assert bias_positions(ref, set()).positions == frozenset()
+    assert np.array_equal(bias_positions(ref, set()), np.zeros(ref.size, dtype=bool))
 
 
 def test_bias_positions_repeated_word():
     vocab = small_world()
     ref = tokenize(vocab, ["kerry", "kerry"])
     mask = bias_positions(ref, {"kerry"})
-    assert mask.positions == frozenset(range(10))  # both 5-token spans
+    assert members(mask) == list(range(10))  # both 5-token spans
 
 
 def test_loss_asr_certain_reference():
@@ -93,12 +96,12 @@ def test_loss_asr_zero_probability_clamped():
 
 
 def test_loss_gen_perfect_classification():
-    mask = BiasMask(frozenset({0}), 2)
+    mask = np.array([True, False])
     assert loss_gen(np.array([1.0, 0.0]), mask, 0.7) == 0.0
 
 
 def test_loss_gen_hand_value():
-    mask = BiasMask(frozenset({1}), 2)
+    mask = np.array([False, True])
     value = loss_gen(np.array([0.2, 0.9]), mask, 0.7)
     expected = -(0.3 * math.log(0.8) + 0.7 * math.log(0.9))
     assert abs(value - expected) < 1e-12
@@ -106,20 +109,20 @@ def test_loss_gen_hand_value():
 
 
 def test_loss_gen_empty_mask_closed_gate():
-    mask = BiasMask(frozenset(), 3)
+    mask = np.zeros(3, dtype=bool)
     for alpha in (0.1, 0.5, 0.9):
         assert loss_gen(np.zeros(3), mask, alpha) == 0.0
 
 
 def test_loss_gen_alpha_validated():
-    mask = BiasMask(frozenset(), 1)
+    mask = np.zeros(1, dtype=bool)
     for alpha in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError, match="alpha"):
             loss_gen(np.array([0.5]), mask, alpha)
 
 
 def test_loss_gen_monotonicity():
-    mask = BiasMask(frozenset({0}), 2)
+    mask = np.array([True, False])
     low = loss_gen(np.array([0.4, 0.2]), mask, 0.7)
     assert loss_gen(np.array([0.5, 0.2]), mask, 0.7) < low
     assert loss_gen(np.array([0.4, 0.3]), mask, 0.7) > low
@@ -127,10 +130,10 @@ def test_loss_gen_monotonicity():
 
 def forced_steps(vocab, ref, bias_words, params):
     tree = build_trie(vocab, bias_words)
-    sets = teacher_valid_sets(tree, ref.tokens)
+    _, allowed = tree.walk(ref.tokens)
     rng = np.random.default_rng(0)
     h_seq = rng.standard_normal((ref.size, params.state_dim))
-    return [forward_step(params, h_seq[i], list(sets[i])) for i in range(ref.size)], h_seq
+    return [forward_step(params, h_seq[i], members(allowed[i])) for i in range(ref.size)], h_seq
 
 
 def test_loss_ptr_empty_mask():
@@ -138,7 +141,7 @@ def test_loss_ptr_empty_mask():
     ref = tokenize(vocab, ["my", "kerry"])
     params = init_params(1, vocab.size, 4, 6)
     steps, _ = forced_steps(vocab, ref, ["kerry"], params)
-    assert loss_ptr(steps, ref, BiasMask(frozenset(), ref.size)) == 0.0
+    assert loss_ptr(steps, ref, np.zeros(ref.size, dtype=bool)) == 0.0
 
 
 def test_loss_ptr_hand_value():
@@ -153,7 +156,7 @@ def test_loss_ptr_hand_value():
             p[:] = 0.0
             p[ref.tokens[1]] = 0.8
         doctored.append(dataclasses.replace(step, p_ptr=p))
-    mask = BiasMask(frozenset({1}), ref.size)
+    mask = np.arange(ref.size) == 1
     assert abs(loss_ptr(doctored, ref, mask) - 0.22314355) < 1e-7
 
 
@@ -180,7 +183,7 @@ def test_loss_ptr_positions_outside_mask_ignored():
     base = loss_ptr(steps, ref, mask)
     poked = []
     for i, step in enumerate(steps):
-        if i not in mask.positions:
+        if not mask[i]:
             junk = np.zeros_like(step.p_ptr)
             junk[0] = 1.0
             poked.append(dataclasses.replace(step, p_ptr=junk))
@@ -194,7 +197,7 @@ def test_loss_ptr_inconsistent_mask_raises():
     ref = tokenize(vocab, ["tom"])
     params = init_params(3, vocab.size, 4, 6)
     steps, _ = forced_steps(vocab, ref, ["kerry"], params)
-    bad_mask = BiasMask(frozenset({0}), ref.size)
+    bad_mask = np.arange(ref.size) == 0
     with pytest.raises(ValueError, match="mask/trie inconsistency at position 0"):
         loss_ptr(steps, ref, bad_mask)
 
@@ -211,8 +214,8 @@ def example_for(vocab, words, bias_words, seed=0, state_dim=6):
 def test_prepare_example_guarantees_gold_membership():
     vocab = small_world()
     ex = example_for(vocab, ["my", "kerry", "tom"], ["kerry", "tom"])
-    for i in ex.mask.positions:
-        assert ex.tokens[i] in ex.valid_sets[i]
+    for i in np.flatnonzero(ex.mask):
+        assert ex.allowed[i, ex.tokens[i]]
 
 
 @pytest.mark.parametrize("rows, states", [
@@ -262,7 +265,7 @@ def test_kernel_rejects_states_that_do_not_fit_the_module(alone):
 def test_grad_inconsistent_mask_raises():
     vocab = small_world()
     ex = example_for(vocab, ["tom"], ["kerry"])
-    bad = dataclasses.replace(ex, mask=BiasMask(frozenset({0}), len(ex.tokens)))
+    bad = dataclasses.replace(ex, mask=np.arange(len(ex.tokens)) == 0)
     params = init_params(0, vocab.size, 4, 6)
     with pytest.raises(ValueError, match="mask/trie inconsistency"):
         grad(params, [bad], "two_loss", 0.7)
@@ -294,7 +297,7 @@ def test_clamped_positions_off_the_mask_are_counted_once(b_gate, clamped):
     rows = np.full((ref.size, vocab.size), 1.0 / vocab.size)
     ex = prepare_example(vocab, "u0", ref, np.ones((ref.size, 6)), rows, ["kerry"],
                          build_trie(vocab, ["kerry"]))
-    assert sorted(ex.mask.positions) == [2, 3, 4, 5, 6] and ref.size == 8
+    assert members(ex.mask) == [2, 3, 4, 5, 6] and ref.size == 8
     params = init_params(0, vocab.size, 4, 6)
     params.w_query[:] = 0.0  # uniform bias weights: no pointer log is floored
     params.w_gate[:] = 0.0
@@ -347,7 +350,7 @@ def test_asr_mode_matches_interpolated_nll():
     expected = 0.0
     for ex in batch:
         for i, gold in enumerate(ex.tokens):
-            step = forward_step(params, ex.h_seq[i], list(ex.valid_sets[i]))
+            step = forward_step(params, ex.h_seq[i], members(ex.allowed[i]))
             p_final = interpolate(ex.p_mdl_seq[i], step, "scaled")[gold]
             expected -= math.log(max(p_final, 1e-12))
     assert abs(report.l_asr - expected) < 1e-9
@@ -375,7 +378,7 @@ def test_gate_gradient_direction_off_mask():
     # with no masked positions and the gate below 0.5, descent lowers the gate
     vocab = small_world()
     ex = example_for(vocab, ["my", "name"], ["kerry"])
-    assert not ex.mask.positions
+    assert not ex.mask.any()
     params = init_params(1, vocab.size, 4, 6)
     g, _ = grad(params, [ex], "two_loss", 0.7)
     assert g.b_gate >= 0.0
@@ -395,9 +398,7 @@ def test_unused_embedding_row_gets_zero_gradient():
     ex = example_for(vocab, ["kerry"], ["kerry"])
     params = init_params(2, vocab.size, 4, 6)
     g, _ = grad(params, [ex], "two_loss", 0.7)
-    used = set()
-    for members in ex.valid_sets:
-        used.update(members)
+    used = set(members(ex.allowed.any(axis=0)))
     unused = [t for t in range(vocab.size) if t not in used]
     assert unused, "test needs at least one untouched token"
     assert np.all(g.token_embed[unused] == 0.0)
@@ -482,10 +483,10 @@ def _padded_by_position(examples):
     onehot[:, :, 0] = True
     for b, ex in enumerate(examples):
         for t, tok in enumerate(ex.tokens):
-            allowed[b, t, list(ex.valid_sets[t])] = True
-            valid_count[b, t] = len(ex.valid_sets[t])
+            allowed[b, t] = ex.allowed[t]
+            valid_count[b, t] = np.count_nonzero(ex.allowed[t])
             onehot[b, t] = np.arange(vocab) == tok
-            in_mask[b, t] = t in ex.mask.positions
+            in_mask[b, t] = ex.mask[t]
             p_mdl_gold[b, t], h[b, t] = ex.p_mdl_seq[t, tok], ex.h_seq[t]
     return allowed, valid_count, onehot, in_mask, p_mdl_gold, h
 
@@ -575,17 +576,13 @@ def test_kernel_matches_reference_losses_and_forward_step(seed, b_gate, alpha, e
     params, batch, _ = setup(seed, 4, 5, n_utterances=3)
     params.b_gate = b_gate
     # clear some off-mask valid sets: the kernel must mix empty and full rows
-    ex = batch[0]
-    drop = {i for i in emptied if i < len(ex.tokens) and i not in ex.mask.positions}
-    batch[0] = dataclasses.replace(
-        ex, valid_sets=tuple(() if i in drop else v for i, v in enumerate(ex.valid_sets))
-    )
+    batch[0] = _empty_off_mask_sets(batch[0], emptied)
     out = losses.teacher_forced(params, batch, "two_loss", alpha)
     gates = out.terms()["p_gen"]
     l_gen = l_ptr = l_asr = 0.0
     offset = 0
     for ex in batch:
-        steps = [forward_step(params, ex.h_seq[i], list(ex.valid_sets[i]))
+        steps = [forward_step(params, ex.h_seq[i], members(ex.allowed[i]))
                  for i in range(len(ex.tokens))]
         ref = types.SimpleNamespace(tokens=ex.tokens, size=len(ex.tokens))
         p_gen = np.array([s.p_gen for s in steps])
@@ -604,10 +601,9 @@ def test_kernel_matches_reference_losses_and_forward_step(seed, b_gate, alpha, e
 
 def _empty_off_mask_sets(ex, emptied):
     """``ex`` with the valid sets at the off-mask positions in ``emptied`` cleared."""
-    drop = {i for i in emptied if i < len(ex.tokens) and i not in ex.mask.positions}
-    return dataclasses.replace(
-        ex, valid_sets=tuple(() if i in drop else v for i, v in enumerate(ex.valid_sets))
-    )
+    allowed = ex.allowed.copy()
+    allowed[[i for i in emptied if i < len(ex.tokens) and not ex.mask[i]]] = False
+    return dataclasses.replace(ex, allowed=allowed)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -658,11 +654,11 @@ def _inf_input(params, batch):
 
 
 def _gold_off_its_valid_set(params, batch):
-    b, i = next((b, i) for b, ex in enumerate(batch) for i in sorted(ex.mask.positions))
+    b, i = next((b, i) for b, ex in enumerate(batch) for i in members(ex.mask))
     ex = batch[b]
-    sets = list(ex.valid_sets)
-    sets[i] = tuple(t for t in sets[i] if t != ex.tokens[i])
-    batch[b] = dataclasses.replace(ex, valid_sets=tuple(sets))
+    allowed = ex.allowed.copy()
+    allowed[i, ex.tokens[i]] = False
+    batch[b] = dataclasses.replace(ex, allowed=allowed)
     return f"mask/trie inconsistency at position {i} of utterance {ex.utt_id}"
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslab.losses import BiasMask
 from biaslab.metrics import (
     DELETION,
     GATE_THRESHOLD,
@@ -124,13 +123,21 @@ def test_score_perfect():
 
 def test_gate_rates_hand_trace():
     trace = [Trace(0, 0.6), Trace(1, 0.7), Trace(2, 0.2), Trace(3, 0.1)]
-    mask = BiasMask(frozenset({1, 2}), 4)
+    mask = np.array([False, True, True, False])
     report, _ = score(
         [align(["a"], ["a"])], [set()], gate_traces=[trace], bias_masks=[mask]
     )
     assert report.tar == 50.0
     assert report.far == 50.0
     assert report.counts["n_gate_positions"] == 4
+
+
+def test_gate_rates_are_percentages_of_their_pools():
+    trace = [Trace(0, 0.9), Trace(1, 0.8), Trace(2, 0.1),
+             Trace(3, 0.7), Trace(4, 0.6), Trace(5, 0.2), Trace(6, 0.3)]
+    mask = np.arange(7) < 3
+    report, _ = score([align(["a"], ["a"])], [set()], gate_traces=[trace], bias_masks=[mask])
+    assert report.tar == 100.0 * 2 / 3 and report.far == 50.0
 
 
 def test_gate_at_the_threshold_counts_as_fired():
@@ -142,13 +149,29 @@ def test_gate_at_the_threshold_counts_as_fired():
 
 def test_gate_positions_with_empty_valid_set_excluded():
     trace = [Trace(0, 0.9, valid=False), Trace(1, 0.9), Trace(2, 0.0, valid=False)]
-    mask = BiasMask(frozenset({1}), 3)
+    mask = np.array([False, True, False])
     report, _ = score(
         [align(["a"], ["a"])], [set()], gate_traces=[trace], bias_masks=[mask]
     )
     assert report.counts["n_gate_positions"] == 1
     assert report.tar == 100.0
     assert report.far == 0.0
+
+
+@pytest.mark.parametrize("step, utt_ids, name", [
+    (-1, ["u0", "u1"], "u1"), (3, ["u0", "u1"], "u1"), (3, None, "1"),
+], ids=["negative", "past_the_end", "by_index"])
+def test_trace_step_outside_its_mask_names_the_utterance(step, utt_ids, name):
+    traces = [[Trace(0, 0.9)], [Trace(0, 0.9), Trace(step, 0.9)]]
+    masks = [np.array([True]), np.array([False, True, False])]
+    with pytest.raises(ValueError, match=rf"^utterance {name}: gate trace step {step} "
+                                         r"lies outside its bias mask's 3 positions$"):
+        score([align(["a"], ["a"])] * 2, [set()] * 2, traces, masks, utt_ids)
+
+
+def test_gate_traces_need_one_mask_each():
+    with pytest.raises(ValueError, match="matching bias masks per utterance"):
+        score([align(["a"], ["a"])] * 2, [set()] * 2, [[Trace(0, 0.9)]] * 2, [np.array([True])])
 
 
 def test_scorer_fixture_counts_exact():
@@ -188,13 +211,33 @@ def test_far_tar_invariant_to_utterance_order():
     for _ in range(10):
         n = int(rng.integers(2, 8))
         traces.append([Trace(i, float(rng.uniform())) for i in range(n)])
-        masks.append(BiasMask(frozenset(int(i) for i in rng.choice(n, 2)), n))
+        masks.append(np.zeros(n, dtype=bool))
+        masks[-1][rng.choice(n, 2)] = True
         aligns.append(align(["w"], ["w"]))
         lists.append(set())
     fwd, _ = score(aligns, lists, traces, masks)
     rev, _ = score(aligns[::-1], lists[::-1], traces[::-1], masks[::-1])
     assert fwd.far == rev.far
     assert fwd.tar == rev.tar
+
+
+@pytest.mark.parametrize("ref, hyp, bias, u_we_b", [
+    (["a", "b", "c"], ["x", "b", "z"], {"c"}, 0),
+    (["a", "b", "c"], ["x", "y", "c"], {"b"}, 1),
+], ids=["ends_are_not_neighbours", "right_neighbour"])
+def test_u_we_b_counts_only_adjacent_ops(ref, hyp, bias, u_we_b):
+    report, _ = score([align(ref, hyp)], [bias])
+    assert report.counts["u_we_b"] == u_we_b
+
+
+def test_notes_name_exactly_the_undefined_rates():
+    proxy = "u_we_b uses a +-1 alignment-op adjacency proxy"
+    report, _ = score([align(["a"], ["b"])], [set()])
+    assert report.notes == [proxy]
+    report, _ = score([align([], ["x"])], [set()])
+    assert report.wer is None and report.u_wer is None and report.b_wer == 0.0
+    assert report.notes == [proxy, "u_wer undefined: unbiased errors with no unbiased "
+                            "reference words", "wer undefined: errors against an empty reference"]
 
 
 def test_bias_insertion_without_reference_bias_words():

@@ -9,7 +9,7 @@ import biaslab
 from biaslab.simulator import Range
 
 PUBLIC = [
-    "Alignment", "BiasMask", "LossReport", "PgParams", "PrefixTree", "ScoreReport",
+    "Alignment", "LossReport", "PgParams", "PrefixTree", "ScoreReport",
     "SimConfig", "SimUtterance", "StepOutput", "TokenizedUtterance", "TrainConfig", "Vocab",
     "align", "bias_positions", "build_trie", "build_vocab", "detokenize", "fd_check",
     "forward_step", "gen_corpus", "grad", "init_params", "interpolate", "render_condition",
