@@ -153,23 +153,23 @@ LOSS_KEYS = ("l_gen", "l_ptr", "l_asr")
 
 
 @dataclass(frozen=True, eq=False)
-class Pack(Sequence):
+class Pack:
     """A batch of examples padded once to its longest utterance, or some of
-    its rows; ``pack`` builds one.
+    its rows; ``pack`` builds one, and only ``pack`` reads the examples.
 
-    The arrays cover every example of ``examples``, a row each, copied from
-    the example's own arrays: ``allowed`` its valid-set rows over the
-    vocabulary and ``valid_count`` their counts, ``onehot`` flags each gold
-    token over the vocabulary, ``in_mask`` the bias mask, ``p_mdl_gold`` the
-    base model's probability of each gold token, ``h`` the decoder states
-    and ``lengths`` each utterance's length.  A padded position has no valid
-    set, gold token 0 at probability 1 and zero states, so every padded term
-    is 0.  ``rows`` are the examples this pack holds, in order: ``take``
-    selects among them without copying, and ``_groups`` copies them out a
-    group at a time.
+    The arrays hold a row per example, copied from the example's own arrays:
+    ``allowed`` its valid-set rows over the vocabulary and ``valid_count``
+    their counts, ``onehot`` flags each gold token over the vocabulary,
+    ``in_mask`` the bias mask, ``p_mdl_gold`` the base model's probability of
+    each gold token, ``h`` the decoder states and ``lengths`` each
+    utterance's length; ``utt_ids`` names each row's utterance, for error
+    messages and traces.  A padded position has no valid set, gold token 0
+    at probability 1 and zero states, so every padded term is 0.  ``rows``
+    are the rows this pack holds, in order: ``take`` selects among them
+    without copying, and ``_groups`` copies them out a group at a time.
     """
 
-    examples: tuple[BiasExample, ...]
+    utt_ids: tuple[str, ...]
     allowed: np.ndarray
     valid_count: np.ndarray
     onehot: np.ndarray
@@ -182,12 +182,6 @@ class Pack(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i: int) -> BiasExample:
-        return self.examples[self.rows[i]]
-
-    def __iter__(self) -> Iterator[BiasExample]:
-        return (self.examples[r] for r in self.rows)
-
     def take(self, rows) -> Pack:
         """These rows of this pack, in the order given; shares the arrays."""
         return replace(self, rows=self.rows[np.asarray(rows, dtype=np.intp)])
@@ -198,12 +192,12 @@ class Pack(Sequence):
         return np.arange(self.in_mask.shape[1]) < self.lengths[:, None]
 
 
-def _culprit(examples: Sequence[BiasExample], ok: np.ndarray) -> BiasExample:
-    """The first utterance whose ``ok`` flags are not all true."""
-    return examples[int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))]
+def _culprit(utt_ids: Sequence[str], ok: np.ndarray) -> str:
+    """The id of the first row whose ``ok`` flags are not all true."""
+    return utt_ids[int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))]
 
 
-def pack(examples: Sequence[BiasExample]) -> Pack:
+def pack(examples: Pack | Sequence[BiasExample]) -> Pack:
     """Pad a batch once for the kernel; a ``Pack`` is returned as it is.
 
     Every input check runs here, once: rejects examples whose base-model
@@ -225,6 +219,7 @@ def pack(examples: Sequence[BiasExample]) -> Pack:
                 f"{np.shape(first.p_mdl_seq)[-1]} tokens and decoder states of width "
                 f"{np.shape(first.h_seq)[-1]}")
     vocab, state = widths[0] if widths else ((0,), (0,))
+    utt_ids = tuple(ex.utt_id for ex in examples)
     lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
     shape = (len(examples), int(lengths.max(initial=0)))
     allowed = np.zeros((*shape, *vocab), dtype=bool)
@@ -241,25 +236,25 @@ def pack(examples: Sequence[BiasExample]) -> Pack:
         h[b, :size] = ex.h_seq
     finite = np.isfinite(h).all(axis=2) & np.isfinite(p_mdl_gold)
     if not finite.all():
-        raise DivergenceError(f"non-finite input on utterance {_culprit(examples, finite).utt_id}")
+        raise DivergenceError(f"non-finite input on utterance {_culprit(utt_ids, finite)}")
     onehot = np.arange(allowed.shape[2]) == gold[..., None]
     inconsistent = in_mask & ~allowed[onehot].reshape(shape)
     if inconsistent.any():
         b, i = np.argwhere(inconsistent)[0]
-        raise ValueError(
-            f"mask/trie inconsistency at position {i} of utterance {examples[b].utt_id}")
-    return Pack(examples, allowed, allowed.sum(axis=2), onehot, in_mask, p_mdl_gold, h,
+        raise ValueError(f"mask/trie inconsistency at position {i} of utterance {utt_ids[b]}")
+    return Pack(utt_ids, allowed, allowed.sum(axis=2), onehot, in_mask, p_mdl_gold, h,
                 lengths, np.arange(len(examples)))
 
 
-def _groups(batch: Sequence[BiasExample]) -> Iterator[Pack]:
+def _groups(batch: Pack | Sequence[BiasExample]) -> Iterator[Pack]:
     """The batch's rows ``GROUP_SIZE`` at a time, each group copied out of
-    the pack when it is reached and trimmed to its own longest utterance."""
+    the pack, with its rows' ids, when it is reached and trimmed to its own
+    longest utterance."""
     packed = pack(batch)
     for start in range(0, len(packed), GROUP_SIZE):
         rows = packed.rows[start:start + GROUP_SIZE]
         seq = int(packed.lengths[rows].max())
-        yield Pack(tuple(packed.examples[r] for r in rows),
+        yield Pack(tuple(packed.utt_ids[r] for r in rows),
                    *(array[rows, :seq] for array in (packed.allowed, packed.valid_count,
                                                      packed.onehot, packed.in_mask,
                                                      packed.p_mdl_gold, packed.h)),
@@ -378,8 +373,8 @@ def _group_pass(
     )
     finite = np.all([np.isfinite(g).reshape(n, -1).all(axis=1) for g in per_utt], axis=0)
     if not finite.all():
-        culprit = _culprit(group.examples, finite)
-        raise DivergenceError(f"non-finite gradient on utterance {culprit.utt_id}")
+        culprit = _culprit(group.utt_ids, finite)
+        raise DivergenceError(f"non-finite gradient on utterance {culprit}")
     grad_out += flatten(PgParams(
         per_utt[0].sum(axis=0), per_utt[1].sum(axis=0),
         np.concatenate([per_utt[2].sum(axis=0), per_utt[3].sum(axis=0)]), per_utt[4].sum()))
@@ -393,7 +388,7 @@ def _loss_sums(found: dict[str, np.ndarray]) -> np.ndarray:
     return np.array([found[key].reshape(*lead, -1).sum(axis=-1) for key in LOSS_KEYS])
 
 
-def run_groups(params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: float,
+def run_groups(params: PgParams, batch: Pack, mode: str, alpha: float,
                grad_out: np.ndarray | None) -> tuple[np.ndarray, int, list]:
     """The kernel over each group of a batch, unchecked (``teacher_forced`` checks
     first): the ``LOSS_KEYS`` sums, the count of floored logs and each group's
@@ -412,7 +407,7 @@ def run_groups(params: PgParams, batch: Sequence[BiasExample], mode: str, alpha:
 
 def teacher_forced(
     params: PgParams,
-    batch: Sequence[BiasExample],
+    batch: Pack | Sequence[BiasExample],
     mode: str,
     alpha: float,
     want_grad: bool = False,
@@ -435,8 +430,11 @@ def teacher_forced(
     base = flatten(params)
     if not np.isfinite(base).all():
         raise DivergenceError("non-finite copy-module parameters")
-    if len(batch):  # the pack holds every other example to the first one's widths
-        check_fit(params, batch[0].utt_id, batch[0].p_mdl_seq, batch[0].h_seq)
+    batch = pack(batch)
+    if len(batch):  # the pack holds every other row to the first one's widths
+        first = batch.rows[0]
+        size = batch.lengths[first]
+        check_fit(params, batch.utt_ids[first], batch.allowed[first, :size], batch.h[first, :size])
     grad_out = np.zeros_like(base) if want_grad else None
     sums, n_clamped, per_group = run_groups(params, batch, mode, alpha, grad_out)
     l_gen, l_ptr, l_asr = map(float, sums)
@@ -461,7 +459,8 @@ def _rates(terms: dict[str, np.ndarray]) -> dict[str, float]:
     }
 
 
-def evaluate(params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: float) -> LossReport:
+def evaluate(params: PgParams, batch: Pack | Sequence[BiasExample], mode: str,
+             alpha: float) -> LossReport:
     """Losses summed over a batch, without gradients, and the batch's
     ``gate_rates`` from the same pass."""
     out = teacher_forced(params, batch, mode, alpha)
@@ -469,7 +468,7 @@ def evaluate(params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: f
     return out.report
 
 
-def gate_rates(params: PgParams, batch: Sequence[BiasExample]) -> dict[str, float]:
+def gate_rates(params: PgParams, batch: Pack | Sequence[BiasExample]) -> dict[str, float]:
     """Teacher-forced gate acceptance rates at ``metrics.GATE_THRESHOLD``.
 
     Only positions with a nonempty valid set count; the hit rate is over
@@ -479,7 +478,7 @@ def gate_rates(params: PgParams, batch: Sequence[BiasExample]) -> dict[str, floa
 
 
 def grad(
-    params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: float
+    params: PgParams, batch: Pack | Sequence[BiasExample], mode: str, alpha: float
 ) -> tuple[PgParams, LossReport]:
     """Analytic gradient of the mode's objective, summed over the batch."""
     out = teacher_forced(params, batch, mode, alpha, want_grad=True)
@@ -504,7 +503,7 @@ def probe_totals(
 
 def fd_check(
     params: PgParams,
-    batch: Sequence[BiasExample],
+    batch: Pack | Sequence[BiasExample],
     mode: str,
     alpha: float,
     step: float = 1e-5,
@@ -534,7 +533,7 @@ def fd_check(
 
 
 def step_trace(
-    params: PgParams, batch: Sequence[BiasExample], mode: str, alpha: float
+    params: PgParams, batch: Pack | Sequence[BiasExample], mode: str, alpha: float
 ) -> list[dict]:
     """Per-step diagnostic records: losses, gate, and the gate gradient seed.
 
@@ -542,9 +541,10 @@ def step_trace(
     batch report of ``evaluate`` and ``d_gate_pre`` sums to the ``b_gate``
     component of ``grad``.
     """
+    batch = pack(batch)
     found = teacher_forced(params, batch, mode, alpha, want_grad=True).terms()
     columns = {key: values.tolist() for key, values in found.items()}
-    steps = [(ex.utt_id, i) for ex in batch for i in range(len(ex.tokens))]
+    steps = [(batch.utt_ids[r], i) for r in batch.rows for i in range(batch.lengths[r])]
     return [
         {"utt": utt, "step": i, **{key: values[j] for key, values in columns.items()}}
         for j, (utt, i) in enumerate(steps)

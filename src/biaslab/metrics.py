@@ -155,6 +155,8 @@ def score(
     """
     if len(alignments) != len(bias_lists):
         raise ValueError("alignments and bias lists must pair up one to one")
+    if utt_ids is not None and len(utt_ids) != len(alignments):
+        raise ValueError("alignments and utterance ids must pair up one to one")
     totals = {
         "ref_words": 0, "ref_bias_words": 0, "bias_errors": 0, "unbias_errors": 0,
         "u_we_b": 0, "substitutions": 0, "deletions": 0, "insertions": 0,

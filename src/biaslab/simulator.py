@@ -369,7 +369,7 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
         except ValueError:  # an empty file, or a first line that is not UTF-8 JSON
             meta = None
     meta = check(meta, {"kind": typing.Literal["meta"], "vocab": list[str], "state_dim": int,
-                        "version": typing.Literal[CORPUS_FORMAT_VERSION]},
+                        "n_utterances": Size, "version": typing.Literal[CORPUS_FORMAT_VERSION]},
                  f"{path} is not a corpus file of a supported version: line 1")
     try:
         vocab = Vocab(tuple(meta["vocab"]))
@@ -390,6 +390,9 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
         corpus.append(
             SimUtterance(record["id"], record["index"], list(ref.words), ref, p_mdl, h_dec)
         )
+    if len(corpus) != meta["n_utterances"]:
+        raise ValueError(f"{path}: the meta line says {meta['n_utterances']} utterances, "
+                         f"but the file holds {len(corpus)}")
     return vocab, corpus, meta
 
 

@@ -83,28 +83,30 @@ def train(
     return fit(prepare_batch(vocab, corpus, lists, build_tries(vocab, lists)), config)
 
 
-def fit(examples: Sequence[BiasExample], config: TrainConfig) -> tuple[PgParams, list[dict]]:
+def fit(examples: losses.Pack | Sequence[BiasExample],
+        config: TrainConfig) -> tuple[PgParams, list[dict]]:
     """``train`` on prepared examples: a ``losses.Pack``, or a list that is
-    packed once, at the start of training, where a bad input raises.  The
-    splits and minibatches take the pack's rows; minibatches run the group
-    loop unchecked, as the first full-split pass checks the fit."""
+    packed once, at the start of training, where a bad input raises, and
+    then dropped.  The splits and minibatches take the pack's rows;
+    minibatches run the group loop unchecked, as the first full-split pass
+    checks the fit."""
     config.validate()
     if len(examples) < 2:
         raise ValueError("training needs at least two utterances for a dev split")
-    shuffle = sub_rng(config.seed, "shuffle").permutation(len(examples))
-    dev_count = max(1, len(examples) // 10)
-    n_train = len(examples) - dev_count
+    packed = losses.pack(examples)
+    del examples  # the pack holds all that training reads
+    shuffle = sub_rng(config.seed, "shuffle").permutation(len(packed))
+    dev_count = max(1, len(packed) // 10)
+    n_train = len(packed) - dev_count
 
-    first = examples[0]
-    params = init_params(config.seed, first.p_mdl_seq.shape[1], config.embed_dim,
-                         first.h_seq.shape[1])
+    params = init_params(config.seed, packed.allowed.shape[2], config.embed_dim,
+                         packed.h.shape[2])
     theta = flatten(params)
     lr = config.lr
     best_params = params  # an update builds new arrays, so a snapshot needs no copy
     best_dev = float("inf")
     epochs_since_improve = 0
     log: list[dict] = []
-    packed = losses.pack(examples)
     train_rows = shuffle[:-dev_count]
     lengths = packed.lengths[packed.rows]  # by position in the pack, as ``take`` reads
     train_set, dev_set = (packed.take(rows[np.argsort(lengths[rows], kind="stable")])

@@ -138,7 +138,7 @@ def keys(where, *names):
 REQUIRED = keys(CONFIG, "seed", "n_utterances", "words_per_utterance", "common_words",
                 "rare_words", "rare_word_rate") + [
     (*INVENTORIES, ("inventories", "n_common")), (*INVENTORIES, ("inventories", "n_rare")),
-    *keys(META, "kind", "version", "vocab", "state_dim"),
+    *keys(META, "kind", "version", "vocab", "state_dim", "n_utterances"),
     *keys(UTTERANCE, "id", "index", "ref_words", "p_mdl_seq", "h_dec_seq"),
     *keys(LIST, "id", "words"), *keys(HYPOTHESIS, "id", "hyp_words", "trace"),
     *keys(HEADER, "version", "seed", "order", "shapes"), (*HEADER, ("shapes", "*"))]
@@ -152,7 +152,7 @@ STRINGS = [(*CONFIG, ("common_words", "*")), (*CONFIG, ("confusion_map", "*")),
            *keys(HYPOTHESIS, "id"), (*HYPOTHESIS, ("hyp_words", "*")), (*HEADER, ("order", "*"))]
 INTS = keys(CONFIG, "seed", "n_utterances", "state_dim") + [
     (*CONFIG, ("words_per_utterance", "*")), (*INVENTORIES, ("inventories", "*")),
-    *keys(META, "version", "state_dim"), *keys(UTTERANCE, "index"),
+    *keys(META, "version", "state_dim", "n_utterances"), *keys(UTTERANCE, "index"),
     (*HYPOTHESIS, ("trace", "*", 0)), (*HYPOTHESIS, ("trace", "*", 3)),
     *keys(HEADER, "version", "seed"), (*HEADER, ("shapes", "*", "*"))]
 FLOATS = keys(CONFIG, "rare_word_rate", "base_accuracy_common", "base_accuracy_rare",
@@ -164,7 +164,7 @@ RAGGED = [(*CONFIG, ("words_per_utterance",)), (*UTTERANCE, ("p_mdl_seq", "*")),
           (*HEADER, ("shapes", "*"))]
 DIMENSIONS = keys(CONFIG, "state_dim", "n_utterances") + [
     (*INVENTORIES, ("inventories", "n_common")), (*INVENTORIES, ("inventories", "n_rare")),
-    *keys(META, "state_dim"), (*HEADER, ("shapes", "*", "*"))]
+    *keys(META, "state_dim", "n_utterances"), (*HEADER, ("shapes", "*", "*"))]
 
 
 def drop(node, key):

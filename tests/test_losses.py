@@ -498,14 +498,15 @@ def test_groups_of_a_take_match_a_fresh_pack_of_its_rows():
     packed = losses.pack(batch)
     taken = packed.take(rows)
     assert taken.allowed is packed.allowed and taken.h is packed.h  # no copy
-    assert len(taken) == len(rows) and list(taken) == [batch[r] for r in rows]
     chosen = [batch[r] for r in rows]
+    assert len(taken) == len(rows)
+    assert [taken.utt_ids[r] for r in taken.rows] == [ex.utt_id for ex in chosen]
     groups, fresh = list(losses._groups(taken)), list(losses._groups(losses.pack(chosen)))
     assert len(groups) == len(fresh) == 2
     keys = ("allowed", "valid_count", "onehot", "in_mask", "p_mdl_gold", "h", "lengths", "real")
     for start, group, other in zip((0, losses.GROUP_SIZE), groups, fresh):
         members = chosen[start:start + losses.GROUP_SIZE]
-        assert list(group) == list(other) == members
+        assert group.utt_ids == other.utt_ids == tuple(ex.utt_id for ex in members)
         for key in keys:
             mine, theirs = getattr(group, key), getattr(other, key)
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), key
@@ -672,6 +673,24 @@ def test_fd_check_raises_on_bad_parameters_and_inputs(corrupt):
     if corrupt is not _nan_parameter:  # a bad input is rejected when the batch is packed
         with pytest.raises(ValueError, match=message):
             losses.pack(batch)
+
+
+@pytest.mark.parametrize("mode", losses.MODES)
+def test_non_finite_gradient_names_its_utterance(mode):
+    """A finite state so large that the middle utterance's gradient overflows
+    is named by that utterance's id; at 1e307 the gradient stays finite."""
+    def run(scale):
+        params, batch, _ = make_check_setup(3, n_utterances=3)
+        h_seq = batch[1].h_seq.copy()
+        h_seq[2] = scale * np.sign(params.w_query.sum(axis=0))
+        batch[1] = dataclasses.replace(batch[1], h_seq=h_seq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return grad(params, batch, mode, 0.7)
+
+    assert np.isfinite(flatten(run(1e307)[0])).all()
+    with pytest.raises(losses.DivergenceError) as caught:
+        run(1.7e308)
+    assert str(caught.value) == "non-finite gradient on utterance utt00001"
 
 
 def test_kernel_checks_alpha_against_the_range_on_train_config_alpha():

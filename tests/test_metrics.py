@@ -174,6 +174,16 @@ def test_gate_traces_need_one_mask_each():
         score([align(["a"], ["a"])] * 2, [set()] * 2, [[Trace(0, 0.9)]] * 2, [np.array([True])])
 
 
+@pytest.mark.parametrize("utt_ids", [[], ["u1"], ["u1", "u2", "u3"]],
+                         ids=["empty", "too_short", "too_long"])
+def test_utterance_ids_need_one_per_alignment(utt_ids):
+    with pytest.raises(ValueError) as caught:
+        score([align(["a"], ["a"])] * 2, [set()] * 2, utt_ids=utt_ids)
+    assert str(caught.value) == "alignments and utterance ids must pair up one to one"
+    _, breakdown = score([align(["a"], ["a"])] * 2, [set()] * 2, utt_ids=["u1", "u2"])
+    assert [utt["id"] for utt in breakdown] == ["u1", "u2"]
+
+
 def test_scorer_fixture_counts_exact():
     cases = scorer_fixture()
     alignments = [align(ref, hyp) for ref, hyp, _, _ in cases]

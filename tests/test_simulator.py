@@ -276,6 +276,24 @@ def test_meta_line_without_state_dim_rejected(tmp_path):
         read_corpus(path)
 
 
+@pytest.mark.parametrize("kept", [0, 2, 7], ids=["none", "truncated", "extra"])
+def test_record_count_must_match_the_meta_line(tmp_path, kept):
+    """A file cut short, or one with records past its count, is rejected
+    naming the file and both counts."""
+    config = toy_config()
+    path = str(tmp_path / "corpus.jsonl")
+    write_corpus(path, gen_corpus(config)[:5], build_sim_vocab(config), config.seed, "train")
+    lines = Path(path).read_text().splitlines(keepends=True)
+    assert json.loads(lines[0])["n_utterances"] == 5 and len(lines) == 6
+    extra = [json.dumps({**json.loads(line), "id": f"copy{i}"}) + "\n"
+             for i, line in enumerate(lines[1:3])]
+    Path(path).write_text("".join((lines + extra)[:1 + kept]))
+    with pytest.raises(ValueError) as caught:
+        read_corpus(path)
+    assert str(caught.value) == (
+        f"{path}: the meta line says 5 utterances, but the file holds {kept}")
+
+
 def test_utterance_record_lacking_a_key_is_named(tmp_path):
     config = toy_config()
     path = str(tmp_path / "corpus.jsonl")

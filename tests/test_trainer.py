@@ -151,10 +151,11 @@ def test_fit_on_a_taken_pack_sorts_its_splits_by_their_own_lengths(monkeypatch):
     """A ``take`` of a pack, whose rows are not 0..n-1, trains as the list of
     its examples does, and every full-split pass sees its rows in length order."""
     vocab, corpus, lists = small_setup(n=40)
-    packed = losses.pack(prepare_batch(vocab, corpus, lists, build_tries(vocab, lists)))
+    examples = prepare_batch(vocab, corpus, lists, build_tries(vocab, lists))
+    packed = losses.pack(examples)
     part = packed.take(np.arange(len(packed))[::-1][:30])
     config = TrainConfig(epochs=2, seed=1, batch_size=6)
-    want_params, want_log = fit(list(part), config)
+    want_params, want_log = fit([examples[r] for r in part.rows], config)
     real = losses.teacher_forced
     seen = []
 
