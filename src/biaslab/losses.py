@@ -188,8 +188,8 @@ class Pack:
 
     @property
     def real(self) -> np.ndarray:
-        """Flags the positions of the arrays that exist."""
-        return np.arange(self.in_mask.shape[1]) < self.lengths[:, None]
+        """Flags the positions of this pack's rows that exist."""
+        return np.arange(self.in_mask.shape[1]) < self.lengths[self.rows, None]
 
 
 def _culprit(utt_ids: Sequence[str], ok: np.ndarray) -> str:

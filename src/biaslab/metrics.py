@@ -1,10 +1,13 @@
 """Word-level alignment and error/acceptance-rate scoring.
 
-Errors are split by the bias list: substitutions and deletions follow the
-reference word, insertions follow the hypothesis word, and every error is
-attributed to exactly one of the biased or unbiased pools.  The biased
-word error rate divides biased errors by the number of reference words on
-the list; the unbiased rate covers the rest.  Gate acceptance rates use
+Every error puts one word at risk: an insertion its hypothesis word, a
+substitution or deletion its reference word.  The error is biased when that
+word is on the utterance's bias list, so it lands in exactly one of the
+biased or unbiased pools.  The biased word error rate divides biased errors
+by the number of reference words on the list; the unbiased rate covers the
+rest.  ``u_we_b`` counts unbiased errors next to a biased one, an error's
+neighbours being the alignment ops on either side, matches included: a match
+between two errors keeps them apart.  Gate acceptance rates use
 the ``GATE_THRESHOLD`` decision boundary and only count decoded positions
 where the valid bias set was nonempty.
 """
@@ -21,6 +24,9 @@ SUBSTITUTION = "substitution"
 DELETION = "deletion"
 INSERTION = "insertion"
 
+# one utterance's counts, as ``utterance_counts`` returns them and ``score`` totals them
+COUNTS = ("ref_words", "ref_bias_words", "bias_errors", "unbias_errors", "u_we_b",
+          "substitutions", "deletions", "insertions")
 GATE_THRESHOLD = 0.5  # the gate fires at p_gen >= this, in reports and training logs alike
 
 
@@ -41,42 +47,27 @@ class Alignment:
 
 
 def align(ref_words: list[str], hyp_words: list[str]) -> Alignment:
-    """Minimal edit alignment; ties prefer match > substitution > deletion > insertion."""
-    n_ref, n_hyp = len(ref_words), len(hyp_words)
-    cost = [[0] * (n_hyp + 1) for _ in range(n_ref + 1)]
-    op = [[""] * (n_hyp + 1) for _ in range(n_ref + 1)]
-    for i in range(1, n_ref + 1):
-        cost[i][0] = i
-        op[i][0] = DELETION
-    for j in range(1, n_hyp + 1):
-        cost[0][j] = j
-        op[0][j] = INSERTION
-    for i in range(1, n_ref + 1):
-        for j in range(1, n_hyp + 1):
-            same = ref_words[i - 1] == hyp_words[j - 1]
-            diag = cost[i - 1][j - 1] + (0 if same else 1)
-            up = cost[i - 1][j] + 1
-            left = cost[i][j - 1] + 1
-            best = min(diag, up, left)
-            cost[i][j] = best
-            if diag == best:
-                op[i][j] = MATCH if same else SUBSTITUTION
-            elif up == best:
-                op[i][j] = DELETION
-            else:
-                op[i][j] = INSERTION
+    """Minimal edit alignment, retraced from the last cell of the one cost table;
+    ties prefer match > substitution > deletion > insertion, the order it tests them."""
+    cost = [list(range(len(hyp_words) + 1))]
+    for i, ref_word in enumerate(ref_words, 1):
+        above, row = cost[-1], [i]
+        for diag, up, hyp_word in zip(above, above[1:], hyp_words):
+            row.append(min(diag + (ref_word != hyp_word), up + 1, row[-1] + 1))
+        cost.append(row)
     ops: list[AlignOp] = []
-    i, j = n_ref, n_hyp
-    while i > 0 or j > 0:
-        kind = op[i][j]
-        if kind in (MATCH, SUBSTITUTION):
-            ops.append(AlignOp(kind, ref_words[i - 1], hyp_words[j - 1]))
+    i, j = len(ref_words), len(hyp_words)
+    while i or j:
+        ref_word = ref_words[i - 1] if i else None
+        hyp_word = hyp_words[j - 1] if j else None
+        if i and j and cost[i][j] == cost[i - 1][j - 1] + (ref_word != hyp_word):
+            ops.append(AlignOp(MATCH if ref_word == hyp_word else SUBSTITUTION, ref_word, hyp_word))
             i, j = i - 1, j - 1
-        elif kind == DELETION:
-            ops.append(AlignOp(kind, ref_word=ref_words[i - 1]))
+        elif i and cost[i][j] == cost[i - 1][j] + 1:
+            ops.append(AlignOp(DELETION, ref_word=ref_word))
             i -= 1
         else:
-            ops.append(AlignOp(kind, hyp_word=hyp_words[j - 1]))
+            ops.append(AlignOp(INSERTION, hyp_word=hyp_word))
             j -= 1
     return Alignment(tuple(reversed(ops)))
 
@@ -87,8 +78,8 @@ class ScoreReport:
 
     ``b_wer``/``u_wer`` are None when their reference pool is empty but
     errors were still attributed to it (counts remain authoritative).
-    ``u_we_b`` counts unbiased errors adjacent (within one alignment op) to
-    a biased error; that adjacency rule is a proxy and is noted as such.
+    ``u_we_b``'s adjacency rule (see the module docstring) is a proxy and is
+    noted as such.
     """
 
     wer: float | None
@@ -118,14 +109,6 @@ def _rate(numerator: int, denominator: int) -> float | None:
     return 100.0 * numerator / denominator
 
 
-def _is_bias_error(op: AlignOp, bias_words: set[str]) -> bool:
-    if op.kind in (SUBSTITUTION, DELETION):
-        return op.ref_word in bias_words
-    if op.kind == INSERTION:
-        return op.hyp_word in bias_words
-    return False
-
-
 def gate_counts(p_gen: list | np.ndarray, on_mask: list | np.ndarray) -> dict[str, int]:
     """Gate decisions at ``GATE_THRESHOLD`` against the bias mask, as tp/fn/fp/tn
     counts.  The caller passes only positions whose valid bias set is nonempty."""
@@ -137,6 +120,29 @@ def gate_counts(p_gen: list | np.ndarray, on_mask: list | np.ndarray) -> dict[st
         "fp": int(np.count_nonzero(fired & ~on)),
         "tn": int(np.count_nonzero(~fired & ~on)),
     }
+
+
+def utterance_counts(alignment: Alignment, bias_words: set[str]) -> dict[str, int]:
+    """One utterance's ``COUNTS``, in one loop over its alignment's ops; each
+    unbiased error counts to ``u_we_b`` once the ops on both sides are known."""
+    counts = dict.fromkeys(COUNTS, 0)
+    before = flag = None  # the last two ops' flags: None for a match, else biased or not
+    for op in alignment.ops:
+        if op.kind != INSERTION:
+            counts["ref_words"] += 1
+            if op.ref_word in bias_words:
+                counts["ref_bias_words"] += 1
+        after = None
+        if op.kind != MATCH:
+            counts[op.kind + "s"] += 1
+            after = (op.hyp_word if op.kind == INSERTION else op.ref_word) in bias_words
+            counts["bias_errors" if after else "unbias_errors"] += 1
+        if flag is False and True in (before, after):
+            counts["u_we_b"] += 1
+        before, flag = flag, after
+    if flag is False and before is True:
+        counts["u_we_b"] += 1
+    return counts
 
 
 def score(
@@ -157,50 +163,16 @@ def score(
         raise ValueError("alignments and bias lists must pair up one to one")
     if utt_ids is not None and len(utt_ids) != len(alignments):
         raise ValueError("alignments and utterance ids must pair up one to one")
-    totals = {
-        "ref_words": 0, "ref_bias_words": 0, "bias_errors": 0, "unbias_errors": 0,
-        "u_we_b": 0, "substitutions": 0, "deletions": 0, "insertions": 0,
-        "gate_tp": 0, "gate_fn": 0, "gate_fp": 0, "gate_tn": 0, "n_gate_positions": 0,
-    }
-    breakdown: list[dict] = []
-    for idx, (alignment, bias_words) in enumerate(zip(alignments, bias_lists)):
-        utt = {
-            "id": utt_ids[idx] if utt_ids else str(idx),
-            "ref_words": 0, "ref_bias_words": 0,
-            "bias_errors": 0, "unbias_errors": 0, "u_we_b": 0,
-            "substitutions": 0, "deletions": 0, "insertions": 0,
-        }
-        kinds = []
-        for op_item in alignment.ops:
-            if op_item.kind != INSERTION:
-                utt["ref_words"] += 1
-                if op_item.ref_word in bias_words:
-                    utt["ref_bias_words"] += 1
-            if op_item.kind == MATCH:
-                kinds.append("ok")
-                continue
-            utt[op_item.kind + "s"] += 1
-            if _is_bias_error(op_item, bias_words):
-                utt["bias_errors"] += 1
-                kinds.append("bias")
-            else:
-                utt["unbias_errors"] += 1
-                kinds.append("unbias")
-        for k, kind in enumerate(kinds):
-            if kind == "unbias" and (
-                (k > 0 and kinds[k - 1] == "bias")
-                or (k + 1 < len(kinds) and kinds[k + 1] == "bias")
-            ):
-                utt["u_we_b"] += 1
-        for key in utt:
-            if key != "id":
-                totals[key] += utt[key]
-        breakdown.append(utt)
+    breakdown = [
+        {"id": utt_ids[idx] if utt_ids else str(idx), **utterance_counts(alignment, bias_words)}
+        for idx, (alignment, bias_words) in enumerate(zip(alignments, bias_lists))
+    ]
+    totals = {key: sum(utt[key] for utt in breakdown) for key in COUNTS}
 
+    p_gen, on_mask = [], []
     if gate_traces is not None:
         if bias_masks is None or not len(gate_traces) == len(bias_masks) == len(alignments):
             raise ValueError("gate traces require matching bias masks per utterance")
-        p_gen, on_mask = [], []
         for utt, trace, mask in zip(breakdown, gate_traces, bias_masks):
             for entry in trace:
                 if not 0 <= entry.step < len(mask):
@@ -209,8 +181,8 @@ def score(
                 if entry.valid_nonempty:
                     p_gen.append(entry.p_gen)
                     on_mask.append(mask[entry.step])
-        counts = gate_counts(p_gen, on_mask)
-        totals.update({f"gate_{key}": n for key, n in counts.items()}, n_gate_positions=len(p_gen))
+    counts = gate_counts(p_gen, on_mask)
+    totals.update({f"gate_{key}": n for key, n in counts.items()}, n_gate_positions=len(p_gen))
 
     errors = totals["substitutions"] + totals["deletions"] + totals["insertions"]
     totals["errors_total"] = errors

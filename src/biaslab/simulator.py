@@ -111,10 +111,13 @@ class SimConfig:
 class SimUtterance:
     utt_id: str
     index: int
-    ref_words: list[str]
     ref: TokenizedUtterance
     p_mdl_seq: np.ndarray
     h_dec_seq: np.ndarray
+
+    @property
+    def ref_words(self) -> list[str]:
+        return list(self.ref.words)
 
 
 def build_sim_vocab(config: SimConfig) -> Vocab:
@@ -141,26 +144,19 @@ def _sample_words(config: SimConfig, index: int) -> list[str]:
 
 
 def _model_rows(config: SimConfig, vocab: Vocab, ref: TokenizedUtterance) -> np.ndarray:
-    vsize = vocab.size
-    rows = np.empty((ref.size, vsize))
     rare = set(config.rare_words)
-    target = list(ref.tokens)
-    accuracy = [config.base_accuracy_common] * ref.size
+    target = np.array(ref.tokens)
+    accuracy = np.full(ref.size, config.base_accuracy_common, dtype=np.float64)
     for word_idx, start, end in ref.word_spans:
         word = ref.words[word_idx]
         if word in rare:
-            for i in range(start, end):
-                accuracy[i] = config.base_accuracy_rare
+            accuracy[start:end] = config.base_accuracy_rare
         conf = config.confusion_map.get(word)
         if conf is not None:
             # same-length counterpart: substitute the token at each offset
-            conf_tokens = tokenize_word(vocab, conf)
-            for offset, i in enumerate(range(start, end)):
-                target[i] = conf_tokens[offset]
-    for i in range(ref.size):
-        acc = accuracy[i]
-        rows[i] = (1.0 - acc) / (vsize - 1)
-        rows[i, target[i]] = acc
+            target[start:end] = tokenize_word(vocab, conf)
+    rows = np.repeat(((1.0 - accuracy) / (vocab.size - 1))[:, None], vocab.size, axis=1)
+    rows[np.arange(ref.size), target] = accuracy
     return rows
 
 
@@ -188,12 +184,10 @@ def _render_utterance(
     index: int,
     condition: str,
 ) -> SimUtterance:
-    words = _sample_words(config, index)
-    ref = tokenize(vocab, words)
+    ref = tokenize(vocab, _sample_words(config, index))
     return SimUtterance(
         utt_id=f"utt{index:05d}",
         index=index,
-        ref_words=words,
         ref=ref,
         p_mdl_seq=_model_rows(config, vocab, ref),
         h_dec_seq=_state_rows(config, patterns, ref, index, condition),
@@ -223,7 +217,6 @@ def render_condition(
         SimUtterance(
             utt.utt_id,
             utt.index,
-            list(utt.ref_words),
             utt.ref,
             utt.p_mdl_seq.copy(),
             _state_rows(config, patterns, utt.ref, utt.index, condition),
@@ -387,9 +380,7 @@ def read_corpus(path: str) -> tuple[Vocab, list[SimUtterance], dict]:
             off_simplex(p_mdl, "model rows 'p_mdl_seq'")
         except ValueError as exc:
             raise ValueError(f"{path}: utterance {record['id']}: {exc}") from None
-        corpus.append(
-            SimUtterance(record["id"], record["index"], list(ref.words), ref, p_mdl, h_dec)
-        )
+        corpus.append(SimUtterance(record["id"], record["index"], ref, p_mdl, h_dec))
     if len(corpus) != meta["n_utterances"]:
         raise ValueError(f"{path}: the meta line says {meta['n_utterances']} utterances, "
                          f"but the file holds {len(corpus)}")

@@ -112,34 +112,24 @@ MALFORMED = "<malformed>"
 
 
 def detokenize(vocab: Vocab, token_ids: list[int]) -> list[str]:
-    """Reassemble words, splitting at boundary-marked tokens.
+    """Reassemble words, splitting at boundary-marked tokens; EOS tokens are skipped.
 
-    EOS tokens are skipped.  A run of tokens with no leading boundary marker
-    cannot be a word; it collapses to the ``<malformed>`` placeholder.
+    Only a leading run of plain tokens lacks a word start (every later one
+    extends the word before it); it collapses to the ``<malformed>`` placeholder.
     """
-    words: list[str] = []
-    current: list[str] | None = None
-    malformed = False
-
-    def flush():
-        nonlocal current, malformed
-        if current is not None:
-            words.append(MALFORMED if malformed else "".join(current))
-        current, malformed = None, False
-
+    words: list[str | None] = []  # None for a leading run with no boundary marker
+    eos_id, token_of = vocab.eos_id, vocab.token_of
     for tid in token_ids:
-        if tid == vocab.eos_id:
+        if tid == eos_id:
             continue
-        token = vocab.token_of(tid)
+        token = token_of(tid)
         if token.startswith(BOUNDARY):
-            flush()
-            current = [token[len(BOUNDARY):]]
-        elif current is None:
-            current, malformed = [token], True
-        else:
-            current.append(token)
-    flush()
-    return words
+            words.append(token[len(BOUNDARY):])
+        elif not words:
+            words.append(None)
+        elif words[-1] is not None:
+            words[-1] += token
+    return [MALFORMED if word is None else word for word in words]
 
 
 def read_word_list(path: str) -> list[str]:

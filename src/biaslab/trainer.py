@@ -51,7 +51,10 @@ class TrainConfig:
 
 def prepare_batch(vocab: Vocab, corpus: list[SimUtterance], bias_lists: dict[str, list[str]],
                   trees: dict[str, PrefixTree]) -> list[BiasExample]:
-    """Build teacher-forced examples from each utterance's bias list and its trie."""
+    """Build teacher-forced examples from each utterance's bias list and its trie;
+    a missing list or trie raises ``require_lists``' ValueError."""
+    utt_ids = [utt.utt_id for utt in corpus]
+    bias_lists, trees = require_lists(utt_ids, bias_lists), require_lists(utt_ids, trees)
     return [
         prepare_example(vocab, utt.utt_id, utt.ref, utt.h_dec_seq, utt.p_mdl_seq,
                         bias_lists[utt.utt_id], trees[utt.utt_id])
@@ -79,8 +82,7 @@ def train(
     config: TrainConfig,
 ) -> tuple[PgParams, list[dict]]:
     """Train the copy module; returns the best-dev snapshot and the epoch log."""
-    lists = require_lists([u.utt_id for u in corpus], bias_lists)
-    return fit(prepare_batch(vocab, corpus, lists, build_tries(vocab, lists)), config)
+    return fit(prepare_batch(vocab, corpus, bias_lists, build_tries(vocab, bias_lists)), config)
 
 
 def fit(examples: losses.Pack | Sequence[BiasExample],

@@ -514,6 +514,15 @@ def test_groups_of_a_take_match_a_fresh_pack_of_its_rows():
             assert np.array_equal(getattr(group, key), want), key
 
 
+def test_real_of_a_take_flags_its_own_rows():
+    _, batch, _ = make_check_setup(7, n_utterances=5)
+    packed = losses.pack(batch)
+    taken = packed.take([2, 0])
+    assert taken.real.shape == (2, packed.in_mask.shape[1])
+    assert np.array_equal(taken.real, packed.real[[2, 0]])
+    assert taken.real.sum(axis=1).tolist() == [len(batch[2].tokens), len(batch[0].tokens)]
+
+
 @pytest.mark.parametrize("mode", losses.MODES)
 def test_a_pass_in_length_order_matches_batch_order(mode):
     """The trainer's full-split passes take a split's rows by length: the

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,37 @@ def test_align_edit_count_is_the_brute_force_edit_distance(ref, hyp):
     assert alignment.edit_count == brute_edit_distance(ref, hyp)
     assert [op.ref_word for op in alignment.ops if op.kind != INSERTION] == ref
     assert [op.hyp_word for op in alignment.ops if op.kind != DELETION] == hyp
+
+
+def every_alignment(ref, hyp, found):
+    """Every alignment of ``ref`` with ``hyp``, each as its op letters read from the
+    end (m, s, d, i); ``found`` keeps the lists already enumerated."""
+    if (ref, hyp) not in found:
+        ends = [""] if not ref and not hyp else []
+        if ref and hyp:
+            letter = "m" if ref[-1] == hyp[-1] else "s"
+            ends += [letter + rest for rest in every_alignment(ref[:-1], hyp[:-1], found)]
+        if ref:
+            ends += ["d" + rest for rest in every_alignment(ref[:-1], hyp, found)]
+        if hyp:
+            ends += ["i" + rest for rest in every_alignment(ref, hyp[:-1], found)]
+        found[ref, hyp] = ends
+    return found[ref, hyp]
+
+
+def test_align_takes_the_cheapest_alignment_whose_ops_from_the_end_rank_least():
+    """Among the cheapest alignments, ``align`` takes the one whose ops, read from
+    the end, rank least: match or substitution, then deletion, then insertion."""
+    rank = str.maketrans("msdi", "0012")
+    kind = {"m": MATCH, "s": SUBSTITUTION, "d": DELETION, "i": INSERTION}
+    refs = [ref for n in range(5) for ref in itertools.product("ab", repeat=n)]
+    hyps = [hyp for n in range(5) for hyp in itertools.product("abc", repeat=n)]
+    found = {}
+    for ref, hyp in itertools.product(refs, hyps):
+        best = min(every_alignment(ref, hyp, found),
+                   key=lambda ops: (len(ops) - ops.count("m"), ops.translate(rank)))
+        assert kinds(align(list(ref), list(hyp))) == [kind[op] for op in reversed(best)]
+    assert len(refs) * len(hyps) == 3751
 
 
 def test_score_fig_scenario():

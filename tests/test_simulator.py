@@ -25,6 +25,7 @@ from biaslab.simulator import (
     render_condition,
     write_corpus,
 )
+from biaslab.tokenizer import tokenize_word
 
 
 def toy_config(**overrides):
@@ -87,9 +88,30 @@ def test_rows_are_stochastic():
         assert np.all(np.abs(utt.p_mdl_seq.sum(axis=1) - 1.0) < 1e-9)
 
 
-def test_confused_positions_argmax_is_confusable():
-    from biaslab.tokenizer import tokenize_word
+@pytest.mark.parametrize("common", [0.95, 1], ids=["float", "int_from_json"])
+def test_model_rows_equal_a_row_by_row_reference(common):
+    """Each row puts its position's accuracy on its target token (the confusable's
+    token inside a confused word) and spreads the rest evenly, bit for bit as
+    rows written one position at a time."""
+    config = toy_config(n_utterances=30, base_accuracy_common=common)
+    vocab = build_sim_vocab(config)
+    seen = set()
+    for utt in gen_corpus(config):
+        spans = [(utt.ref.words[k], start, end) for k, start, end in utt.ref.word_spans]
+        # the EOS position last, under no word, with target token 0
+        for word, start, end in [*spans, (None, utt.ref.size - 1, utt.ref.size)]:
+            rare = word in config.rare_words
+            acc = config.base_accuracy_rare if rare else config.base_accuracy_common
+            target = tokenize_word(vocab, config.confusion_map.get(word, word)) if word else [0]
+            seen.add((rare, word in config.confusion_map))
+            for offset, i in enumerate(range(start, end)):
+                want = np.full(vocab.size, (1.0 - acc) / (vocab.size - 1))
+                want[target[offset]] = acc
+                assert np.array_equal(utt.p_mdl_seq[i], want), (utt.utt_id, i)
+    assert seen == {(False, False), (True, False), (True, True)}
 
+
+def test_confused_positions_argmax_is_confusable():
     config = toy_config(rare_word_rate=0.9)
     vocab = build_sim_vocab(config)
     seen = 0
@@ -201,10 +223,12 @@ def _set(rows, i, j, value):
     (lambda r: _set(r["h_dec_seq"], 1, 0, float("nan")), "non-finite"),
     (lambda r: _set(r["p_mdl_seq"], 1, 0, float("nan")), "non-finite"),
     (lambda r: _set(r["p_mdl_seq"], 0, 2, float("inf")), "non-finite"),
+    (lambda r: _set(r["p_mdl_seq"], 0, 2, None), "non-finite"),  # JSON null reads as NaN
+    (lambda r: _set(r["h_dec_seq"], 1, 0, "x"), "not a"),
     (lambda r: r.update(id="utt00000"), "repeated utterance id"),  # the first record's id
     (lambda r: r.update(ref_words=" ".join(r["ref_words"])), "'ref_words' must be a list"),
 ], ids=["ragged_state_row", "narrow_states", "nan_state", "nan_model_row", "inf_model_row",
-        "repeated_id", "string_ref_words"])
+        "null_model_cell", "string_state_cell", "repeated_id", "string_ref_words"])
 def test_malformed_rows_rejected_naming_file_and_utterance(tmp_path, change, problem):
     config = toy_config()
     path = str(tmp_path / "corpus.jsonl")

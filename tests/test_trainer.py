@@ -46,6 +46,20 @@ def test_missing_bias_list_rejected():
         train(corpus, broken, vocab, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("missing", ["list", "trie"])
+def test_prepare_batch_names_the_utterances_without_a_list_or_a_trie(missing):
+    vocab, corpus, lists = small_setup(n=5)
+    trees = build_tries(vocab, lists)
+    broken = dict({"list": lists, "trie": trees}[missing])
+    del broken[corpus[1].utt_id]
+    args = {"list": (broken, trees), "trie": (lists, broken)}[missing]
+    with pytest.raises(ValueError) as caught:
+        prepare_batch(vocab, corpus, *args)
+    assert str(caught.value) == f"no bias list for utterances: [{corpus[1].utt_id!r}]"
+    with pytest.raises(ValueError, match="no bias list for utterances: "):
+        prepare_batch(vocab, corpus, {}, {})
+
+
 def test_training_deterministic():
     vocab, corpus, lists = small_setup()
     config = TrainConfig(epochs=3, seed=7, batch_size=8)

@@ -33,7 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TARGETS = ("biastrie.walk", "losses.bias_positions", "losses.pack", "losses._groups",
                    "losses._group_pass", "losses.teacher_forced", "losses.step_trace",
-                   "pointer.masked_forward", "trainer.fit", "metrics.gate_counts")
+                   "pointer.masked_forward", "trainer.fit", "metrics.gate_counts",
+                   "metrics.align", "metrics.utterance_counts", "metrics.score",
+                   "tokenizer.detokenize", "simulator._model_rows")
 FLIPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.And: ast.Or, ast.Or: ast.And,
