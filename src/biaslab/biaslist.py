@@ -62,12 +62,12 @@ def build_lists(corpus: list[SimUtterance], common_words: set[str], n_distractor
                                            n_distractors, seed) for u in corpus}
 
 
-def require_lists(utt_ids: list[str], lists: dict[str, list[str]]) -> dict[str, list[str]]:
-    """The lists of ``utt_ids``, in their order.  Every utterance needs a bias
-    list: a missing one is an input error, never silently an empty list."""
+def require_lists(utt_ids: list[str], lists: dict, what: str = "bias list") -> dict:
+    """The lists (or tries: ``what``) of ``utt_ids``, in their order.  Every utterance
+    needs them: a missing one is an input error, never silently an empty list."""
     missing = [u for u in utt_ids if u not in lists]
     if missing:
-        raise ValueError(f"no bias list for utterances: {missing[:5]}")
+        raise ValueError(f"no {what} for utterances: {missing[:5]}")
     return {u: lists[u] for u in utt_ids}
 
 

@@ -9,12 +9,18 @@ root can step; after a plain token only the active node can.  So at most one
 partial word is ever under way, and the tokens that may continue a bias word
 next are the root's children plus the active node's children.
 
+A tree grows on first visit, as TCPGen's decoder reads only the nodes it is
+at (Sun et al. 2021): a node other than the root keeps its depth and the
+sequences through it until ``advance`` first reaches it, and only then groups
+them by their next token into children.  So a tree costs the nodes its walks
+reach, not its list's size; growing mutates it, so it is single-threaded.
+
 Each node's valid set is memoized in the tree on first use, as a bool row
 over the vocabulary (the mask of ``pointer.masked_forward``); the memo lives
 and dies with the tree.  ``walk`` stacks the rows along a token path, for
 ``losses.prepare_example`` and each round of ``decoder.greedy_decode``.
 Bias words' token ids are memoized on the vocabulary, so each distinct word
-is tokenized once per vocabulary.
+is tokenized once per vocabulary, and a list's ids are fetched in one pass.
 """
 
 from __future__ import annotations
@@ -27,18 +33,27 @@ from .tokenizer import Vocab, tokenize_word
 
 
 class PrefixTree:
-    """Token trie of bias words' token sequences over ``vocab_size`` tokens; immutable."""
+    """Token trie of bias words' token ids over ``vocab_size`` tokens, grown on first visit."""
 
     def __init__(self, sequences, vocab_size: int):
-        self._children = children = [{}]
-        for ids in sequences:
-            node = 0
-            for tid in ids:
-                node = children[node].setdefault(tid, len(children))
-                if node == len(children):  # a new node
-                    children.append({})
+        self._children: list[dict[int, int] | None] = [None]  # None until first reached
+        self._pending = {0: (0, list(sequences))}  # such a node -> (depth, sequences through it)
         self._vocab_size = vocab_size
         self._rows: dict[int, np.ndarray] = {}
+        self._expand(0)
+
+    def _expand(self, node: int) -> None:
+        """Give ``node`` its children: the sequences through it, grouped by next token."""
+        depth, through = self._pending.pop(node)
+        groups: dict[int, list] = {}
+        for ids in through:
+            if len(ids) > depth:
+                groups.setdefault(ids[depth], []).append(ids)
+        kids = self._children[node] = {}
+        for tid, group in groups.items():
+            kid = kids[tid] = len(self._children)
+            self._pending[kid] = (depth + 1, group)
+            self._children.append(None)
 
     def _row(self, node: int) -> np.ndarray:
         """Flags the tokens that may extend some bias word at ``node``."""
@@ -67,24 +82,28 @@ class PrefixTree:
         fresh boundary token."""
         children = self._children
         reached = children[0].get(emitted) or children[node].get(emitted)
+        if reached and children[reached] is None:
+            self._expand(reached)
         return reached if reached and children[reached] else 0
 
 
-def _word_ids(vocab: Vocab, word: str) -> tuple[int, ...]:
-    """``word``'s token ids, lowercased; memoized on ``vocab`` unless untokenizable."""
+def _word_ids(vocab: Vocab, words: list[str]) -> list[tuple[int, ...]]:
+    """Each word's token ids, lowercased; memoized on ``vocab`` unless untokenizable."""
     memo = vars(vocab).setdefault("_bias_word_ids", {})
-    ids = memo.get(word)
-    if ids is None:
-        try:
-            ids = memo[word] = tuple(tokenize_word(vocab, word.lower()))
-        except ValueError as exc:
-            raise ValueError(f"bias word {word!r} is not tokenizable: {exc}") from None
+    ids = list(map(memo.get, words))
+    if None in ids:
+        for k, word in enumerate(words):
+            if ids[k] is None:
+                try:
+                    ids[k] = memo[word] = tuple(tokenize_word(vocab, word.lower()))
+                except ValueError as exc:
+                    raise ValueError(f"bias word {word!r} is not tokenizable: {exc}") from None
     return ids
 
 
 def build_trie(vocab: Vocab, bias_words: list[str]) -> PrefixTree:
     """Compile a bias word list into a prefix tree; duplicates collapse."""
-    return PrefixTree((_word_ids(vocab, word) for word in bias_words), vocab.size)
+    return PrefixTree(_word_ids(vocab, bias_words), vocab.size)
 
 
 def build_tries(vocab: Vocab, lists: dict[str, list[str]]) -> dict[str, PrefixTree]:

@@ -113,7 +113,7 @@ def decode_corpus(
     (hypothesis words, gate trace).  ``trees`` maps each id to its bias trie
     and is None when decoding unbiased."""
     if trees is not None:
-        trees = biaslist.require_lists([utt.utt_id for utt in corpus], trees)
+        trees = biaslist.require_lists([utt.utt_id for utt in corpus], trees, "trie")
     return {utt.utt_id: greedy_decode(utt, vocab, params, trees and trees[utt.utt_id], mode)
             for utt in corpus}
 

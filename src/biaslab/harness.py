@@ -48,7 +48,7 @@ def make_check_setup(
     )
     vocab = build_sim_vocab(config)
     corpus = gen_corpus(config)
-    # distractors come from every possible rare word, so their draws never run dry
+    # distractors come from all three rare words; an utterance holding two gets one, logged
     lists = build_lists(corpus, set(common), n_distractors, seed, pool=set(rare))
     batch = prepare_batch(vocab, corpus, lists, build_tries(vocab, lists))
     params = init_params(seed, vocab.size, embed_dim, state_dim)

@@ -54,7 +54,7 @@ def prepare_batch(vocab: Vocab, corpus: list[SimUtterance], bias_lists: dict[str
     """Build teacher-forced examples from each utterance's bias list and its trie;
     a missing list or trie raises ``require_lists``' ValueError."""
     utt_ids = [utt.utt_id for utt in corpus]
-    bias_lists, trees = require_lists(utt_ids, bias_lists), require_lists(utt_ids, trees)
+    bias_lists, trees = require_lists(utt_ids, bias_lists), require_lists(utt_ids, trees, "trie")
     return [
         prepare_example(vocab, utt.utt_id, utt.ref, utt.h_dec_seq, utt.p_mdl_seq,
                         bias_lists[utt.utt_id], trees[utt.utt_id])

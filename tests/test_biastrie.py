@@ -80,9 +80,15 @@ def test_duplicates_deduplicated():
 
 
 def test_untokenizable_bias_word_named():
-    vocab = build_vocab(["tom"])
-    with pytest.raises(ValueError, match="'zap'"):
-        build_trie(vocab, ["zap"])
+    """The build raises, before any walk, naming the first such word in list
+    order, whether the words before it are memoized or met for the first time."""
+    warm = build_vocab(["tom"])
+    build_trie(warm, ["tom"])
+    for words, first in [(["zap"], "zap"), (["tom", "zap", "x9"], "zap"),
+                         (["x9", "Tom", "zap"], "x9")]:
+        for vocab in (warm, build_vocab(["tom"])):
+            with pytest.raises(ValueError, match=rf"^bias word '{first}' is not tokenizable"):
+                build_trie(vocab, words)
 
 
 def test_fresh_cursor_sees_root_children():
@@ -195,6 +201,72 @@ def test_memoized_cursor_matches_oracle_on_fresh_and_walked_trees(words, first, 
     walk_matches_oracle(tree, vocab, words, stream_of(vocab, words, second))
     walk_matches_oracle(tree, vocab, words, stream_of(vocab, words, first))
     walk_matches_oracle(build_trie(vocab, words), vocab, words, stream_of(vocab, words, second))
+
+
+LAZY_WORDS = ["kerry", "kate", "tom", "to", "Tom"]
+
+
+def expansions(monkeypatch):
+    """The nodes ``PrefixTree`` expands from now on, in order."""
+    calls = []
+    expand = biastrie.PrefixTree._expand
+    monkeypatch.setattr(biastrie.PrefixTree, "_expand",
+                        lambda tree, node: calls.append(node) or expand(tree, node))
+    return calls
+
+
+def test_fresh_trie_holds_only_the_root_and_its_children(monkeypatch):
+    vocab = build_vocab(LAZY_WORDS[:4])
+    calls = expansions(monkeypatch)
+    tree = build_trie(vocab, LAZY_WORDS)
+    assert calls == [0] and len(tree._children) == 3  # the root, ▁k and ▁t
+    assert set(tree.valid(0)[0]) == {tid(vocab, BOUNDARY + "k"), tid(vocab, BOUNDARY + "t")}
+    assert calls == [0] and len(tree._children) == 3  # reading a valid set grows nothing
+
+
+def test_a_walk_expands_only_the_nodes_it_reaches(monkeypatch):
+    vocab = build_vocab(LAZY_WORDS[:4])
+    tree = build_trie(vocab, LAZY_WORDS)
+    calls = expansions(monkeypatch)
+    ka = tokenize_word(vocab, "ka")
+    nodes, _ = tree.walk(ka)
+    end = tree.advance(nodes[-1], ka[-1])
+    assert calls == [nodes[1], end]  # ▁k and "ka"; stepping to "ka" again grows nothing
+    assert len(tree._children) == 3 + 2 + 1  # ▁k's children e, a; "ka"'s child t
+    tom = tokenize_word(vocab, "tom")
+    nodes, _ = tree.walk(tom)
+    assert tree.advance(nodes[-1], tom[-1]) == 0  # "tom" complete: back to the root
+    assert calls[2:4] == nodes[1:] and len(calls) == 5  # ▁t, "to", then the leaf "tom"
+    assert tree._children[calls[4]] == {}
+    assert len(tree._children) == 6 + 1 + 1  # ▁t's child o; "to"'s child m; "tom" none
+    tree.walk([*ka, *tom])
+    assert len(calls) == 5  # a node grows once
+
+
+@pytest.mark.parametrize("words, head, tail", [
+    (["to", "tom"], "▁t o", "m ▁t o m ▁t"),  # a word that is a prefix of another
+    (["Tom", "tom", "kate"], "▁k a", "t e ▁t o m ▁k"),  # mixed-case duplicates; words complete
+    (["kerry", "kate"], "▁k e", "a ▁k e r r y ▁k a"),  # a mismatch mid-word
+])
+def test_walks_from_interior_nodes_match_the_oracle(words, head, tail):
+    """A walk that starts at an interior node of a partly grown tree gives the
+    oracle's valid sets, and stepwise ``advance`` ends where the oracle says."""
+    low = sorted({word.lower() for word in words})
+    vocab = build_vocab(low)
+    head, tail = ([tid(vocab, name) for name in names.split()] for names in (head, tail))
+    tree = build_trie(vocab, words)
+    nodes, _ = tree.walk(head)
+    start = tree.advance(nodes[-1], head[-1])
+    assert start != 0
+    nodes, rows = tree.walk(tail, start)
+    for i, row in enumerate(rows):
+        want = sorted(oracle_valid(vocab, low, head + tail[:i]))
+        assert np.flatnonzero(row).tolist() == want
+        assert list(tree.valid(nodes[i])[0]) == want
+    node = start
+    for tok in tail:
+        node = tree.advance(node, tok)
+    assert list(tree.valid(node)[0]) == sorted(oracle_valid(vocab, low, head + tail))
 
 
 def toy_lists():

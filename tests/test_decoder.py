@@ -535,7 +535,7 @@ def test_decode_corpus_names_an_utterance_without_a_trie():
     params = init_params(0, vocab.size, 4, test_corpus[0].h_dec_seq.shape[1])
     with pytest.raises(ValueError) as caught:
         decode_corpus(test_corpus, vocab, params, trees, "scaled")
-    assert str(caught.value) == f"no bias list for utterances: [{dropped!r}]"
+    assert str(caught.value) == f"no trie for utterances: [{dropped!r}]"
 
 
 def test_score_names_an_utterance_without_a_bias_list():

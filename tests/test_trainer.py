@@ -55,7 +55,8 @@ def test_prepare_batch_names_the_utterances_without_a_list_or_a_trie(missing):
     args = {"list": (broken, trees), "trie": (lists, broken)}[missing]
     with pytest.raises(ValueError) as caught:
         prepare_batch(vocab, corpus, *args)
-    assert str(caught.value) == f"no bias list for utterances: [{corpus[1].utt_id!r}]"
+    what = {"list": "bias list", "trie": "trie"}[missing]
+    assert str(caught.value) == f"no {what} for utterances: [{corpus[1].utt_id!r}]"
     with pytest.raises(ValueError, match="no bias list for utterances: "):
         prepare_batch(vocab, corpus, {}, {})
 

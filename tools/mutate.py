@@ -31,7 +31,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_TARGETS = ("biastrie.walk", "losses.bias_positions", "losses.pack", "losses._groups",
+DEFAULT_TARGETS = ("biastrie.walk", "biastrie.advance", "biastrie._expand", "biastrie._word_ids",
+                   "biastrie.build_trie", "losses.bias_positions", "losses.pack", "losses._groups",
                    "losses._group_pass", "losses.teacher_forced", "losses.step_trace",
                    "pointer.masked_forward", "trainer.fit", "metrics.gate_counts",
                    "metrics.align", "metrics.utterance_counts", "metrics.score",
