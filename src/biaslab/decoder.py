@@ -75,11 +75,10 @@ def greedy_decode(
             eos = np.flatnonzero(emitted[start:] == vocab.eos_id)  # past it is not reached
             span = slice(start, start + 1 + eos[0] if eos.size else steps)
             nodes, allowed = tree.walk(emitted[span].tolist(), node)
-            p, _, gate = masked_forward(terms.query_logits[None, span],
-                                        terms.gate_state[None, span], terms.gate_token,
-                                        allowed[None])
-            gate = gate[0, :, None]
-            scores = safe[span] * (1.0 - gate) + p[0] * gate
+            p, _, gate = masked_forward(terms.query_logits[:, span], terms.gate_state[span],
+                                        terms.gate_token, allowed.T)
+            gate = gate[:, None]
+            scores = safe[span] * (1.0 - gate) + p.T * gate
             if mode == "unscaled":
                 scores = np.where(allowed, scores, safe[span])
             out = scores.argmax(axis=1)

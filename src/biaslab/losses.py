@@ -136,10 +136,10 @@ def mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
     return l_gen + l_ptr if mode == TWO_LOSS else l_asr
 
 
-# Utterances per kernel group.  A pass holds (utterances, positions,
-# vocabulary) logits for one group at a time, so a pass over a whole split
-# stays near the memory of 32 utterances.  On a 2-vCPU Xeon, AC-4 training
-# ran no faster at 64, with 1.4 MB more peak memory, and 5 % slower at 16.
+# Utterances per kernel group.  A pass holds (vocabulary, positions) logits
+# for one group at a time, so a pass over a whole split stays near the memory
+# of 32 utterances.  On a 2-vCPU Xeon, ten rounds of AC-4 ``fit`` at each size
+# took a median 176 ms at 32, 185 ms at 64, 196 ms at 128 and 200 ms at 16.
 GROUP_SIZE = 32
 
 # Parameter vectors per finite-difference forward: 32 parameters, each
@@ -158,21 +158,22 @@ class Pack:
     its rows; ``pack`` builds one, and only ``pack`` reads the examples.
 
     The arrays hold a row per example, copied from the example's own arrays:
-    ``allowed`` its valid-set rows over the vocabulary and ``valid_count``
-    their counts, ``onehot`` flags each gold token over the vocabulary,
+    ``allowed`` (B, T, V) its valid-set rows over the vocabulary and
+    ``valid_count`` their counts, ``gold`` (B, T) the gold token ids,
     ``in_mask`` the bias mask, ``p_mdl_gold`` the base model's probability of
     each gold token, ``h`` the decoder states and ``lengths`` each
     utterance's length; ``utt_ids`` names each row's utterance, for error
     messages and traces.  A padded position has no valid set, gold token 0
     at probability 1 and zero states, so every padded term is 0.  ``rows``
     are the rows this pack holds, in order: ``take`` selects among them
-    without copying, and ``_groups`` copies them out a group at a time.
+    without copying, and ``_groups`` copies them out a group at a time, with
+    ``allowed`` transposed to the kernel's vocabulary-first (V, n·T).
     """
 
     utt_ids: tuple[str, ...]
     allowed: np.ndarray
     valid_count: np.ndarray
-    onehot: np.ndarray
+    gold: np.ndarray
     in_mask: np.ndarray
     p_mdl_gold: np.ndarray
     h: np.ndarray
@@ -237,27 +238,27 @@ def pack(examples: Pack | Sequence[BiasExample]) -> Pack:
     finite = np.isfinite(h).all(axis=2) & np.isfinite(p_mdl_gold)
     if not finite.all():
         raise DivergenceError(f"non-finite input on utterance {_culprit(utt_ids, finite)}")
-    onehot = np.arange(allowed.shape[2]) == gold[..., None]
-    inconsistent = in_mask & ~allowed[onehot].reshape(shape)
+    inconsistent = in_mask & ~np.take_along_axis(allowed, gold[..., None], axis=2)[..., 0]
     if inconsistent.any():
         b, i = np.argwhere(inconsistent)[0]
         raise ValueError(f"mask/trie inconsistency at position {i} of utterance {utt_ids[b]}")
-    return Pack(utt_ids, allowed, allowed.sum(axis=2), onehot, in_mask, p_mdl_gold, h,
+    return Pack(utt_ids, allowed, allowed.sum(axis=2), gold, in_mask, p_mdl_gold, h,
                 lengths, np.arange(len(examples)))
 
 
 def _groups(batch: Pack | Sequence[BiasExample]) -> Iterator[Pack]:
     """The batch's rows ``GROUP_SIZE`` at a time, each group copied out of
     the pack, with its rows' ids, when it is reached and trimmed to its own
-    longest utterance."""
+    longest utterance; a group's ``allowed`` is (V, n·T), vocabulary first."""
     packed = pack(batch)
     for start in range(0, len(packed), GROUP_SIZE):
         rows = packed.rows[start:start + GROUP_SIZE]
         seq = int(packed.lengths[rows].max())
         yield Pack(tuple(packed.utt_ids[r] for r in rows),
-                   *(array[rows, :seq] for array in (packed.allowed, packed.valid_count,
-                                                     packed.onehot, packed.in_mask,
-                                                     packed.p_mdl_gold, packed.h)),
+                   packed.allowed[rows, :seq].reshape(len(rows) * seq, -1).T.copy(),
+                   *(array[rows, :seq] for array in (packed.valid_count, packed.gold,
+                                                     packed.in_mask, packed.p_mdl_gold,
+                                                     packed.h)),
                    packed.lengths[rows], np.arange(len(rows)))
 
 
@@ -297,22 +298,24 @@ def _group_pass(
     vectors); every per-position term then carries them in front.  Only
     unstacked parameters take a gradient.
     """
-    allowed, onehot, in_mask, p_mdl_gold, h = (
-        group.allowed, group.onehot, group.in_mask, group.p_mdl_gold, group.h,
+    allowed, gold, in_mask, p_mdl_gold, h = (
+        group.allowed, group.gold, group.in_mask, group.p_mdl_gold, group.h,
     )
-    n, seq, vocab = allowed.shape
+    n, seq = in_mask.shape
     has_valid = group.valid_count > 0
 
-    # forward: softmax over each position's allowed columns, gate
+    # forward: softmax over each position's allowed rows, gate
     terms = state_terms(params, h.reshape(n * seq, -1))
     lead = terms.gate_token.shape[:-1]
-    p, gate_ctx, gate = masked_forward(terms.query_logits.reshape(*lead, n, seq, vocab),
-                                       terms.gate_state.reshape(*lead, n, seq),
+    p, gate_ctx, gate = masked_forward(terms.query_logits, terms.gate_state,
                                        terms.gate_token, allowed)
+    gate = gate.reshape(*lead, n, seq)
 
     # floored losses; positions off the mask with a valid set train the gate
-    # shut; the gold token's bias probability is 0 where it is not allowed
-    ptr_gold = p[..., onehot].reshape(p.shape[:-1])
+    # shut; the gold token's bias probability (read at one flat index per
+    # position) is 0 where it is not allowed
+    at_gold = gold.ravel() * (n * seq) + np.arange(n * seq)
+    ptr_gold = p.reshape(*lead, -1)[..., at_gold].reshape(*lead, n, seq)
     off = has_valid & ~in_mask
     p_final = p_mdl_gold * (1.0 - gate) + ptr_gold * gate
     gate_floor = gate < LOG_FLOOR
@@ -352,32 +355,40 @@ def _group_pass(
         coef = np.where(live, inv * gate * ptr_gold, 0.0)
     found["d_gate_pre"] = d_pre
 
-    # backward in vocabulary space; the context reaches the loss only
-    # through the gate, as the bias weights' average of ``gate_token``
-    sqrt_d = np.sqrt(params.embed_dim)
-    d_z = coef[..., None] * (onehot - p) + p * (
-        d_pre[..., None] * (terms.gate_token - gate_ctx[..., None])
-    )
-    d_query = d_z @ params.token_embed / sqrt_d
-    # each utterance is reduced on its own by batched matmuls, and the
-    # utterances are summed in batch order
-    p_pre = np.matmul(d_pre[:, None, :], p)  # (n, 1, V): sum over t of p * d_pre
-    state_dim = params.state_dim
+    # backward in (V, n·T) vocabulary space; the context reaches the loss
+    # only through the gate, as the bias weights' average of ``gate_token``:
+    # d_z = p * (gate_token d_pre - (d_pre gate_ctx + coef)), plus coef at
+    # gold; the bracket is one rank-2 product, written over the spent logits
+    d_pre, coef = d_pre.ravel(), coef.ravel()
+    vocab, state_dim = len(p), params.state_dim
+    d_z = np.matmul(np.stack([terms.gate_token, np.full(vocab, -1.0)], axis=1),
+                    np.stack([d_pre, d_pre * gate_ctx + coef]), out=terms.query_logits)
+    d_z *= p
+    d_z.reshape(-1)[at_gold] += coef
+    d_query = params.token_embed.T / np.sqrt(params.embed_dim) @ d_z  # (d, n·T)
+    # each utterance is reduced on its own by batched matmuls over (n, V, T)
+    # views and the utterances are summed in batch order; the context's
+    # token-embedding term, p_pre ⊗ w_gate[d_h:], is added after that sum
+    by_utt = (n, seq)
+    p_pre = p.reshape(vocab, *by_utt).transpose(1, 0, 2) @ d_pre.reshape(*by_utt, 1)  # (n, V, 1)
     per_utt = (
-        np.matmul(d_z.transpose(0, 2, 1), terms.query.reshape(n, seq, -1)) / sqrt_d
-        + p_pre.transpose(0, 2, 1) * params.w_gate[state_dim:],
-        np.matmul(d_query.transpose(0, 2, 1), h),
-        np.matmul(d_pre[:, None, :], h)[:, 0],
-        np.matmul(p_pre, params.token_embed)[:, 0],
-        d_pre.sum(axis=1),
+        d_z.reshape(vocab, *by_utt).transpose(1, 0, 2) @ terms.query.reshape(*by_utt, -1),
+        d_query.reshape(-1, *by_utt).transpose(1, 0, 2) @ h,
+        np.matmul(d_pre.reshape(n, 1, seq), h)[:, 0],
+        (p_pre.transpose(0, 2, 1) @ params.token_embed)[:, 0],
+        d_pre.reshape(by_utt).sum(axis=1),
     )
-    finite = np.all([np.isfinite(g).reshape(n, -1).all(axis=1) for g in per_utt], axis=0)
-    if not finite.all():
+    total = flatten(PgParams(
+        per_utt[0].sum(axis=0) + p_pre.sum(axis=0) * params.w_gate[state_dim:],
+        per_utt[1].sum(axis=0),
+        np.concatenate([per_utt[2].sum(axis=0), per_utt[3].sum(axis=0)]), per_utt[4].sum()))
+    # each utterance's own terms (p_pre's show in the fourth) are searched only when needed
+    finite = np.isfinite(total).all() or np.all(
+        [np.isfinite(g).reshape(n, -1).all(axis=1) for g in per_utt], axis=0)
+    if not np.all(finite):
         culprit = _culprit(group.utt_ids, finite)
         raise DivergenceError(f"non-finite gradient on utterance {culprit}")
-    grad_out += flatten(PgParams(
-        per_utt[0].sum(axis=0), per_utt[1].sum(axis=0),
-        np.concatenate([per_utt[2].sum(axis=0), per_utt[3].sum(axis=0)]), per_utt[4].sum()))
+    grad_out += total
     return found, n_clamped
 
 

@@ -9,9 +9,10 @@ vocabulary or only over the valid set.
 
 The training kernel and the decoder both take the terms that do not depend
 on the valid set from ``state_terms``, then the softmax and the gate over
-each position's allowed columns from ``masked_forward``, for a group of
-positions at once.  ``forward_step`` and ``interpolate`` gather one
-position's valid columns instead: they are the test oracles of that path.
+each position's allowed tokens from ``masked_forward``, for a group of
+positions at once, on (vocabulary, positions) arrays: every per-position
+reduction runs over rows.  ``forward_step`` and ``interpolate`` gather one
+position's valid tokens instead: they are the test oracles of that path.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ def init_params(seed: int, vocab_size: int, embed_dim: int, state_dim: int) -> P
 class StateTerms:
     """The copy module's terms that depend only on the decoder states.
 
-    query:        (T, d) each position's state projected to query space.
-    query_logits: (T, V) every token's scaled attention logit at each position.
+    query:        (T, d) each position's state in query space, scaled by 1/sqrt(d).
+    query_logits: (V, T) every token's attention logit at each position,
+                  ``token_embed @ query.T``: the vocabulary axis comes first.
     gate_state:   (T,) state part of the gate pre-activation, plus ``b_gate``.
     gate_token:   (V,) each token's gate weight through the context,
                   ``token_embed @ w_gate[d_h:]``; the context term of the
@@ -169,10 +171,10 @@ def state_terms(params: PgParams, h_seq: np.ndarray) -> StateTerms:
     parameters broadcasts and unstacked ones round exactly as ``h @ w`` does.
     """
     state_dim = params.state_dim
-    query = h_seq @ np.swapaxes(params.w_query, -1, -2)
+    query = h_seq @ np.swapaxes(params.w_query, -1, -2) / np.sqrt(params.embed_dim)
     return StateTerms(
         query,
-        query @ np.swapaxes(params.token_embed, -1, -2) / np.sqrt(params.embed_dim),
+        params.token_embed @ np.swapaxes(query, -1, -2),
         (h_seq @ params.w_gate[..., :state_dim, None])[..., 0]
         + np.asarray(params.b_gate)[..., None],
         (params.token_embed @ params.w_gate[..., state_dim:, None])[..., 0],
@@ -182,23 +184,25 @@ def state_terms(params: PgParams, h_seq: np.ndarray) -> StateTerms:
 def masked_forward(
     logits: np.ndarray, gate_state: np.ndarray, gate_token: np.ndarray, allowed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bias weights, the gate's context term and the gate at a group of positions.
+    """Bias weights, the gate's context term and the gate at P positions.
 
-    ``allowed`` (utterances, positions, V) flags each position's valid set;
-    ``logits`` and ``gate_state`` are ``StateTerms`` terms on the same axes,
-    behind any probe axes of ``gate_token``.  The weights are a softmax over
-    the allowed columns, 0 elsewhere; the context term is their average of
-    ``gate_token``; the gate is 0 where nothing is allowed.
+    ``allowed`` (V, P) flags each position's valid set, vocabulary first;
+    ``logits`` (V, P) and ``gate_state`` (P,) are ``StateTerms`` terms on
+    the same axes, behind any probe axes of ``gate_token``.  The weights
+    (V, P) are a softmax over each column's allowed rows and exactly 0 in
+    the other rows, whatever their logits, ±inf or NaN; the context term is
+    their average of ``gate_token``; the gate is 0 where nothing is allowed.
     """
-    has_valid = allowed.any(axis=-1)
-    top = np.where(allowed, logits, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
-    top[..., ~has_valid, :] = 0.0
-    # exp never sees -inf, an argument that takes a path several times slower
-    p = np.where(allowed, np.exp(np.where(allowed, logits - top, 0.0)), 0.0)
-    norm = p.sum(axis=-1, keepdims=True)
-    norm[..., ~has_valid, :] = 1.0
-    p /= norm
-    gate_ctx = (p @ gate_token[..., None, :, None])[..., 0]
+    has_valid = allowed.any(axis=0)
+    p = np.where(allowed, logits, -np.inf)
+    top = np.where(has_valid, p.max(axis=-2, keepdims=True), 0.0)
+    # fmin, unlike minimum, maps NaN to 0: each weight is finite before the
+    # disallowed rows are zeroed, so they stay exactly 0
+    np.fmin(np.subtract(logits, top, out=p), 0.0, out=p)
+    np.exp(p, out=p)
+    p *= allowed
+    p *= 1.0 / np.where(has_valid, p.sum(axis=-2, keepdims=True), 1.0)
+    gate_ctx = (gate_token[..., None, :] @ p)[..., 0, :]
     return p, gate_ctx, np.where(has_valid, sigmoid(gate_state + gate_ctx), 0.0)
 
 
@@ -212,7 +216,7 @@ def forward_step(params: PgParams, h_dec: np.ndarray, valid: list[int]) -> StepO
         return StepOutput(p_ptr, 0.0, ())
     members = np.asarray(sorted(valid), dtype=np.intp)
     terms = state_terms(params, h_dec[None])
-    logits = terms.query_logits[0, members]
+    logits = terms.query_logits[members, 0]
     weights = np.exp(logits - logits.max())
     weights /= weights.sum()
     p_ptr[members] = weights

@@ -62,9 +62,10 @@ _type_hints = functools.cache(typing.get_type_hints)  # a dataclass's hints, rea
 
 
 def check_fields(config) -> None:
-    """Check each field of the dataclass ``config`` against its hint, range included."""
+    """Check each field of the dataclass ``config`` against its hint, range included,
+    and keep the checked value: a float for a ``float`` field, a tuple for a tuple."""
     for name, kind in _type_hints(type(config), include_extras=True).items():
-        check(getattr(config, name), kind, name)
+        setattr(config, name, check(getattr(config, name), kind, name))
 
 
 @dataclass

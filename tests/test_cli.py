@@ -389,6 +389,17 @@ def test_print_config_echoes_json(workdir):
         assert expected.items() <= config.items()
 
 
+def test_print_config_echoes_a_float_field_given_as_an_integer_as_a_float(workdir, capsys):
+    tmp_path, sim, _ = workdir
+    config = json.loads(Path(sim).read_text())
+    config.update(base_accuracy_common=1, domain_shift=0)
+    Path(sim).write_text(json.dumps(config))
+    assert run(["simulate", "--config", sim, "--out", str(tmp_path / "corpus.jsonl"),
+                "--print-config"]) == 0
+    echo = capsys.readouterr().out.splitlines()[0]
+    assert '"base_accuracy_common": 1.0' in echo and '"domain_shift": 0.0' in echo
+
+
 @pytest.mark.parametrize("change, named", [
     (lambda config: config.update(domian_shift=0.3), "'domian_shift'"),
     (lambda config: config.update(inventories={"n_common": 12, "n_rare": 8, "n_confsued": 4}),

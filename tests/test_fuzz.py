@@ -346,3 +346,22 @@ def test_every_declared_range_is_tried():
         "seed", "n_utterances", "words_per_utterance", "rare_word_rate", "base_accuracy_common",
         "base_accuracy_rare", "state_dim", "domain_shift", "utterance_noise", "alpha", "lr",
         "lr_decay_factor", "patience", "epochs", "batch_size", "embed_dim"}
+
+
+# every float field a JSON integer can give: (config class, field, its range)
+FLOAT_FIELDS = [(cls, name, bound) for cls, name, index, base, bound in RANGED
+                if base is float and index is None and any(v in bound for v in range(3))]
+
+
+def test_every_float_field_but_alpha_takes_a_json_integer():
+    floats = {name for _, name, index, base, _ in RANGED if base is float and index is None}
+    assert floats - {name for _, name, _ in FLOAT_FIELDS} == {"alpha"}  # (0, 1) holds none
+
+
+@pytest.mark.parametrize("cls, name, bound", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _ in FLOAT_FIELDS])
+def test_a_float_field_given_a_json_integer_reads_back_as_an_equal_float(cls, name, bound):
+    for value in (v for v in range(3) if v in bound):
+        config = dataclasses.replace(base_config(cls), **{name: json.loads(str(value))})
+        config.validate()
+        assert type(getattr(config, name)) is float and getattr(config, name) == value, name

@@ -472,23 +472,23 @@ def test_kernel_groups_match_per_utterance_sums():
 
 
 def _padded_by_position(examples):
-    """A group's kernel inputs built one position at a time: allowed flags,
-    their count, gold flags, mask flags, the base model's gold probability
-    and states, padded to the longest utterance, where the gold token is 0."""
+    """A group's kernel inputs built one position at a time: allowed flags
+    as (vocabulary, utterance-major positions), their count, gold token ids,
+    mask flags, the base model's gold probability and states, padded to the
+    longest utterance, where the gold token is 0."""
     n, seq = len(examples), max(len(ex.tokens) for ex in examples)
     vocab, state = examples[0].p_mdl_seq.shape[1], examples[0].h_seq.shape[1]
-    allowed, onehot = np.zeros((n, seq, vocab), dtype=bool), np.zeros((n, seq, vocab), dtype=bool)
+    allowed, gold = np.zeros((vocab, n * seq), dtype=bool), np.zeros((n, seq), dtype=np.intp)
     valid_count, in_mask = np.zeros((n, seq), dtype=np.intp), np.zeros((n, seq), dtype=bool)
     p_mdl_gold, h = np.ones((n, seq)), np.zeros((n, seq, state))
-    onehot[:, :, 0] = True
     for b, ex in enumerate(examples):
         for t, tok in enumerate(ex.tokens):
-            allowed[b, t] = ex.allowed[t]
+            allowed[:, b * seq + t] = ex.allowed[t]
             valid_count[b, t] = np.count_nonzero(ex.allowed[t])
-            onehot[b, t] = np.arange(vocab) == tok
+            gold[b, t] = tok
             in_mask[b, t] = ex.mask[t]
             p_mdl_gold[b, t], h[b, t] = ex.p_mdl_seq[t, tok], ex.h_seq[t]
-    return allowed, valid_count, onehot, in_mask, p_mdl_gold, h
+    return allowed, valid_count, gold, in_mask, p_mdl_gold, h
 
 
 def test_groups_of_a_take_match_a_fresh_pack_of_its_rows():
@@ -503,7 +503,7 @@ def test_groups_of_a_take_match_a_fresh_pack_of_its_rows():
     assert [taken.utt_ids[r] for r in taken.rows] == [ex.utt_id for ex in chosen]
     groups, fresh = list(losses._groups(taken)), list(losses._groups(losses.pack(chosen)))
     assert len(groups) == len(fresh) == 2
-    keys = ("allowed", "valid_count", "onehot", "in_mask", "p_mdl_gold", "h", "lengths", "real")
+    keys = ("allowed", "valid_count", "gold", "in_mask", "p_mdl_gold", "h", "lengths", "real")
     for start, group, other in zip((0, losses.GROUP_SIZE), groups, fresh):
         members = chosen[start:start + losses.GROUP_SIZE]
         assert group.utt_ids == other.utt_ids == tuple(ex.utt_id for ex in members)
@@ -713,3 +713,30 @@ def test_kernel_rejects_alpha_outside_the_open_unit_interval(alpha):
     for call in (evaluate, fd_check):
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             call(params, batch, "two_loss", alpha)
+
+
+@pytest.mark.parametrize("mode", losses.MODES)
+def test_non_finite_logits_of_tokens_no_position_allows_move_nothing(mode, monkeypatch):
+    """+inf, -inf and NaN logits on the tokens no position of a pack allows
+    leave ``evaluate``'s losses and rates, every term and the gradient bit-equal."""
+    params, batch, _ = make_check_setup(4, n_utterances=5)
+    packed = losses.pack(batch)
+    never = np.flatnonzero(~packed.allowed.any(axis=(0, 1)))
+    assert never.size
+    want = (evaluate(params, packed, mode, 0.7),
+            losses.teacher_forced(params, packed, mode, 0.7, want_grad=True))
+    finite = losses.state_terms
+
+    def poisoned(params, h_seq):
+        terms = finite(params, h_seq)
+        logits = terms.query_logits.copy()
+        logits[never] = np.resize([np.inf, -np.inf, np.nan], logits[never].shape)
+        return dataclasses.replace(terms, query_logits=logits)
+
+    monkeypatch.setattr(losses, "state_terms", poisoned)
+    got = (evaluate(params, packed, mode, 0.7),
+           losses.teacher_forced(params, packed, mode, 0.7, want_grad=True))
+    assert got[0] == want[0]
+    assert np.array_equal(flatten(got[1].grads), flatten(want[1].grads))
+    for key, values in want[1].terms().items():
+        assert np.array_equal(got[1].terms()[key], values), key

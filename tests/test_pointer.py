@@ -108,18 +108,34 @@ def test_masked_softmax_shifts_logits_near_1e3():
     params.token_embed = 1.0 + 0.01 * np.random.default_rng(0).standard_normal((8, 4))
     params.w_query[:] = 1000.0 * np.sqrt(4) / (6 * 4)  # every logit near 1000
     h = np.ones(6)
-    logits = state_terms(params, h[None]).query_logits[0]
+    logits = state_terms(params, h[None]).query_logits[:, 0]
     assert 980.0 < logits.min() and logits.max() < 1020.0
-    allowed = np.zeros((1, 2, 8), dtype=bool)
-    allowed[0, 0, [1, 4, 6]] = allowed[0, 1, [0, 7]] = True
+    allowed = np.zeros((8, 2), dtype=bool)
+    allowed[[1, 4, 6], 0] = allowed[[0, 7], 1] = True
     terms = state_terms(params, np.stack([h, h]))
-    p, _, gate = masked_forward(terms.query_logits[None], terms.gate_state[None],
-                                terms.gate_token, allowed)
+    p, _, gate = masked_forward(terms.query_logits, terms.gate_state, terms.gate_token, allowed)
     for t, valid in enumerate(([1, 4, 6], [0, 7])):
         step = forward_step(params, h, valid)
-        assert np.isfinite(p[0, t]).all() and 0.0 < p[0, t, valid].min()
-        assert np.allclose(p[0, t], step.p_ptr, rtol=1e-12, atol=0.0)
-        assert gate[0, t] == pytest.approx(step.p_gen, rel=1e-12, abs=0.0)
+        assert np.isfinite(p[:, t]).all() and 0.0 < p[valid, t].min()
+        assert np.allclose(p[:, t], step.p_ptr, rtol=1e-12, atol=0.0)
+        assert gate[t] == pytest.approx(step.p_gen, rel=1e-12, abs=0.0)
+
+
+def test_masked_forward_gives_exactly_0_in_a_disallowed_row_whatever_its_logit():
+    """+inf, -inf and NaN logits in disallowed rows (column 3 allows nothing)
+    leave those weights exactly 0, and the weights and the gate bit-equal to a
+    call with the finite logits there."""
+    params = init_params(5, 8, 4, 6)
+    terms = state_terms(params, np.random.default_rng(0).standard_normal((4, 6)))
+    allowed = np.zeros((8, 4), dtype=bool)
+    allowed[[1, 4, 6], 0] = allowed[[0, 7], 1] = allowed[2, 2] = True
+    logits = terms.query_logits.copy()
+    logits[~allowed] = np.resize([np.inf, -np.inf, np.nan], np.count_nonzero(~allowed))
+    want = masked_forward(terms.query_logits, terms.gate_state, terms.gate_token, allowed)
+    got = masked_forward(logits, terms.gate_state, terms.gate_token, allowed)
+    assert np.all(got[0][~allowed] == 0.0) and got[2][3] == 0.0
+    for mine, theirs in zip(got, want):
+        assert np.array_equal(mine, theirs)
 
 
 def make_step(p_ptr, p_gen, valid):
@@ -317,14 +333,15 @@ def test_state_terms_with_leading_axes_matches_each_slice():
     h = np.random.default_rng(0).standard_normal((9, 5))
     one = state_terms(params, h)
     d_h = params.state_dim
-    assert np.array_equal(one.query_logits,
-                          h @ params.w_query.T @ params.token_embed.T / np.sqrt(4))
+    query = h @ params.w_query.T / np.sqrt(4)
+    assert np.array_equal(one.query, query)
+    assert np.array_equal(one.query_logits, params.token_embed @ query.T)
     assert np.array_equal(one.gate_state, h @ params.w_gate[:d_h] + params.b_gate)
     assert np.array_equal(one.gate_token, params.token_embed @ params.w_gate[d_h:])
     steps = np.random.default_rng(1).standard_normal((2, 3, flatten(params).size))
     stack = flatten(params) + steps
     stacked = state_terms(unflatten(stack, params.shapes), h)
-    assert stacked.query_logits.shape == (2, 3, 9, 7) and stacked.gate_state.shape == (2, 3, 9)
+    assert stacked.query_logits.shape == (2, 3, 7, 9) and stacked.gate_state.shape == (2, 3, 9)
     for idx in np.ndindex(2, 3):
         want = state_terms(unflatten(stack[idx], params.shapes), h)
         for name in ("query", "query_logits", "gate_state", "gate_token"):
