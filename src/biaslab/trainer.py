@@ -27,7 +27,7 @@ from . import decoder, losses, metrics
 from .biaslist import require_lists
 from .biastrie import PrefixTree, build_tries
 from .losses import BiasExample, prepare_example
-from .pointer import PgParams, flatten, init_params, unflatten
+from .pointer import PgParams, check_fit, flatten, init_params, unflatten
 from .simulator import Count, Range, SimUtterance, Size, check_fields, sub_rng
 from .tokenizer import Vocab
 
@@ -85,13 +85,21 @@ def train(
     return fit(prepare_batch(vocab, corpus, bias_lists, build_tries(vocab, bias_lists)), config)
 
 
-def fit(examples: losses.Pack | Sequence[BiasExample],
-        config: TrainConfig) -> tuple[PgParams, list[dict]]:
+def fit(examples: losses.Pack | Sequence[BiasExample], config: TrainConfig,
+        keep_log: bool = True) -> tuple[PgParams, list[dict]]:
     """``train`` on prepared examples: a ``losses.Pack``, or a list that is
     packed once, at the start of training, where a bad input raises, and
     then dropped.  The splits and minibatches take the pack's rows;
-    minibatches run the group loop unchecked, as the first full-split pass
-    checks the fit."""
+    minibatches run the group loop unchecked, as the fit is checked on the
+    training split's first row before them.
+
+    With ``keep_log`` False the log stays empty, and the full passes over the
+    training split that only the log reads are skipped: the gradient before
+    the first epoch and each end-of-epoch pass.  The dev pass, the best-dev
+    snapshot, the learning-rate decay and the minibatch divergence stop stay,
+    so the returned parameters are the same, except that a non-finite
+    end-of-epoch gradient no longer stops training: the next minibatch's
+    non-finite loss or parameters do."""
     config.validate()
     if len(examples) < 2:
         raise ValueError("training needs at least two utterances for a dev split")
@@ -115,10 +123,14 @@ def fit(examples: losses.Pack | Sequence[BiasExample],
                           for rows in (train_rows, shuffle[-dev_count:]))
 
     try:
-        # gradient signal available to the first epoch, before any update
-        signal, _ = losses.grad(params, train_set, config.mode, config.alpha)
+        if keep_log:  # gradient signal available to the first epoch, before any update
+            signal, _ = losses.grad(params, train_set, config.mode, config.alpha)
+        else:  # the fit check that pass made, which the unchecked minibatches rely on
+            first = train_set.rows[0]
+            size = train_set.lengths[first]
+            check_fit(params, train_set.utt_ids[first], train_set.allowed[first, :size],
+                      train_set.h[first, :size])
         for epoch in range(1, config.epochs + 1):
-            grad_norm = float(np.sqrt(np.sum((flatten(signal) * (1.0 / n_train)) ** 2)))
             order = sub_rng(config.seed, "epoch", epoch).permutation(n_train)
             for start in range(0, len(order), config.batch_size):
                 batch = packed.take(train_rows[order[start:start + config.batch_size]])
@@ -130,20 +142,24 @@ def fit(examples: losses.Pack | Sequence[BiasExample],
                     raise losses.DivergenceError(f"non-finite loss or parameters in epoch {epoch}")
                 params = unflatten(theta, params.shapes, params.seed)
 
-            signal, train_report = _train_pass(params, train_set, config, epoch < config.epochs)
+            if keep_log:
+                grad_norm = float(np.sqrt(np.sum((flatten(signal) * (1.0 / n_train)) ** 2)))
+                signal, train_report = _train_pass(params, train_set, config,
+                                                   epoch < config.epochs)
             dev_report = losses.evaluate(params, dev_set, config.mode, config.alpha)
             dev_total = dev_report.total / len(dev_set)
-            log.append({
-                "epoch": epoch,
-                "l_gen": train_report.l_gen / n_train,
-                "l_ptr": train_report.l_ptr / n_train,
-                "l_asr": train_report.l_asr / n_train,
-                "dev_far": 100.0 * dev_report.gate_rates["far"],
-                "dev_tar": 100.0 * dev_report.gate_rates["tar"],
-                "lr": lr,
-                "grad_norm": grad_norm,
-                "dev_total": dev_total,
-            })
+            if keep_log:
+                log.append({
+                    "epoch": epoch,
+                    "l_gen": train_report.l_gen / n_train,
+                    "l_ptr": train_report.l_ptr / n_train,
+                    "l_asr": train_report.l_asr / n_train,
+                    "dev_far": 100.0 * dev_report.gate_rates["far"],
+                    "dev_tar": 100.0 * dev_report.gate_rates["tar"],
+                    "lr": lr,
+                    "grad_norm": grad_norm,
+                    "dev_total": dev_total,
+                })
 
             if dev_total < best_dev:
                 best_dev = dev_total
@@ -154,7 +170,7 @@ def fit(examples: losses.Pack | Sequence[BiasExample],
                 if epochs_since_improve >= config.patience:
                     lr *= config.lr_decay_factor
                     epochs_since_improve = 0
-            if signal is None:  # the end-of-epoch gradient diverged
+            if keep_log and signal is None:  # the end-of-epoch gradient diverged
                 break
     except losses.DivergenceError:
         pass  # stop and hand back the best snapshot so far
@@ -168,7 +184,7 @@ def sweep(examples: losses.Pack, corpus: list[SimUtterance], vocab: Vocab,
     ``corpus`` biased by its ``trees`` in ``mode``, and yield the report of scoring
     it against its bias ``lists``."""
     for config in configs:
-        params, _ = fit(examples, config)
+        params, _ = fit(examples, config, keep_log=False)
         decoded = decoder.decode_corpus(corpus, vocab, params, trees, mode)
         yield decoder.score_corpus(corpus, lists, decoded)[0]
 

@@ -343,7 +343,8 @@ def test_sweep_alpha_rows(workdir, capsys, monkeypatch):
     separate = {(alpha, seed): trainer.train(train_corpus, train_lists, vocab,
                                              TrainConfig(alpha=alpha, seed=seed, epochs=1))
                 for alpha in (0.3, 0.7) for seed in (0, 1)}
-    monkeypatch.setattr(trainer, "fit", lambda examples, config: separate[config.alpha, config.seed])
+    monkeypatch.setattr(trainer, "fit",
+                        lambda examples, config, keep_log: separate[config.alpha, config.seed])
     assert run([*argv, "--out", str(tmp_path / "separate.csv")]) == 0
     assert Path(sweep).read_bytes() == (tmp_path / "separate.csv").read_bytes()
 

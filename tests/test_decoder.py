@@ -280,9 +280,12 @@ def confused_setup(seed, n_utterances=2, rare_initials=RARE_INITIALS, **override
          shared=True)
 def test_decode_matches_stepwise_reference(seed, b_gate, sharpness, n_bias, mode, n_utterances,
                                            shared):
-    """Every utterance of a corpus of mixed lengths, decoded in rounds with one
-    shared tree, matches the one-step-at-a-time reference.  With ``shared``,
-    rare words start with the letters common words start with."""
+    """Every utterance of a corpus of mixed lengths, decoded in lockstep with
+    one shared tree, matches the one-step-at-a-time reference.  Every other
+    utterance has its base model sure of EOS at a random step and, where the
+    reference stops there, bad rows past it: an EOS and rows never reached
+    change only their own utterance.  With ``shared``, rare words start with
+    the letters common words start with."""
     config, vocab, corpus = confused_setup(seed, n_utterances, words_per_utterance=(1, 6),
                                            rare_initials=COMMON_ALPHABET if shared else
                                            RARE_INITIALS)
@@ -293,11 +296,17 @@ def test_decode_matches_stepwise_reference(seed, b_gate, sharpness, n_bias, mode
     params = init_params(seed, vocab.size, 4, config.state_dim)
     params.w_query *= sharpness
     params.b_gate = b_gate
+    stops = {k: int(rng.integers(corpus[k].ref.size)) for k in range(1, len(corpus), 2)}
+    for k, stop in stops.items():
+        corpus[k] = eos_at(corpus[k], vocab, stop)
+    # fresh trees: the reference must not read the decoder's memo
+    refs = [reference_decode(utt, vocab, params, build_trie(vocab, bias), mode) for utt in corpus]
+    for k, stop in stops.items():
+        if len(refs[k][1]) <= stop + 1:  # the EOS is reached, the rows past it are not
+            corpus[k] = broken_after(corpus[k], stop)
     decoded = decode_corpus(corpus, vocab, params, {u.utt_id: tree for u in corpus}, mode)
-    for utt in corpus:
+    for utt, (ref_hyp, ref_trace) in zip(corpus, refs):
         hyp, trace = decoded[utt.utt_id]
-        # a fresh tree: the reference must not read the decoder's memo
-        ref_hyp, ref_trace = reference_decode(utt, vocab, params, build_trie(vocab, bias), mode)
         assert hyp == ref_hyp
         assert [(e.step, e.valid_nonempty, e.emitted) for e in trace] == [
             (i, nonempty, emitted) for i, _, nonempty, emitted in ref_trace
@@ -365,7 +374,9 @@ def test_guess_wrong_at_every_step_still_matches_reference(monkeypatch):
 def test_rounds_are_one_plus_the_corrections_on_the_toy_experiment(monkeypatch):
     """Trained parameters on the toy experiment: a decode takes no more rounds
     than one plus the positions whose token differs from the unbiased argmax,
-    and unbiased decoding takes none."""
+    and unbiased decoding takes none.  Decoding the corpus in lockstep computes
+    the same positions in one ``masked_forward`` call per round of its slowest
+    utterance: its k-th call, every utterance's k-th round."""
     vocab, train_corpus, test_corpus, train_lists, test_lists = toy_experiment(
         n_train=100, n_test=60)
     config = TrainConfig(mode="two_loss", alpha=0.7, lr=0.3, epochs=4, batch_size=10,
@@ -375,13 +386,20 @@ def test_rounds_are_one_plus_the_corrections_on_the_toy_experiment(monkeypatch):
     rounds = count_rounds(monkeypatch)
     corrected = 0
     for mode in DECODE_MODES:
+        each = []
         for utt in test_corpus:
             rounds.clear()
             _, trace = greedy_decode(utt, vocab, params, trees[utt.utt_id], mode)
+            each.append(list(rounds))
             unbiased = utt.p_mdl_seq.argmax(axis=1)
             changed = sum(e.emitted != unbiased[e.step] for e in trace)
             corrected += changed
             assert len(rounds) <= (0 if mode == "none" else 1 + changed), utt.utt_id
+        rounds.clear()
+        decode_corpus(test_corpus, vocab, params, trees, mode)
+        slowest = max(map(len, each))
+        assert slowest < sum(map(len, each)) or mode == "none"
+        assert rounds == [sum(r[k] for r in each if k < len(r)) for k in range(slowest)]
     assert corrected > 0  # biasing changed some tokens
 
 
@@ -418,6 +436,15 @@ def eos_at(utt, vocab, step):
     return dataclasses.replace(utt, p_mdl_seq=rows)
 
 
+def broken_after(utt, step):
+    """The utterance with non-finite decoder states and base-model rows off the
+    simplex at every step after ``step``."""
+    h, rows = utt.h_dec_seq.copy(), utt.p_mdl_seq.copy()
+    h[step + 1:] = np.nan
+    rows[step + 1:] = 0.5
+    return dataclasses.replace(utt, h_dec_seq=h, p_mdl_seq=rows)
+
+
 @pytest.mark.filterwarnings("error")
 def test_bad_rows_after_eos_never_read():
     config, vocab, corpus = confused_setup(4, n_utterances=4)
@@ -427,10 +454,7 @@ def test_bad_rows_after_eos_never_read():
     tree = build_trie(vocab, config.rare_words)
     stop = 2
     early = eos_at(utt, vocab, stop)
-    h, rows = early.h_dec_seq.copy(), early.p_mdl_seq.copy()
-    h[stop + 1:] = np.nan
-    rows[stop + 1:] = 0.5  # off the simplex
-    broken = dataclasses.replace(early, h_dec_seq=h, p_mdl_seq=rows)
+    broken = broken_after(early, stop)
     for mode in ("none", "scaled", "unscaled"):
         hyp, trace = greedy_decode(broken, vocab, params, tree, mode)
         assert (hyp, trace) == greedy_decode(early, vocab, params, tree, mode)
@@ -452,6 +476,29 @@ def test_bad_row_raises_when_its_step_is_reached():
         for mode in ("none", "unscaled"):  # unbiased decoding reads the row too
             with pytest.raises(ValueError, match=rf"base-model row must sum to 1, got {shown}"):
                 greedy_decode(dataclasses.replace(utt, p_mdl_seq=rows), vocab, params, tree, mode)
+
+
+def test_the_first_bad_utterance_in_corpus_order_raises_naming_it_and_its_step():
+    """Two utterances with a bad step each, the later one's earlier: the first in
+    corpus order raises.  Unbiased decoding reads no decoder state, so there the
+    utterance with the bad row raises wherever it stands."""
+    config, vocab, corpus = confused_setup(4, n_utterances=4)
+    rows_bad, state_bad = sorted(corpus, key=lambda u: u.ref.size)[-2:]
+    rows, h = rows_bad.p_mdl_seq.copy(), state_bad.h_dec_seq.copy()
+    rows[3] *= 0.5
+    h[1, 0] = np.inf
+    rows_bad = dataclasses.replace(rows_bad, p_mdl_seq=rows)
+    state_bad = dataclasses.replace(state_bad, h_dec_seq=h)
+    params = init_params(4, vocab.size, 4, config.state_dim)
+    tree = build_trie(vocab, config.rare_words)
+    trees = {rows_bad.utt_id: tree, state_bad.utt_id: tree}
+    row_error = rf"^utterance {rows_bad.utt_id}, step 3: base-model row must sum to 1, got "
+    state_error = rf"^utterance {state_bad.utt_id}, step 1: non-finite decoder state$"
+    for order, mode, problem in [((rows_bad, state_bad), "scaled", row_error),
+                                 ((state_bad, rows_bad), "unscaled", state_error),
+                                 ((state_bad, rows_bad), "none", row_error)]:
+        with pytest.raises(ValueError, match=problem):
+            decode_corpus(list(order), vocab, params, trees, mode)
 
 
 def test_bad_rows_only_a_wrong_guess_reads_never_raise(monkeypatch):
@@ -556,3 +603,18 @@ def test_params_that_do_not_fit_are_named_before_decoding(vocab_delta, state_del
     message = str(info.value)
     assert str(params.token_embed.shape) in message and str(params.w_query.shape) in message
     assert f"{vocab.size} tokens" in message and str(corpus[0].h_dec_seq.shape) in message
+
+
+def test_a_corpus_names_its_first_utterance_that_does_not_fit_before_decoding():
+    """The second utterance's states are one wider: the fit check names it,
+    although the first utterance fits and has a bad row that is reached."""
+    config, vocab, corpus = confused_setup(5, n_utterances=2)
+    rows = corpus[0].p_mdl_seq.copy()
+    rows[0] *= 0.5
+    first = dataclasses.replace(corpus[0], p_mdl_seq=rows)
+    wide = dataclasses.replace(corpus[1], h_dec_seq=np.pad(corpus[1].h_dec_seq, ((0, 0), (0, 1))))
+    params = init_params(0, vocab.size, 4, config.state_dim)
+    tree = build_trie(vocab, config.rare_words)
+    with pytest.raises(ValueError, match=f"^utterance {wide.utt_id}: base-model rows"):
+        decode_corpus([first, wide], vocab, params, {first.utt_id: tree, wide.utt_id: tree},
+                      "scaled")

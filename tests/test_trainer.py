@@ -242,6 +242,34 @@ def test_every_divergence_stop_site(monkeypatch, name, call, how, rows):
     assert np.array_equal(flatten(params), flatten(expected))
 
 
+@pytest.mark.parametrize("epoch", [0, 2, 4])
+def test_a_fit_without_log_hands_back_the_logged_fits_snapshot(monkeypatch, epoch):
+    """A fit that keeps no log, as each ``sweep`` cell runs, makes no full pass
+    over the training split, only the dev pass each epoch, and returns the
+    snapshot a logged fit returns: with no divergence (epoch 0), and with one
+    injected into the given epoch's second minibatch.  A logged fit takes a
+    gradient only where the next epoch's row reads it."""
+    vocab, corpus, lists = small_setup(n=40)
+    packed = losses.pack(prepare_batch(vocab, corpus, lists, build_tries(vocab, lists)))
+    config = TrainConfig(epochs=4, seed=2)
+    real, got = losses.teacher_forced, {}
+    # run_groups runs 4 minibatches and the dev pass each epoch, and with the log
+    # also the initial gradient and each end-of-epoch pass
+    for keep_log, call in [(True, 1 + 6 * (epoch - 1) + 2), (False, 5 * (epoch - 1) + 2)]:
+        passes = []  # whether each full pass wants a gradient
+        _diverge_on_call(monkeypatch, "run_groups", call if epoch else 0, "nan")
+        monkeypatch.setattr(losses, "teacher_forced", lambda *args, **kwargs: passes.append(
+            kwargs.get("want_grad", False)) or real(*args, **kwargs))
+        got[keep_log] = (*fit(packed, config, keep_log), passes)
+        monkeypatch.undo()
+    (logged, log, _), (free, no_log, dev_passes) = got[True], got[False]
+    assert np.array_equal(flatten(free), flatten(logged)) and no_log == []
+    assert len(log) == len(dev_passes) == (epoch - 1 if epoch else config.epochs)
+    assert not any(dev_passes)
+    if not epoch:
+        assert got[True][2] == [True] + [True, False] * (config.epochs - 1) + [False, False]
+
+
 def test_extreme_lr_saturates_but_stays_finite():
     vocab, corpus, lists = small_setup(n=40)
     config = TrainConfig(epochs=2, seed=2, lr=1e9)

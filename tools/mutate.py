@@ -35,7 +35,8 @@ DEFAULT_TARGETS = ("biastrie.walk", "biastrie.advance", "biastrie._expand", "bia
                    "biastrie.build_trie", "losses.bias_positions", "losses.pack", "losses._groups",
                    "losses._group_pass", "losses.teacher_forced", "losses.step_trace",
                    "pointer.state_terms", "pointer.masked_forward", "pointer.forward_step",
-                   "decoder.greedy_decode", "trainer.fit", "metrics.gate_counts",
+                   "decoder.decode_corpus", "decoder._decode",
+                   "trainer.fit", "trainer.sweep", "metrics.gate_counts",
                    "metrics.align", "metrics.utterance_counts", "metrics.score",
                    "tokenizer.detokenize", "simulator._model_rows", "simulator.check_fields")
 FLIPS = {
