@@ -78,11 +78,12 @@ def decode_corpus(
     trie and is None when decoding unbiased.
 
     Ties in the argmax break toward the lowest token id, and an EOS ends only
-    its own utterance.  Copy-module parameters that do not fit some utterance
-    raise before anything is decoded.  A non-finite decoder state or a
-    base-model row off the simplex raises ValueError, naming the utterance and
-    the step, only if that step is reached; of several, the first utterance in
-    corpus order raises.
+    its own utterance.  Base-model rows that do not fit the vocabulary, and
+    copy-module parameters that do not fit some utterance, raise before
+    anything is decoded, naming the first such utterance.  A non-finite
+    decoder state or a base-model row off the simplex raises ValueError,
+    naming the utterance and the step, only if that step is reached; of
+    several, the first utterance in corpus order raises.
     """
     if trees is not None:
         trees = biaslist.require_lists([utt.utt_id for utt in corpus], trees, "trie")
@@ -112,10 +113,14 @@ def _decode(
     one round loop over the corpus's rows concatenated in corpus order."""
     if mode not in DECODE_MODES:
         check(mode, Literal[DECODE_MODES], "mode")
-    if mode != "none":
-        if params is None or None in trees:
-            raise ValueError("biased decoding needs module parameters and a bias trie")
-        for utt in corpus:  # before any rows are joined
+    if mode != "none" and (params is None or None in trees):
+        raise ValueError("biased decoding needs module parameters and a bias trie")
+    for utt in corpus:  # before any rows are joined
+        rows = np.shape(utt.p_mdl_seq)
+        if rows[1:] != (vocab.size,):
+            raise ValueError(f"utterance {utt.utt_id}: base-model rows {rows} do not fit "
+                             f"a vocabulary of {vocab.size} tokens")
+        if mode != "none":
             check_fit(params, utt.utt_id, utt.p_mdl_seq, utt.h_dec_seq)
     if not corpus:
         return []

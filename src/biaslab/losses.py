@@ -142,11 +142,15 @@ def mode_total(mode: str, l_gen: float, l_ptr: float, l_asr: float) -> float:
 # took a median 176 ms at 32, 185 ms at 64, 196 ms at 128 and 200 ms at 16.
 GROUP_SIZE = 32
 
-# Parameter vectors per finite-difference forward: 32 parameters, each
-# stepped up and down.  Every probe carries its own (utterances, positions,
-# vocabulary) logits of a group, so ``fd_check`` runs its probes in blocks of
-# this size rather than all 2 x (parameter count) at once.
-PROBE_BLOCK = 64
+# Elements of a block's probe-stacked (V, n·T) arrays.  Every probe carries
+# its own logits of a group, so ``fd_check`` sizes its blocks of ±step probe
+# pairs from the batch's largest group to stay within this budget, with at
+# least one pair per block.  On a 2-vCPU Xeon, AC-1's 40 checks took (min of
+# 50 jobs) 49.9 ms at 2^14, 51.1-51.8 ms at 2^16 and 2^17 (which run every
+# check's probes in one forward) and 64.1 ms in blocks of 32 pairs; 2^13
+# took 64-69 ms.  At 2^14 each check takes one to four forwards, and an
+# array stays within 128 KiB, where a fresh one does not page-fault.
+PROBE_ELEMENTS = 2 ** 14
 FD_STEP = Range(1e-7, 1e-3, "[]")  # the central-difference steps ``fd_check`` takes
 
 LOSS_KEYS = ("l_gen", "l_ptr", "l_asr")
@@ -522,16 +526,19 @@ def fd_check(
     """Max relative error between analytic and central-difference gradients.
 
     The batch is packed once, for the gradient pass and the ±step probes,
-    which run ``PROBE_BLOCK`` at a time through one forward per group.
+    which run in blocks through one forward per group; a block holds as many
+    probe pairs as keep its largest group's stacked (V, n·T) arrays within
+    ``PROBE_ELEMENTS``, and at least one.
     """
     FD_STEP.require(step, "step")
     batch = pack(batch)
     analytic = flatten(teacher_forced(params, batch, mode, alpha, want_grad=True).grads)
     groups = list(_groups(batch))
     base = flatten(params)
+    pairs = max(1, PROBE_ELEMENTS // (2 * max((g.allowed.size for g in groups), default=1)))
     worst = 0.0
-    for start in range(0, base.size, PROBE_BLOCK // 2):
-        cols = np.arange(start, min(start + PROBE_BLOCK // 2, base.size))
+    for start in range(0, base.size, pairs):
+        cols = np.arange(start, min(start + pairs, base.size))
         rows = np.arange(cols.size)
         probes = np.tile(base, (2, cols.size, 1))
         probes[0, rows, cols] += step

@@ -167,16 +167,26 @@ class StateTerms:
 def state_terms(params: PgParams, h_seq: np.ndarray) -> StateTerms:
     """Every position's trie-independent terms as three products, once.
 
-    Matmuls against transposed views and column vectors, so a stack of
-    parameters broadcasts and unstacked ones round exactly as ``h @ w`` does.
+    Unstacked parameters take matmuls against transposed views and column
+    vectors, which round exactly as ``h @ w`` does.  A stack of parameters
+    (probe axes in front) multiplies the shared states once for all its
+    probes: each probe's query and gate-state weights are the rows of one
+    (probes·(d + 1), d_h) matrix, whose product with ``h_seq.T`` is every
+    probe's transposed query, then its gate-state term, in probe order.
     """
-    state_dim = params.state_dim
-    query = h_seq @ np.swapaxes(params.w_query, -1, -2) / np.sqrt(params.embed_dim)
+    state_dim, lead = params.state_dim, params.w_query.shape[:-2]
+    if lead:
+        weights = np.concatenate([params.w_query, params.w_gate[..., None, :state_dim]], axis=-2)
+        both = (weights.reshape(-1, state_dim) @ h_seq.T).reshape(*lead, -1, len(h_seq))
+        query_t, gate_state = both[..., :-1, :] / np.sqrt(params.embed_dim), both[..., -1, :]
+        query = np.swapaxes(query_t, -1, -2)
+    else:
+        query = h_seq @ params.w_query.T / np.sqrt(params.embed_dim)
+        query_t, gate_state = query.T, (h_seq @ params.w_gate[:state_dim, None])[..., 0]
     return StateTerms(
         query,
-        params.token_embed @ np.swapaxes(query, -1, -2),
-        (h_seq @ params.w_gate[..., :state_dim, None])[..., 0]
-        + np.asarray(params.b_gate)[..., None],
+        params.token_embed @ query_t,
+        gate_state + np.asarray(params.b_gate)[..., None],
         (params.token_embed @ params.w_gate[..., state_dim:, None])[..., 0],
     )
 

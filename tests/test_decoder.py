@@ -618,3 +618,23 @@ def test_a_corpus_names_its_first_utterance_that_does_not_fit_before_decoding():
     with pytest.raises(ValueError, match=f"^utterance {wide.utt_id}: base-model rows"):
         decode_corpus([first, wide], vocab, params, {first.utt_id: tree, wide.utt_id: tree},
                       "scaled")
+
+
+@pytest.mark.parametrize("mode", DECODE_MODES)
+def test_rows_wider_than_the_vocabulary_are_named_before_decoding(mode):
+    """An utterance with one extra row column is named with both sizes, in
+    every mode: in the corpus (where joining the rows would fail) and alone
+    (where the argmax could pick the extra column)."""
+    config, vocab, corpus = confused_setup(5, n_utterances=2)
+    wide = dataclasses.replace(corpus[1], p_mdl_seq=np.pad(corpus[1].p_mdl_seq, ((0, 0), (0, 1))))
+    params = init_params(0, vocab.size, 4, config.state_dim)
+    tree = build_trie(vocab, config.rare_words)
+    trees = {utt.utt_id: tree for utt in corpus}
+    want = (f"utterance {wide.utt_id}: base-model rows {wide.p_mdl_seq.shape} do not fit "
+            f"a vocabulary of {vocab.size} tokens")
+    with pytest.raises(ValueError) as caught:
+        decode_corpus([corpus[0], wide], vocab, params, trees, mode)
+    assert str(caught.value) == want
+    with pytest.raises(ValueError) as caught:
+        greedy_decode(wide, vocab, params, tree, mode)
+    assert str(caught.value) == want

@@ -426,6 +426,86 @@ def test_fd_check_detects_coarse_steps():
         fd_check(params, batch, "two_loss", 0.7, 1e-2)
 
 
+@pytest.mark.parametrize("mode", losses.MODES)
+@pytest.mark.parametrize("setup", [
+    lambda: shared_start_setup(11, 4, 6),
+    lambda: make_check_setup(3, 4, 5, n_utterances=losses.GROUP_SIZE + 3),
+], ids=["shared-starts", "two-groups"])
+def test_fd_check_does_not_depend_on_the_probe_budget(mode, setup, monkeypatch):
+    """One ±step probe pair per block gives the default budget's error: every
+    probe's total is computed alike whatever block it is stacked in."""
+    params, batch, _ = setup()
+    default = fd_check(params, batch, mode, 0.7, 1e-5)
+    monkeypatch.setattr(losses, "PROBE_ELEMENTS", 1)
+    assert math.isclose(fd_check(params, batch, mode, 0.7, 1e-5), default, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("mode", losses.MODES)
+def test_fd_check_reads_a_gradient_off_by_a_factor_two_as_a_relative_error_of_a_half(
+    mode, monkeypatch
+):
+    params, batch, _ = make_check_setup(11, 4, 6)
+    kernel = losses.teacher_forced
+
+    def doubled(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        return dataclasses.replace(out, grads=unflatten(2.0 * flatten(out.grads), params.shapes))
+
+    monkeypatch.setattr(losses, "teacher_forced", doubled)
+    assert fd_check(params, batch, mode, 0.7, 1e-5) == pytest.approx(0.5, abs=0.02)
+
+
+def _count_forwards(monkeypatch):
+    """Record, per ``_group_pass`` call, its probe count (0 when unstacked) and
+    the elements of its group's (V, n·T) arrays."""
+    calls = []
+    kernel = losses._group_pass
+
+    def counted(params, group, *args):
+        calls.append((math.prod(params.w_query.shape[:-2]) if params.w_query.ndim > 2 else 0,
+                      group.allowed.size))
+        return kernel(params, group, *args)
+
+    monkeypatch.setattr(losses, "_group_pass", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pairs", [1, 7, 80, 161, 500])
+def test_each_group_gets_one_probe_forward_per_block_the_budget_allows(pairs, monkeypatch):
+    """AC-1's instance (0, 8, 8): one group, 161 parameters.  A budget of
+    ``pairs`` probe pairs of the group's arrays makes one analytic pass and
+    one probe forward per block; one element less leaves a pair out."""
+    params, batch, _ = make_check_setup(0, 8, 8)
+    size = flatten(params).size
+    elements = next(losses._groups(batch)).allowed.size
+    calls = _count_forwards(monkeypatch)
+    for budget, per_block in ((2 * pairs * elements, pairs), (2 * pairs * elements - 1, pairs - 1)):
+        calls.clear()
+        monkeypatch.setattr(losses, "PROBE_ELEMENTS", budget)
+        fd_check(params, batch, "two_loss", 0.7)
+        per_block = max(per_block, 1)
+        blocks = -(-size // per_block)
+        assert [probes for probes, _ in calls] == (
+            [0] + [2 * per_block] * (blocks - 1) + [2 * (size - per_block * (blocks - 1))])
+
+
+def test_default_probe_blocks_fill_the_budget_without_passing_it(monkeypatch):
+    """On AC-1's instance (4, 8, 8), whose group has the most elements, and on
+    a two-group batch, every probe forward stays within ``PROBE_ELEMENTS``,
+    and a block one pair larger would not have."""
+    calls = _count_forwards(monkeypatch)
+    for params, batch in (make_check_setup(4, 8, 8)[:2],
+                          make_check_setup(3, 4, 5, n_utterances=losses.GROUP_SIZE + 3)[:2]):
+        calls.clear()
+        fd_check(params, batch, "asr", 0.7)
+        groups = len(list(losses._groups(batch)))
+        probes, widest = calls[groups][0], max(elements for _, elements in calls)
+        assert [p for p, _ in calls[:groups]] == [0] * groups
+        assert probes * widest <= losses.PROBE_ELEMENTS
+        if 2 * flatten(params).size > probes:
+            assert (probes + 2) * widest > losses.PROBE_ELEMENTS
+
+
 @pytest.mark.parametrize("mode", ["two_loss", "asr"])
 def test_step_trace_sums_to_evaluate(mode):
     params, batch, _ = make_check_setup(9, 5, 5, n_utterances=3)

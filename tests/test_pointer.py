@@ -338,15 +338,18 @@ def test_state_terms_with_leading_axes_matches_each_slice():
     assert np.array_equal(one.query_logits, params.token_embed @ query.T)
     assert np.array_equal(one.gate_state, h @ params.w_gate[:d_h] + params.b_gate)
     assert np.array_equal(one.gate_token, params.token_embed @ params.w_gate[d_h:])
-    steps = np.random.default_rng(1).standard_normal((2, 3, flatten(params).size))
-    stack = flatten(params) + steps
-    stacked = state_terms(unflatten(stack, params.shapes), h)
-    assert stacked.query_logits.shape == (2, 3, 7, 9) and stacked.gate_state.shape == (2, 3, 9)
-    for idx in np.ndindex(2, 3):
-        want = state_terms(unflatten(stack[idx], params.shapes), h)
-        for name in ("query", "query_logits", "gate_state", "gate_token"):
-            got, ref = getattr(stacked, name)[idx], getattr(want, name)
-            assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (idx, name)
+    # a (2, 40) stack holds more probes than fd_check's old blocks of 32 pairs
+    for lead in ((2, 3), (2, 40), (5,), (2, 2, 3)):
+        steps = np.random.default_rng(1).standard_normal((*lead, flatten(params).size))
+        stack = flatten(params) + steps
+        stacked = state_terms(unflatten(stack, params.shapes), h)
+        assert stacked.query.shape == (*lead, 9, 4) and stacked.query_logits.shape == (*lead, 7, 9)
+        assert stacked.gate_state.shape == (*lead, 9) and stacked.gate_token.shape == (*lead, 7)
+        for idx in np.ndindex(*lead):
+            want = state_terms(unflatten(stack[idx], params.shapes), h)
+            for name in ("query", "query_logits", "gate_state", "gate_token"):
+                got, ref = getattr(stacked, name)[idx], getattr(want, name)
+                assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (idx, name)
 
 
 def test_flatten_follows_the_checkpoint_order_and_unflatten_views_it():

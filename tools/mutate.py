@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TARGETS = ("biastrie.walk", "biastrie.advance", "biastrie._expand", "biastrie._word_ids",
                    "biastrie.build_trie", "losses.bias_positions", "losses.pack", "losses._groups",
                    "losses._group_pass", "losses.teacher_forced", "losses.step_trace",
+                   "losses.probe_totals", "losses.fd_check",
                    "pointer.state_terms", "pointer.masked_forward", "pointer.forward_step",
                    "decoder.decode_corpus", "decoder._decode",
                    "trainer.fit", "trainer.sweep", "metrics.gate_counts",
