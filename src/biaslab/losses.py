@@ -145,12 +145,14 @@ GROUP_SIZE = 32
 # Elements of a block's probe-stacked (V, n·T) arrays.  Every probe carries
 # its own logits of a group, so ``fd_check`` sizes its blocks of ±step probe
 # pairs from the batch's largest group to stay within this budget, with at
-# least one pair per block.  On a 2-vCPU Xeon, AC-1's 40 checks took (min of
-# 50 jobs) 49.9 ms at 2^14, 51.1-51.8 ms at 2^16 and 2^17 (which run every
-# check's probes in one forward) and 64.1 ms in blocks of 32 pairs; 2^13
-# took 64-69 ms.  At 2^14 each check takes one to four forwards, and an
-# array stays within 128 KiB, where a fresh one does not page-fault.
-PROBE_ELEMENTS = 2 ** 14
+# least one pair per block.  2^16 is the smallest power of two that runs each
+# of AC-1's checks (at most 338 probes of 176 elements) in one forward per
+# group.  On a 2-vCPU Xeon the benchmark's ``fdcheck`` job took (min of 30
+# jobs, 3 fresh processes each) 72-78 ms at 2^13, 65-73 ms at 2^14, 65-68 ms
+# at 2^15, 64-70 ms at 2^16 and 65-66 ms at 2^17 and 2^18, against 74-78 ms
+# in the old blocks of 32 pairs: smaller blocks pay more forwards, larger ones
+# only more memory.
+PROBE_ELEMENTS = 2 ** 16
 FD_STEP = Range(1e-7, 1e-3, "[]")  # the central-difference steps ``fd_check`` takes
 
 LOSS_KEYS = ("l_gen", "l_ptr", "l_asr")
