@@ -150,7 +150,7 @@ GROUP_SIZE = 32
 # group.  On a 2-vCPU Xeon the benchmark's ``fdcheck`` job took (min of 30
 # jobs, 3 fresh processes each) 72-78 ms at 2^13, 65-73 ms at 2^14, 65-68 ms
 # at 2^15, 64-70 ms at 2^16 and 65-66 ms at 2^17 and 2^18, against 74-78 ms
-# in the old blocks of 32 pairs: smaller blocks pay more forwards, larger ones
+# with fixed blocks of 32 pairs: smaller blocks pay more forwards, larger ones
 # only more memory.
 PROBE_ELEMENTS = 2 ** 16
 FD_STEP = Range(1e-7, 1e-3, "[]")  # the central-difference steps ``fd_check`` takes

@@ -490,20 +490,20 @@ def test_each_group_gets_one_probe_forward_per_block_the_budget_allows(pairs, mo
 
 
 def test_default_probe_blocks_fill_the_budget_without_passing_it(monkeypatch):
-    """On AC-1's instance (4, 8, 8), whose group has the most elements, and on
-    a two-group batch, every probe forward stays within ``PROBE_ELEMENTS``,
-    and a block one pair larger would not have."""
+    """AC-1's instance (4, 8, 8), whose group has the most elements of AC-1's,
+    runs all its probes in one forward.  A two-group batch, which needs several
+    blocks, keeps every probe forward within ``PROBE_ELEMENTS``, and a block
+    one pair larger would not have been."""
     calls = _count_forwards(monkeypatch)
-    for params, batch in (make_check_setup(4, 8, 8)[:2],
-                          make_check_setup(3, 4, 5, n_utterances=losses.GROUP_SIZE + 3)[:2]):
-        calls.clear()
-        fd_check(params, batch, "asr", 0.7)
-        groups = len(list(losses._groups(batch)))
-        probes, widest = calls[groups][0], max(elements for _, elements in calls)
-        assert [p for p, _ in calls[:groups]] == [0] * groups
-        assert probes * widest <= losses.PROBE_ELEMENTS
-        if 2 * flatten(params).size > probes:
-            assert (probes + 2) * widest > losses.PROBE_ELEMENTS
+    params, batch, _ = make_check_setup(4, 8, 8)
+    fd_check(params, batch, "asr", 0.7)
+    assert [probes for probes, _ in calls] == [0, 2 * flatten(params).size]
+    calls.clear()
+    params, batch, _ = make_check_setup(3, 4, 5, n_utterances=losses.GROUP_SIZE + 3)
+    fd_check(params, batch, "asr", 0.7)
+    probes, widest = calls[2][0], max(elements for _, elements in calls)
+    assert [p for p, _ in calls[:2]] == [0, 0] and probes < 2 * flatten(params).size
+    assert probes * widest <= losses.PROBE_ELEMENTS < (probes + 2) * widest
 
 
 @pytest.mark.parametrize("mode", ["two_loss", "asr"])

@@ -338,7 +338,7 @@ def test_state_terms_with_leading_axes_matches_each_slice():
     assert np.array_equal(one.query_logits, params.token_embed @ query.T)
     assert np.array_equal(one.gate_state, h @ params.w_gate[:d_h] + params.b_gate)
     assert np.array_equal(one.gate_token, params.token_embed @ params.w_gate[d_h:])
-    # a (2, 40) stack holds more probes than fd_check's old blocks of 32 pairs
+    # one to three probe axes, and a (2, 40) stack of more than 64 probes
     for lead in ((2, 3), (2, 40), (5,), (2, 2, 3)):
         steps = np.random.default_rng(1).standard_normal((*lead, flatten(params).size))
         stack = flatten(params) + steps
