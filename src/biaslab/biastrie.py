@@ -18,7 +18,7 @@ reach, not its list's size; growing mutates it, so it is single-threaded.
 Each node's valid set is memoized in the tree on first use, as a bool row
 over the vocabulary (the mask of ``pointer.masked_forward``); the memo lives
 and dies with the tree.  ``walk`` stacks the rows along a token path, for
-``losses.prepare_example`` and each round of ``decoder.greedy_decode``.
+``losses.prepare_example`` and each round of ``decoder.decode_corpus``.
 Bias words' token ids are memoized on the vocabulary, so each distinct word
 is tokenized once per vocabulary, and a list's ids are fetched in one pass.
 """

@@ -147,6 +147,8 @@ def _decode(
             # an utterance's span runs to its guess's first EOS: past it is not reached
             spans = [(done[u], done[u] + _reached(guess[done[u]:ends[u]], eos_id)) for u in live]
             walks = [trees[u].walk(guess[a:b], node[u]) for u, (a, b) in zip(live, spans)]
+            # a lone span stays a slice: gathered, it moved p_gen in its last bits (by up
+            # to 3.6e-15 relative, at 879 of the decode workload's 4183 trace steps)
             if len(live) == 1:
                 span, allowed = slice(*spans[0]), walks[0][1]
             else:

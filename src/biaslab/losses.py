@@ -16,7 +16,7 @@ the caller.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -268,28 +268,6 @@ def _groups(batch: Pack | Sequence[BiasExample]) -> Iterator[Pack]:
                    packed.lengths[rows], np.arange(len(rows)))
 
 
-@dataclass
-class TeacherForced:
-    """Result of one teacher-forced pass over a batch.
-
-    ``terms()`` gives every per-position quantity of the pass as one array
-    over all positions, utterances in batch order: the gate ``p_gen`` (0
-    where the valid set is empty), the bias probability of the gold token
-    ``p_ptr_gold``, the three loss terms, ``valid_count``, ``in_mask`` and,
-    in a pass with gradients, ``d_gate_pre``: the derivative of the mode's
-    objective with respect to the gate pre-activation, 0 where the log it
-    flows through is floored.
-    """
-
-    report: LossReport
-    grads: PgParams | None
-    groups: list[tuple[dict[str, np.ndarray], np.ndarray]] = field(repr=False)
-
-    def terms(self) -> dict[str, np.ndarray]:
-        keys = self.groups[0][0] if self.groups else ()
-        return {key: np.concatenate([f[key][real] for f, real in self.groups]) for key in keys}
-
-
 def _group_pass(
     params: PgParams,
     group: Pack,
@@ -422,15 +400,25 @@ def run_groups(params: PgParams, batch: Pack, mode: str, alpha: float,
     return sums, n_clamped, per_group
 
 
+def terms(groups: list[tuple[dict[str, np.ndarray], np.ndarray]]) -> dict[str, np.ndarray]:
+    """Each per-position quantity of a teacher-forced pass's ``groups`` as one array over
+    all positions, utterances in batch order: the gate ``p_gen`` (0 where the valid set is
+    empty), the gold token's bias probability ``p_ptr_gold``, the three loss terms,
+    ``valid_count``, ``in_mask`` and, with gradients, ``d_gate_pre``: the derivative of the
+    mode's objective in the gate pre-activation, 0 where the log it flows through is floored."""
+    keys = groups[0][0] if groups else ()
+    return {key: np.concatenate([f[key][real] for f, real in groups]) for key in keys}
+
+
 def teacher_forced(
     params: PgParams,
     batch: Pack | Sequence[BiasExample],
     mode: str,
     alpha: float,
     want_grad: bool = False,
-) -> TeacherForced:
-    """Teacher-forced forward (and optional backward) over a batch, a
-    ``Pack`` or a list of examples, which is packed on entry.
+) -> tuple[LossReport, np.ndarray | None, list]:
+    """Teacher-forced pass over a batch (a ``Pack``, or examples packed on entry):
+    the report, the gradient in ``flatten``'s layout or None, and the ``terms`` groups.
 
     Every position's valid set is known from the reference, so a group of
     utterances runs as array operations: ``state_terms`` over vocabulary
@@ -456,8 +444,7 @@ def teacher_forced(
     sums, n_clamped, per_group = run_groups(params, batch, mode, alpha, grad_out)
     l_gen, l_ptr, l_asr = map(float, sums)
     report = LossReport(l_asr, l_gen, l_ptr, mode_total(mode, l_gen, l_ptr, l_asr), n_clamped)
-    grads = None if grad_out is None else unflatten(grad_out, params.shapes)
-    return TeacherForced(report, grads, per_group)
+    return report, grad_out, per_group
 
 
 def _rates(terms: dict[str, np.ndarray]) -> dict[str, float]:
@@ -480,9 +467,9 @@ def evaluate(params: PgParams, batch: Pack | Sequence[BiasExample], mode: str,
              alpha: float) -> LossReport:
     """Losses summed over a batch, without gradients, and the batch's
     ``gate_rates`` from the same pass."""
-    out = teacher_forced(params, batch, mode, alpha)
-    out.report.gate_rates = _rates(out.terms())
-    return out.report
+    report, _, groups = teacher_forced(params, batch, mode, alpha)
+    report.gate_rates = _rates(terms(groups))
+    return report
 
 
 def gate_rates(params: PgParams, batch: Pack | Sequence[BiasExample]) -> dict[str, float]:
@@ -498,8 +485,8 @@ def grad(
     params: PgParams, batch: Pack | Sequence[BiasExample], mode: str, alpha: float
 ) -> tuple[PgParams, LossReport]:
     """Analytic gradient of the mode's objective, summed over the batch."""
-    out = teacher_forced(params, batch, mode, alpha, want_grad=True)
-    return out.grads, out.report
+    report, grad_out, _ = teacher_forced(params, batch, mode, alpha, want_grad=True)
+    return unflatten(grad_out, params.shapes), report
 
 
 def probe_totals(
@@ -534,7 +521,7 @@ def fd_check(
     """
     FD_STEP.require(step, "step")
     batch = pack(batch)
-    analytic = flatten(teacher_forced(params, batch, mode, alpha, want_grad=True).grads)
+    _, analytic, _ = teacher_forced(params, batch, mode, alpha, want_grad=True)
     groups = list(_groups(batch))
     base = flatten(params)
     pairs = max(1, PROBE_ELEMENTS // (2 * max((g.allowed.size for g in groups), default=1)))
@@ -562,7 +549,7 @@ def step_trace(
     component of ``grad``.
     """
     batch = pack(batch)
-    found = teacher_forced(params, batch, mode, alpha, want_grad=True).terms()
+    found = terms(teacher_forced(params, batch, mode, alpha, want_grad=True)[2])
     columns = {key: values.tolist() for key, values in found.items()}
     steps = [(batch.utt_ids[r], i) for r in batch.rows for i in range(batch.lengths[r])]
     return [

@@ -18,7 +18,6 @@ import itertools
 import json
 import sys
 import typing
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ import numpy as np
 from .tokenizer import TokenizedUtterance, Vocab, build_vocab, tokenize, tokenize_word
 
 CORPUS_FORMAT_VERSION = 1
-SIZE_WARNING_THRESHOLD = 10_000
 CONDITIONS = ("train", "test")  # the decoder-state noise a corpus is rendered under
 
 
@@ -238,22 +236,6 @@ _KINDS = {int: "a number written as an integer", float: "a finite number", str: 
           bool: "a boolean", list: "a list", dict: "an object"}
 
 
-_PARTS: dict[int, tuple] = {}  # id(hint) -> (hint, its origin, its arguments)
-
-
-def _parts(kind) -> tuple:
-    """A hint's origin (the hint itself if it has none) and its arguments, read
-    once per hint object.  Keyed by identity, as hashing a hint costs as much as
-    reading it; the entry holds the hint, so its id is not reused.  Hints made
-    per call, such as a reader's ``list[Size]``, are let go after 1024 entries."""
-    entry = _PARTS.get(id(kind))
-    if entry is None:
-        if len(_PARTS) >= 1024:
-            _PARTS.clear()
-        entry = _PARTS[id(kind)] = (kind, typing.get_origin(kind) or kind, typing.get_args(kind))
-    return entry[1:]
-
-
 def check(value, kind, where: str, path: tuple = ()):
     """``value``, parsed from JSON, as the type hint ``kind`` declares it, or ValueError
     naming ``where`` and the path to the part that does not fit.  ``int`` takes no
@@ -261,7 +243,7 @@ def check(value, kind, where: str, path: tuple = ()):
     list (or a tuple) of that length; a ``Range`` takes a number in it, and
     ``Annotated[X, Range(...)]`` an X in it; a schema (a dict of key -> kind) takes an
     object that has every key it names, and passes the object's other keys unchecked."""
-    origin, args = (kind, ()) if isinstance(kind, dict) else _parts(kind)
+    origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
     value = value.item() if isinstance(value, np.generic) else value  # numpy's as Python's
     if origin is typing.Annotated:  # Annotated[X, Range(...)]: an X, then in the range
         return args[1].require(check(value, args[0], where, path), where, path)
@@ -329,11 +311,6 @@ def write_corpus(
     path: str, corpus: list[SimUtterance], vocab: Vocab, seed: int, condition: str
 ) -> None:
     """JSON-lines corpus: one meta line, then one utterance per line."""
-    if len(corpus) > SIZE_WARNING_THRESHOLD:
-        warnings.warn(
-            f"writing {len(corpus)} utterances as JSON-lines; expect a large file",
-            stacklevel=2,
-        )
     meta = {
         "kind": "meta",
         "version": CORPUS_FORMAT_VERSION,

@@ -27,7 +27,7 @@ from . import decoder, losses, metrics
 from .biaslist import require_lists
 from .biastrie import PrefixTree, build_tries
 from .losses import BiasExample, prepare_example
-from .pointer import PgParams, check_fit, flatten, init_params, unflatten
+from .pointer import PgParams, flatten, init_params, unflatten
 from .simulator import Count, Range, SimUtterance, Size, check_fields, sub_rng
 from .tokenizer import Vocab
 
@@ -90,8 +90,8 @@ def fit(examples: losses.Pack | Sequence[BiasExample], config: TrainConfig,
     """``train`` on prepared examples: a ``losses.Pack``, or a list that is
     packed once, at the start of training, where a bad input raises, and
     then dropped.  The splits and minibatches take the pack's rows;
-    minibatches run the group loop unchecked, as the fit is checked on the
-    training split's first row before them.
+    minibatches run the group loop unchecked, as the parameters are built
+    to the pack's widths and ``validate`` has checked the mode and alpha.
 
     With ``keep_log`` False the log stays empty, and the full passes over the
     training split that only the log reads are skipped: the gradient before
@@ -125,11 +125,6 @@ def fit(examples: losses.Pack | Sequence[BiasExample], config: TrainConfig,
     try:
         if keep_log:  # gradient signal available to the first epoch, before any update
             signal, _ = losses.grad(params, train_set, config.mode, config.alpha)
-        else:  # the fit check that pass made, which the unchecked minibatches rely on
-            first = train_set.rows[0]
-            size = train_set.lengths[first]
-            check_fit(params, train_set.utt_ids[first], train_set.allowed[first, :size],
-                      train_set.h[first, :size])
         for epoch in range(1, config.epochs + 1):
             order = sub_rng(config.seed, "epoch", epoch).permutation(n_train)
             for start in range(0, len(order), config.batch_size):

@@ -413,7 +413,7 @@ def test_decoded_gate_is_the_kernels_wherever_the_prefix_is_the_reference():
     params, _ = train(train_corpus, train_lists, vocab, config)
     trees = build_tries(vocab, test_lists)
     batch = prepare_batch(vocab, test_corpus, test_lists, trees)
-    kernel = losses.teacher_forced(params, batch, "two_loss", 0.7).terms()["p_gen"]
+    kernel = losses.terms(losses.teacher_forced(params, batch, "two_loss", 0.7)[2])["p_gen"]
     starts = np.cumsum([0] + [len(ex.tokens) for ex in batch])
     compared = 0
     for mode in INTERPOLATION_MODES:

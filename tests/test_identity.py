@@ -3,8 +3,11 @@ flag or output file fails here rather than silently in the identity check."""
 
 import argparse
 import importlib.util
+import math
 import shlex
 from pathlib import Path
+
+import pytest
 
 from biaslab.cli import build_parser
 
@@ -43,3 +46,27 @@ def test_the_manifest_lists_every_output_the_readme_pipeline_writes():
     names = identity.output_names(3)
     assert written <= set(names) and "ckpt.bin.log.csv" in names
     assert len(names) == len(set(names)) == 25
+
+
+FD_OUTPUT = ("mode two_loss: max relative gradient error {}\n"
+             "mode asr: max relative gradient error 8.654e-08\n"
+             "OK: within tolerance {}\n")
+
+
+def test_fd_check_outputs_that_differ_only_in_printed_errors_differ_in_floats():
+    mine = FD_OUTPUT.format("3.152e-08", "1.000e-04").encode()
+    theirs = FD_OUTPUT.format("7.286e-08", "1.000e-04").encode()
+    diffs = identity.float_fields("fd_check.txt", mine, theirs)
+    assert diffs.keys() == {"mode two_loss"}
+    assert math.isclose(diffs["mode two_loss"], (7.286 - 3.152) / 7.286)
+    assert identity.float_fields("fd_check_5utt.txt", mine, mine) == {}
+
+
+@pytest.mark.parametrize("theirs", [
+    FD_OUTPUT.format("3.152e-08", "1.000e-03"),  # another line differs
+    FD_OUTPUT.format("7.286e-08", "1.000e-04").replace("two_loss", "none"),  # another mode
+    FD_OUTPUT.format("7.286e-08", "1.000e-04") + "\n",  # a line more
+])
+def test_fd_check_outputs_that_differ_beyond_printed_errors_differ_beyond_floats(theirs):
+    mine = FD_OUTPUT.format("3.152e-08", "1.000e-04").encode()
+    assert identity.float_fields("fd_check.txt", mine, theirs.encode()) is None

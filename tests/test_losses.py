@@ -448,8 +448,8 @@ def test_fd_check_reads_a_gradient_off_by_a_factor_two_as_a_relative_error_of_a_
     kernel = losses.teacher_forced
 
     def doubled(*args, **kwargs):
-        out = kernel(*args, **kwargs)
-        return dataclasses.replace(out, grads=unflatten(2.0 * flatten(out.grads), params.shapes))
+        report, grad_out, groups = kernel(*args, **kwargs)
+        return report, 2.0 * grad_out, groups
 
     monkeypatch.setattr(losses, "teacher_forced", doubled)
     assert fd_check(params, batch, mode, 0.7, 1e-5) == pytest.approx(0.5, abs=0.02)
@@ -612,17 +612,19 @@ def test_a_pass_in_length_order_matches_batch_order(mode):
     packed = losses.pack(batch)
     order = np.argsort(packed.lengths, kind="stable")
     assert not np.array_equal(order, np.arange(len(batch)))
-    by_length = losses.teacher_forced(params, packed.take(order), mode, 0.7, want_grad=True)
-    listed = losses.teacher_forced(params, batch, mode, 0.7, want_grad=True)
+    by_length, length_grad, length_groups = losses.teacher_forced(
+        params, packed.take(order), mode, 0.7, want_grad=True)
+    listed, listed_grad, listed_groups = losses.teacher_forced(
+        params, batch, mode, 0.7, want_grad=True)
     for key in ("l_gen", "l_ptr", "l_asr", "total"):
-        assert math.isclose(getattr(by_length.report, key), getattr(listed.report, key),
-                            rel_tol=1e-12), key
-    assert by_length.report.n_clamped == listed.report.n_clamped
-    assert np.allclose(flatten(by_length.grads), flatten(listed.grads), rtol=1e-12, atol=0.0)
+        assert math.isclose(getattr(by_length, key), getattr(listed, key), rel_tol=1e-12), key
+    assert by_length.n_clamped == listed.n_clamped
+    assert np.allclose(length_grad, listed_grad, rtol=1e-12, atol=0.0)
     starts = np.cumsum([0, *packed.lengths])
-    for key, values in listed.terms().items():
+    length_terms = losses.terms(length_groups)
+    for key, values in losses.terms(listed_groups).items():
         want = np.concatenate([values[starts[r]:starts[r + 1]] for r in order])
-        assert np.allclose(by_length.terms()[key], want, rtol=1e-12, atol=0.0), key
+        assert np.allclose(length_terms[key], want, rtol=1e-12, atol=0.0), key
     records = losses.step_trace(params, packed.take(order), mode, 0.7)
     assert [(r["utt"], r["step"]) for r in records] == [
         (batch[r].utt_id, i) for r in order for i in range(packed.lengths[r])]
@@ -667,8 +669,8 @@ def test_kernel_matches_reference_losses_and_forward_step(seed, b_gate, alpha, e
     params.b_gate = b_gate
     # clear some off-mask valid sets: the kernel must mix empty and full rows
     batch[0] = _empty_off_mask_sets(batch[0], emptied)
-    out = losses.teacher_forced(params, batch, "two_loss", alpha)
-    gates = out.terms()["p_gen"]
+    report, _, groups = losses.teacher_forced(params, batch, "two_loss", alpha)
+    gates = losses.terms(groups)["p_gen"]
     l_gen = l_ptr = l_asr = 0.0
     offset = 0
     for ex in batch:
@@ -684,9 +686,9 @@ def test_kernel_matches_reference_losses_and_forward_step(seed, b_gate, alpha, e
         rows = [interpolate(ex.p_mdl_seq[i], s, "scaled") for i, s in enumerate(steps)]
         l_asr += loss_asr(np.array(rows), ref)
     assert offset == len(gates)
-    assert _close(out.report.l_gen, l_gen)
-    assert _close(out.report.l_ptr, l_ptr)
-    assert _close(out.report.l_asr, l_asr)
+    assert _close(report.l_gen, l_gen)
+    assert _close(report.l_ptr, l_ptr)
+    assert _close(report.l_asr, l_asr)
 
 
 def _empty_off_mask_sets(ex, emptied):
@@ -803,8 +805,8 @@ def test_non_finite_logits_of_tokens_no_position_allows_move_nothing(mode, monke
     packed = losses.pack(batch)
     never = np.flatnonzero(~packed.allowed.any(axis=(0, 1)))
     assert never.size
-    want = (evaluate(params, packed, mode, 0.7),
-            losses.teacher_forced(params, packed, mode, 0.7, want_grad=True))
+    want = evaluate(params, packed, mode, 0.7)
+    _, want_grad, want_groups = losses.teacher_forced(params, packed, mode, 0.7, want_grad=True)
     finite = losses.state_terms
 
     def poisoned(params, h_seq):
@@ -814,9 +816,9 @@ def test_non_finite_logits_of_tokens_no_position_allows_move_nothing(mode, monke
         return dataclasses.replace(terms, query_logits=logits)
 
     monkeypatch.setattr(losses, "state_terms", poisoned)
-    got = (evaluate(params, packed, mode, 0.7),
-           losses.teacher_forced(params, packed, mode, 0.7, want_grad=True))
-    assert got[0] == want[0]
-    assert np.array_equal(flatten(got[1].grads), flatten(want[1].grads))
-    for key, values in want[1].terms().items():
-        assert np.array_equal(got[1].terms()[key], values), key
+    assert evaluate(params, packed, mode, 0.7) == want
+    _, got_grad, got_groups = losses.teacher_forced(params, packed, mode, 0.7, want_grad=True)
+    assert np.array_equal(got_grad, want_grad)
+    got_terms = losses.terms(got_groups)
+    for key, values in losses.terms(want_groups).items():
+        assert np.array_equal(got_terms[key], values), key

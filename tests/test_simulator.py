@@ -1,12 +1,12 @@
 import dataclasses
 import json
+import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biaslab import simulator
 from biaslab.biastrie import build_trie
 from biaslab.decoder import greedy_decode
 from biaslab.losses import loss_asr
@@ -204,15 +204,6 @@ def test_corpus_file_roundtrip(tmp_path):
         assert np.array_equal(a.h_dec_seq, b.h_dec_seq)
 
 
-def test_size_warning(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulator, "SIZE_WARNING_THRESHOLD", 2)
-    config = toy_config(n_utterances=3)
-    corpus = gen_corpus(config)
-    vocab = build_sim_vocab(config)
-    with pytest.warns(UserWarning, match="large file"):
-        write_corpus(str(tmp_path / "c.jsonl"), corpus, vocab, config.seed, "train")
-
-
 def _set(rows, i, j, value):
     rows[i][j] = value
 
@@ -359,9 +350,9 @@ def test_utterance_line_that_is_not_json_is_named(tmp_path):
     ({"a": "b"}, dict[str, str], {"a": "b"}), ("meta", typing.Literal["meta"], "meta"),
     ([[0, 1.0, True, 3]], list[tuple[int, float, bool, int]], [(0, 1.0, True, 3)]),
     ((2, 4), tuple[Count, Count], (2, 4)), (np.float64(0.25), Share, 0.25),
-    (np.int64(7), Size, 7),
+    (np.int64(7), Size, 7), (sys.float_info.max, float, sys.float_info.max),
 ], ids=["int", "int_as_float", "float", "tuple", "dict", "literal", "trace", "tuple_of_counts",
-        "numpy_float", "numpy_int"])
+        "numpy_float", "numpy_int", "largest_float"])
 def test_check_reads_each_declared_kind(value, kind, read):
     got = check(value, kind, "f")
     assert got == read and type(got) is type(read)
@@ -377,6 +368,9 @@ def test_check_reads_each_declared_kind(value, kind, read):
     ([1, 2, 3], tuple[int, int], "'k' must be a list of 2, got [1, 2, 3]"),
     ({"a": 5}, dict[str, str], "'k.a' must be a string, got 5"),
     (["x", 7], list[str], "'k.1' must be a string, got 7"),
+    ([2.0], list[int], "'k.0' must be a number written as an integer, got 2.0"),
+    ([float("inf")], list[float], "'k.0' must be a finite number, got inf"),
+    ({"a": 1}, int, "'k' must be a number written as an integer, got {'a': 1}"),
     (2, typing.Literal[1], "'k' must be 1, got 2"),
     ({"b": {}}, {"b": {"c": int}}, "f lacks key 'k.b.c'"),
     ([2, 0], tuple[Count, Count], "'k.1' must be in [1, inf), got 0"),
@@ -384,7 +378,8 @@ def test_check_reads_each_declared_kind(value, kind, read):
     (2.5, Count, "'k' must be a number written as an integer, got 2.5"),
     (float("nan"), Range(0, 1, "()"), "'k' must be in (0, 1), got nan"),
 ], ids=["bool_for_int", "float_for_int", "integral_float_for_int", "bool_for_float", "nan",
-        "past_the_float_range", "long_tuple", "dict_value", "list_item", "literal", "nested_key",
+        "past_the_float_range", "long_tuple", "dict_value", "list_item", "list_of_floats_for_ints",
+        "infinite_list_item", "object_for_int", "literal", "nested_key",
         "count_below_1", "share_above_1", "float_for_a_count", "nan_outside_a_range"])
 def test_check_names_the_part_that_does_not_fit(value, kind, problem):
     with pytest.raises(ValueError) as caught:

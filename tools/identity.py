@@ -11,12 +11,14 @@ file.  The tool prints a sha256 manifest of the outputs.
 With ``--against REV`` it checks REV out with ``git worktree add --detach``
 into a temporary directory (local git only), runs the same pipeline on that
 tree's ``src`` and lists every file whose bytes differ.  Where a JSON, JSON
-lines, CSV or checkpoint file differs only in floating-point values, it
-prints each field's largest difference relative to the field's largest
-magnitude, max |a - b| / max(|a|, |b|) over the field: about 1e-16 means the
-last bits moved.  A field is a key path (list items as ``[]``), a CSV column
-or a checkpoint parameter.  It exits 1 if any difference is not named in
-the ``--allow`` file (one output name per line, ``#`` starts a comment).
+lines, CSV or checkpoint file, or an ``fd-check`` output, differs only in
+floating-point values, it prints each field's largest difference relative to
+the field's largest magnitude, max |a - b| / max(|a|, |b|) over the field:
+about 1e-16 means the last bits moved.  A field is a key path (list items as
+``[]``), a CSV column, a checkpoint parameter or an ``fd-check`` line's
+``mode <m>``, whose printed error is its one value.  It exits 1 if any
+difference is not named in the ``--allow`` file (one output name per line,
+``#`` starts a comment).
 
     python tools/identity.py --seed 3
     python tools/identity.py --seed 3 --against HEAD~1 --allow allowed.txt
@@ -31,6 +33,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,6 +43,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_FLAGS = ("--out", "--write-common", "--trace", "--per-utt")
+FD_LINE = re.compile(r"(mode \S+): max relative gradient error (\d\.\d+e[-+]\d+|nan|inf)")
 FD_CHECKS = {"fd_check.txt": ["--seed", "11", "--dims", "8,8"],
              "fd_check_5utt.txt": ["--seed", "11", "--utterances", "5"]}
 
@@ -156,6 +160,16 @@ def float_fields(name: str, mine: bytes, theirs: bytes) -> dict[str, float] | No
                         [{k: _cell(v) for k, v in row.items()} for row in rows_b], "", fields):
             return None
         fields = {key.removeprefix("[]."): pairs for key, pairs in fields.items()}
+    elif name in FD_CHECKS:
+        texts = [data.decode("utf-8").splitlines() for data in (mine, theirs)]
+        if len(texts[0]) != len(texts[1]):
+            return None
+        for a, b in zip(*texts):
+            found = [FD_LINE.fullmatch(line) for line in (a, b)]
+            if a != b and not (all(found) and found[0][1] == found[1][1]):
+                return None
+            if all(found):
+                fields[found[0][1]] = [(float(found[0][2]), float(found[1][2]))]
     elif name.endswith((".json", ".jsonl")):
         parse = (lambda data: [json.loads(line) for line in data.splitlines()]) \
             if name.endswith(".jsonl") else json.loads

@@ -34,12 +34,13 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TARGETS = ("biastrie.walk", "biastrie.advance", "biastrie._expand", "biastrie._word_ids",
                    "biastrie.build_trie", "losses.bias_positions", "losses.pack", "losses._groups",
                    "losses._group_pass", "losses.teacher_forced", "losses.step_trace",
-                   "losses.probe_totals", "losses.fd_check",
+                   "losses.terms", "losses.probe_totals", "losses.fd_check",
                    "pointer.state_terms", "pointer.masked_forward", "pointer.forward_step",
                    "decoder.decode_corpus", "decoder._decode",
                    "trainer.fit", "trainer.sweep", "metrics.gate_counts",
                    "metrics.align", "metrics.utterance_counts", "metrics.score",
-                   "tokenizer.detokenize", "simulator._model_rows", "simulator.check_fields")
+                   "tokenizer.detokenize", "simulator._model_rows", "simulator.check",
+                   "simulator.check_fields")
 FLIPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.And: ast.Or, ast.Or: ast.And,
